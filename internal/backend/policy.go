@@ -155,17 +155,30 @@ func (b *Backend) newPolicy(name string) Policy {
 
 // pickFreeWorkerRR scans for a worker with a free local-queue credit,
 // round-robin from the shared cursor, and advances the cursor past the
-// returned worker. It returns -1 when every local queue is full.
+// returned worker. It returns -1 when every local queue is full. The
+// circular scan runs as two plain ranges, [freeRR, n) then [0, freeRR), so
+// a failed pick over every worker costs no division.
 func (b *Backend) pickFreeWorkerRR() int {
-	n := len(b.workers)
-	for i := 0; i < n; i++ {
-		idx := (b.freeRR + i) % n
-		if b.credits[idx] > 0 {
-			b.freeRR = (idx + 1) % n
-			return idx
+	credits := b.credits
+	for idx := b.freeRR; idx < len(credits); idx++ {
+		if credits[idx] > 0 {
+			return b.takeRR(idx)
+		}
+	}
+	for idx := 0; idx < b.freeRR; idx++ {
+		if credits[idx] > 0 {
+			return b.takeRR(idx)
 		}
 	}
 	return -1
+}
+
+// takeRR advances the round-robin cursor past worker idx and returns it.
+func (b *Backend) takeRR(idx int) int {
+	if b.freeRR = idx + 1; b.freeRR == len(b.credits) {
+		b.freeRR = 0
+	}
+	return idx
 }
 
 // --- fifo ---

@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"tasksuperscalar/internal/core"
@@ -398,5 +400,59 @@ func TestWorkerClassSpeedScalesUnderFifo(t *testing.T) {
 	}
 	if got := finish[1] - start[1]; got != 100_000 {
 		t.Fatalf("baseline task ran %d cycles, want 100000", got)
+	}
+}
+
+// pickModuloRef is the original circular scan, one modulo per probe; the
+// two-range scan must agree with it exactly.
+func pickModuloRef(credits []int, cursor int) (pick, next int) {
+	n := len(credits)
+	for i := 0; i < n; i++ {
+		idx := (cursor + i) % n
+		if credits[idx] > 0 {
+			return idx, (idx + 1) % n
+		}
+	}
+	return -1, cursor
+}
+
+// The round-robin free-worker scan picks the same worker and leaves the same
+// cursor as the modulo scan, for every cursor position over edge-case and
+// random credit patterns.
+func TestPickFreeWorkerRRMatchesModuloScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	type pattern struct {
+		name    string
+		credits []int
+	}
+	patterns := []pattern{
+		{"one worker, full", []int{0}},
+		{"one worker, free", []int{1}},
+		{"all full", make([]int, 7)},
+		{"all free", []int{2, 2, 2, 2, 2}},
+		{"only first free", []int{1, 0, 0, 0, 0, 0}},
+		{"only last free", []int{0, 0, 0, 0, 0, 3}},
+	}
+	for _, n := range []int{2, 3, 16, 64, 256} {
+		for _, density := range []float64{0.01, 0.1, 0.5, 0.9} {
+			c := make([]int, n)
+			for i := range c {
+				if rng.Float64() < density {
+					c[i] = 1 + rng.Intn(2)
+				}
+			}
+			patterns = append(patterns, pattern{fmt.Sprintf("n=%d density=%.2f", n, density), c})
+		}
+	}
+	for _, p := range patterns {
+		for cursor := range p.credits {
+			b := &Backend{credits: p.credits, freeRR: cursor}
+			got := b.pickFreeWorkerRR()
+			want, wantNext := pickModuloRef(p.credits, cursor)
+			if got != want || b.freeRR != wantNext {
+				t.Fatalf("%s, cursor %d: picked %d leaving cursor %d; modulo scan picks %d leaving %d",
+					p.name, cursor, got, b.freeRR, want, wantNext)
+			}
+		}
 	}
 }

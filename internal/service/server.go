@@ -549,14 +549,20 @@ func (s *Server) appendLog(e *execution, line string) {
 // settle publishes an execution's terminal state exactly once: done with its
 // result on success, cancelled when the execution's context was cancelled,
 // failed otherwise. It stores successful results in both cache layers (the
-// disk write is skipped when the result just came from there), releases the
-// key's inflight slot, and returns the terminal status it published — or ""
-// when the execution was already terminal (a cancel flipped it while
-// queued), which is what makes status transitions idempotent under every
-// race. Counter updates are the callers' job: API submissions go through
-// finishJob/finishJobFromDisk; internal sweep points call settle directly
-// and account themselves in ShardStats.
-func (s *Server) settle(j *job, result []byte, err error, fromDisk bool) string {
+// disk write is skipped when the result just came from there) before the
+// status becomes visible and releases the key's inflight slot. An execution
+// that is already terminal (a cancel flipped it while queued) is left
+// untouched, which is what makes status transitions idempotent under every
+// race.
+//
+// For a primary API job (api set), settle also counts the job — as a disk
+// hit when its result came from the store, otherwise by terminal state —
+// and returns its tenant quota slot. That happens under s.mu in the same
+// critical section that publishes the status (lock order s.mu, then e.mu),
+// so a client that observes the terminal status, by polling or on the SSE
+// stream, and then reads /stats always finds the job counted. Internal
+// sweep points pass api false and account themselves in ShardStats.
+func (s *Server) settle(j *job, result []byte, err error, fromDisk, api bool) {
 	e := j.exec
 	status := StatusDone
 	if err != nil {
@@ -567,16 +573,28 @@ func (s *Server) settle(j *job, result []byte, err error, fromDisk bool) string 
 		}
 	}
 
+	if status == StatusDone {
+		s.cache.Put(j.key, result)
+		if s.disk != nil && !fromDisk {
+			s.disk.Put(j.key, result)
+		}
+	}
+
+	s.mu.Lock()
 	e.mu.Lock()
 	if terminalStatus(e.status) {
 		e.mu.Unlock()
-		return ""
+		s.mu.Unlock()
+		return
 	}
 	switch status {
 	case StatusDone:
 		e.result = result
 	default:
 		e.errMsg = err.Error()
+	}
+	if api {
+		s.countSettledLocked(j, status, fromDisk)
 	}
 	e.status = status
 	e.version++
@@ -585,14 +603,6 @@ func (s *Server) settle(j *job, result []byte, err error, fromDisk bool) string 
 	if e.cancel != nil {
 		e.cancel()
 	}
-
-	if status == StatusDone {
-		s.cache.Put(j.key, result)
-		if s.disk != nil && !fromDisk {
-			s.disk.Put(j.key, result)
-		}
-	}
-	s.mu.Lock()
 	if p := s.inflight[j.key]; p != nil && p.exec == e {
 		delete(s.inflight, j.key)
 	}
@@ -602,8 +612,10 @@ func (s *Server) settle(j *job, result []byte, err error, fromDisk bool) string 
 	// this (earlier) settle. Keys never journaled (internal sweep points)
 	// write nothing.
 	s.journal.settleKey(j.key, status)
+	if api {
+		s.evictJobsLocked()
+	}
 	s.mu.Unlock()
-	return status
 }
 
 // releaseSlot returns the job's tenant quota slot, exactly once.
@@ -613,45 +625,38 @@ func (s *Server) releaseSlot(j *job) {
 	}
 }
 
-// finishJob settles a primary API job, updates the terminal-state counters,
-// releases the tenant's quota slot, and re-checks the registry bound so a
-// burst that finishes after its submissions still converges to MaxJobs.
-func (s *Server) finishJob(j *job, result []byte, err error) {
-	status := s.settle(j, result, err, false)
-	if status == "" {
-		return
-	}
+// countSettledLocked records a primary job's settlement in the daemon and
+// tenant counters and returns its quota slot. Every settled submission is
+// exactly one of completed, failed, cancelled, coalesced, cache hit, or disk
+// hit (the conservation invariant); a result read from the persistent store
+// counts as a disk hit, not a completion. The caller holds s.mu.
+func (s *Server) countSettledLocked(j *job, status string, fromDisk bool) {
 	s.releaseSlot(j)
-	s.mu.Lock()
-	switch status {
-	case StatusDone:
+	switch {
+	case fromDisk:
+		j.disk.Store(true)
+		s.diskHits++
+	case status == StatusDone:
 		s.completed++
 		if j.tenant != nil {
 			j.tenant.noteCompleted()
 		}
-	case StatusFailed:
+	case status == StatusFailed:
 		s.failed++
-	case StatusCancelled:
+	case status == StatusCancelled:
 		s.cancelled++
 	}
-	s.evictJobsLocked()
-	s.mu.Unlock()
+}
+
+// finishJob settles a primary API job that ran (see settle).
+func (s *Server) finishJob(j *job, result []byte, err error) {
+	s.settle(j, result, err, false, true)
 }
 
 // finishJobFromDisk settles a primary API job whose result was read from the
-// persistent store: the job counts as a disk hit, not a completion, keeping
-// the conservation invariant (every settled submission is exactly one of
-// completed, failed, cancelled, coalesced, cache hit, or disk hit).
+// persistent store (see settle).
 func (s *Server) finishJobFromDisk(j *job, result []byte) {
-	if s.settle(j, result, nil, true) == "" {
-		return
-	}
-	s.releaseSlot(j)
-	j.disk.Store(true)
-	s.mu.Lock()
-	s.diskHits++
-	s.evictJobsLocked()
-	s.mu.Unlock()
+	s.settle(j, result, nil, true, true)
 }
 
 // SubmitStatus is the response to POST /v1/jobs and the per-job body of the
@@ -887,38 +892,35 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	e := j.exec
 
-	cancelledNow := false
+	// A queued cancel bypasses settle, so it follows settle's locking: the
+	// flip and its counter land in one s.mu critical section, and a client
+	// that sees "cancelled" finds it counted on /stats.
+	s.mu.Lock()
 	e.mu.Lock()
-	if e.status == StatusQueued {
+	cancelledNow := e.status == StatusQueued
+	if cancelledNow {
 		e.status = StatusCancelled
 		e.errMsg = "cancelled before execution"
 		e.version++
 		e.cond.Broadcast()
-		cancelledNow = true
-	}
-	e.mu.Unlock()
-	if e.cancel != nil {
-		e.cancel() // idempotent; running executions observe it cooperatively
-	}
-	if cancelledNow {
-		var primary *job
-		s.mu.Lock()
+		s.cancelled++
 		if p := s.inflight[j.key]; p != nil && p.exec == e {
 			delete(s.inflight, j.key)
-			primary = p
+			// The primary never reaches finishJob (a worker popping it
+			// just skips it), so its tenant quota slot is returned here.
+			s.releaseSlot(p)
 		}
-		// A queued cancel bypasses settle, so the journal settle lands here:
-		// cancelling any submission of the key cancels them all, and none
+	}
+	e.mu.Unlock()
+	if cancelledNow {
+		// Cancelling any submission of the key cancels them all, and none
 		// must replay after a crash.
 		s.journal.settleKey(j.key, StatusCancelled)
-		s.cancelled++
 		s.evictJobsLocked()
-		s.mu.Unlock()
-		if primary != nil {
-			// The primary never reaches finishJob (a worker popping it just
-			// skips it), so its tenant quota slot is returned here.
-			s.releaseSlot(primary)
-		}
+	}
+	s.mu.Unlock()
+	if e.cancel != nil {
+		e.cancel() // idempotent; running executions observe it cooperatively
 	}
 
 	w.Header().Set("Content-Type", "application/json")

@@ -143,7 +143,7 @@ func (s *Server) resolvePoint(ctx context.Context, spec *JobSpec) ([]byte, strin
 		s.mu.Unlock()
 
 		if payload, ok := s.diskGet(key); ok {
-			s.settle(pj, payload, nil, true)
+			s.settle(pj, payload, nil, true, false)
 			return payload, pointDiskHit, nil
 		}
 		// The per-job deadline applies per point — the same granularity
@@ -164,7 +164,7 @@ func (s *Server) resolvePoint(ctx context.Context, spec *JobSpec) ([]byte, strin
 		}
 		pcancel()
 		err = s.deadlineErr(pj.exec, err)
-		s.settle(pj, payload, err, false)
+		s.settle(pj, payload, err, false, false)
 		switch {
 		case err == nil:
 			return payload, pointSimulated, nil

@@ -54,11 +54,13 @@ const (
 	farSeedCap = 256
 )
 
-// cell is one scheduled event. Exactly one of fn and ev is set.
+// cell is one scheduled event: 32 bytes, one representation. Closures
+// arrive as FuncEvent (a func value is pointer-shaped, so boxing it in the
+// interface does not allocate), typed and pooled events as themselves, and
+// firing is a single interface call with no branch on the kind.
 type cell struct {
 	at  Cycle
 	seq uint64
-	fn  func()
 	ev  Event
 }
 
@@ -175,7 +177,7 @@ func (q *calQueue) pop() (cell, bool) {
 		return q.far.pop(), true
 	}
 	out := *c
-	*c = cell{} // release the closure/event reference
+	*c = cell{} // release the event reference
 	b.head++
 	if b.head == len(b.events) {
 		b.events = b.events[:0]

@@ -6,12 +6,15 @@
 // scheduled. All timing in the repository is expressed in core clock cycles
 // of the simulated 3.2 GHz CMP (see Table II of the paper).
 //
-// Events come in two representations. Closure events (Schedule/ScheduleAt)
-// are the convenient general form. Typed events (ScheduleEvent and the
-// pooled ScheduleDeliver) exist for hot paths: the pending-event set stores
-// plain structs in calendar-queue buckets, so scheduling a prebuilt closure
-// or a pooled Event performs no allocation at all — see docs/ARCHITECTURE.md
-// for the invariants hot senders rely on.
+// Every pending event is one Event stored in a 32-byte calendar-queue cell.
+// Schedule/ScheduleAt take a closure and store it as a FuncEvent (a func
+// value is pointer-shaped, so the conversion does not allocate);
+// ScheduleEvent takes any Event, which is how hot paths schedule pooled or
+// self-firing objects — Server is the Event for its own dispatch, and
+// ScheduleDeliver recycles delivery events through an engine free list.
+// Scheduling a prebuilt closure or an Event therefore performs no
+// allocation at all — see docs/ARCHITECTURE.md for the invariants hot
+// senders rely on.
 package sim
 
 import (
@@ -36,8 +39,9 @@ type Sink interface {
 	Submit(m any)
 }
 
-// FuncEvent adapts a closure to Event for call sites that take an Event but
-// sit on cold paths where a per-use allocation is acceptable.
+// FuncEvent adapts a closure to Event. Schedule and ScheduleAt store their
+// closures this way; converting a func value to FuncEvent and on to Event
+// does not allocate, so a prebuilt closure schedules for free.
 type FuncEvent func()
 
 // Fire implements Event.
@@ -98,7 +102,7 @@ func (e *Engine) put(c cell) {
 // this cycle.
 func (e *Engine) Schedule(delay Cycle, fn func()) {
 	e.seq++
-	e.put(cell{at: e.now + delay, seq: e.seq, fn: fn})
+	e.put(cell{at: e.now + delay, seq: e.seq, ev: FuncEvent(fn)})
 }
 
 // ScheduleAt arranges for fn to run at the given absolute cycle. Scheduling
@@ -109,7 +113,7 @@ func (e *Engine) ScheduleAt(at Cycle, fn func()) {
 		at = e.now
 	}
 	e.seq++
-	e.put(cell{at: at, seq: e.seq, fn: fn})
+	e.put(cell{at: at, seq: e.seq, ev: FuncEvent(fn)})
 }
 
 // ScheduleEvent arranges for ev.Fire to run delay cycles from now, without
@@ -182,11 +186,7 @@ func (e *Engine) Step() bool {
 	}
 	e.now = c.at
 	e.fire++
-	if c.ev != nil {
-		c.ev.Fire()
-	} else {
-		c.fn()
-	}
+	c.ev.Fire()
 	return true
 }
 

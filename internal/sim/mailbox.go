@@ -28,23 +28,21 @@ type outbox struct {
 // small enough that shards see staging work well before the barrier.
 const outboxFlushLen = 128
 
-// shardFor places a cell: typed events and delivery sinks that carry a
-// ShardKey go to their module's shard; everything else stripes by seq.
-// Placement is a pure function of the cell — never of goroutine timing —
-// which keeps every queue state on the sharded path deterministic.
+// shardFor places a cell: events and delivery sinks that carry a ShardKey
+// go to their module's shard; everything else (closures included) stripes
+// by seq. Placement is a pure function of the cell — never of goroutine
+// timing — which keeps every queue state on the sharded path deterministic.
 func (p *parRun) shardFor(c *cell) int {
 	key := uint32(c.seq)
-	if c.ev != nil {
-		switch h := c.ev.(type) {
-		case *deliverEvent:
-			// Pooled deliveries inherit the affinity of the module they
-			// deliver to, when it has one.
-			if sh, ok := h.sink.(ShardHinted); ok {
-				key = sh.ShardKey()
-			}
-		case ShardHinted:
-			key = h.ShardKey()
+	switch h := c.ev.(type) {
+	case *deliverEvent:
+		// Pooled deliveries inherit the affinity of the module they
+		// deliver to, when it has one.
+		if sh, ok := h.sink.(ShardHinted); ok {
+			key = sh.ShardKey()
 		}
+	case ShardHinted:
+		key = h.ShardKey()
 	}
 	return int(key % uint32(len(p.out)))
 }

@@ -230,11 +230,7 @@ func (e *Engine) runSharded(ctx context.Context, checkEvery Cycle) (Cycle, error
 				e.now = c.at
 				e.fire++
 				p.refreshOverlayHead()
-				if c.ev != nil {
-					c.ev.Fire()
-				} else {
-					c.fn()
-				}
+				c.ev.Fire()
 			} else if bc != nil {
 				c := *bc
 				*bc = cell{}
@@ -242,11 +238,7 @@ func (e *Engine) runSharded(ctx context.Context, checkEvery Cycle) (Cycle, error
 				e.extPending--
 				e.now = c.at
 				e.fire++
-				if c.ev != nil {
-					c.ev.Fire()
-				} else {
-					c.fn()
-				}
+				c.ev.Fire()
 			} else {
 				break // window committed
 			}

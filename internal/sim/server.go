@@ -10,10 +10,12 @@ package sim
 // service time, and the server stays busy for that long before dequeuing the
 // next message.
 //
-// The input queue is a head-indexed slice that reuses its backing array, and
-// dispatch is rescheduled through a closure built once at construction, so a
-// warm server enqueues and services messages without allocating. Server[any]
-// satisfies Sink, which lets the NoC deliver straight into the queue.
+// The input queue is a FIFO, which compacts its consumed prefix before it
+// grows, so a server that stays busy for a whole run stops allocating once
+// its queue reaches its high-water mark. The server is itself the Event
+// that drives its dispatch, so a warm server enqueues and services messages
+// without allocating. Server[any] satisfies Sink, which lets the NoC
+// deliver straight into the queue.
 type Server[M any] struct {
 	eng  *Engine
 	name string
@@ -21,11 +23,9 @@ type Server[M any] struct {
 	key  uint32 // shard-affinity key (see ShardHinted)
 
 	busy  bool
-	queue []M
-	head  int
+	queue FIFO[M]
 
-	dispatchFn func()          // prebuilt; every reschedule reuses it
-	freeSub    *submitEvent[M] // free list backing SubmitAfter
+	freeSub *submitEvent[M] // free list backing SubmitAfter
 
 	// Stats.
 	served    uint64
@@ -37,18 +37,17 @@ type Server[M any] struct {
 // NewServer creates a serial server driven by eng. handler processes one
 // message and returns the number of cycles the unit is occupied by it.
 func NewServer[M any](eng *Engine, name string, handler func(M) Cycle) *Server[M] {
-	s := &Server[M]{eng: eng, name: name, h: handler}
-	s.dispatchFn = s.dispatch
-	return s
+	return &Server[M]{eng: eng, name: name, h: handler}
 }
 
 // Name returns the diagnostic name of the server.
 func (s *Server[M]) Name() string { return s.name }
 
 // SetShardKey assigns the server's shard-affinity key. Modules call this at
-// construction so the sharded engine stages all of one unit's events —
-// including pooled deliveries addressed to it and SubmitAfter transits — in
-// the same shard's calendar queue. Purely placement; never affects results.
+// construction so the sharded engine stages all of one unit's events — its
+// own dispatch steps, pooled deliveries addressed to it and SubmitAfter
+// transits — in the same shard's calendar queue. Purely placement; never
+// affects results.
 func (s *Server[M]) SetShardKey(k uint32) { s.key = k }
 
 // ShardKey implements ShardHinted.
@@ -57,13 +56,13 @@ func (s *Server[M]) ShardKey() uint32 { return s.key }
 // Submit enqueues a message for processing. Messages are processed in FIFO
 // order; the handler for a message runs when the unit becomes free.
 func (s *Server[M]) Submit(m M) {
-	s.queue = append(s.queue, m)
-	if n := len(s.queue) - s.head; n > s.maxQueue {
+	s.queue.Push(m)
+	if n := s.queue.Len(); n > s.maxQueue {
 		s.maxQueue = n
 	}
 	if !s.busy {
 		s.busy = true
-		s.eng.Schedule(0, s.dispatchFn)
+		s.eng.ScheduleEvent(0, s)
 	}
 }
 
@@ -101,31 +100,25 @@ func (s *Server[M]) SubmitAfter(delay Cycle, m M) {
 	s.eng.ScheduleEvent(delay, ev)
 }
 
-func (s *Server[M]) dispatch() {
-	if s.head == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.head = 0
+// Fire implements Event: it is the server's dispatch step, scheduled by
+// the server itself when it wakes and after each service time. It starts
+// the next queued message, or goes idle when the queue is empty.
+func (s *Server[M]) Fire() {
+	if s.queue.Len() == 0 {
 		s.busy = false
 		return
 	}
-	m := s.queue[s.head]
-	var zero M
-	s.queue[s.head] = zero // release the message for GC
-	s.head++
-	if s.head == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.head = 0
-	}
+	m := s.queue.Pop()
 	cost := s.h(m)
 	s.served++
 	s.busyTotal += cost
 	s.busyUntil = s.eng.Now() + cost
-	s.eng.Schedule(cost, s.dispatchFn)
+	s.eng.ScheduleEvent(cost, s)
 }
 
 // QueueLen returns the number of messages waiting (not including the one in
 // service).
-func (s *Server[M]) QueueLen() int { return len(s.queue) - s.head }
+func (s *Server[M]) QueueLen() int { return s.queue.Len() }
 
 // Served returns the number of messages fully processed.
 func (s *Server[M]) Served() uint64 { return s.served }

@@ -113,7 +113,7 @@ func (s *shard) absorb() {
 	s.mu.Unlock()
 	for i := range cells {
 		s.q.schedule(cells[i])
-		cells[i] = cell{} // drop the closure/event reference from the buffer
+		cells[i] = cell{} // drop the event reference from the buffer
 	}
 	s.spare = cells[:0]
 }
