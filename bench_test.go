@@ -221,10 +221,6 @@ func BenchmarkAblationHeterogeneous(b *testing.B) {
 // shared with `tsbench -benchjson` via internal/benchsuite.
 func BenchmarkFrontendDecode(b *testing.B) { benchsuite.FrontendDecode(b) }
 
-// BenchmarkFrontendDecodeSharded is the same decode run on the sharded
-// engine (4 shards) — the parallel-engine trajectory in BENCH_engine.json.
-func BenchmarkFrontendDecodeSharded(b *testing.B) { benchsuite.FrontendDecodeSharded(b) }
-
 // BenchmarkFrontendDecodeCriticalPath is the same decode run under the
 // critical-path dispatch policy — the policy-laboratory trajectory in
 // BENCH_engine.json.

@@ -51,8 +51,9 @@ type benchFile struct {
 	// it, preserving the perf trajectory across PRs.
 	History []*benchSnapshot `json:"history,omitempty"`
 	// PolicyComparison records the dispatch-policy laboratory on a fixed
-	// reference point (Cholesky, 2000-task budget, seed 42, 64 cores; the
-	// hetero row adds a fast:16@2 worker class). Unlike the host-time
+	// reference point (Cholesky, 2000-task budget, seed 42, 64 cores),
+	// keyed "machine/policy": every policy runs on every policyMachines
+	// entry, so each row compares like with like. Unlike the host-time
 	// results above these are simulated, deterministic numbers — they only
 	// change when simulation semantics change, so a diff here is a
 	// semantic diff, not measurement noise.
@@ -68,27 +69,38 @@ type policyPoint struct {
 	Speedup         float64 `json:"speedup"`
 }
 
+// policyMachines are the reference machines of the policy comparison: 64
+// plain cores, and the same 64 cores with a quarter of them at 2x speed
+// (tssim -classes fast:16@2).
+var policyMachines = []struct {
+	name    string
+	classes []tss.WorkerClass
+}{
+	{"plain", nil},
+	{"fast:16@2", []tss.WorkerClass{{Name: "fast", Count: 16, Speed: 2}}},
+}
+
 // measurePolicies runs the policy-comparison reference point for every
-// built-in dispatch policy.
+// built-in dispatch policy on every reference machine.
 func measurePolicies() (map[string]policyPoint, error) {
 	build := workloads.Cholesky(2000, 42)
-	out := make(map[string]policyPoint, len(tss.PolicyNames()))
-	for _, policy := range tss.PolicyNames() {
-		cfg := tss.DefaultConfig().WithCores(64)
-		cfg.Memory = false
-		cfg.Policy = policy
-		if policy == tss.PolicyHetero {
-			cfg.WorkerClasses = []tss.WorkerClass{{Name: "fast", Count: 16, Speed: 2}}
-		}
-		res, err := tss.RunTasks(build.Tasks, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("policy comparison (%s): %w", policy, err)
-		}
-		out[policy] = policyPoint{
-			Cycles:          res.Cycles,
-			WorkCycles:      res.Dispatch.WorkCycles,
-			TotalWorkCycles: res.TotalWorkCycles,
-			Speedup:         float64(res.TotalWorkCycles) / float64(res.Cycles),
+	out := make(map[string]policyPoint, len(policyMachines)*len(tss.PolicyNames()))
+	for _, m := range policyMachines {
+		for _, policy := range tss.PolicyNames() {
+			cfg := tss.DefaultConfig().WithCores(64)
+			cfg.Memory = false
+			cfg.Policy = policy
+			cfg.WorkerClasses = m.classes
+			res, err := tss.RunTasks(build.Tasks, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("policy comparison (%s on %s): %w", policy, m.name, err)
+			}
+			out[m.name+"/"+policy] = policyPoint{
+				Cycles:          res.Cycles,
+				WorkCycles:      res.Dispatch.WorkCycles,
+				TotalWorkCycles: res.TotalWorkCycles,
+				Speedup:         float64(res.TotalWorkCycles) / float64(res.Cycles),
+			}
 		}
 	}
 	return out, nil
@@ -115,12 +127,11 @@ func point(r testing.BenchmarkResult) benchPoint {
 // changed); an empty note records just the date and Go version.
 func runBenchJSON(path, note string) error {
 	results := map[string]benchPoint{
-		"engine_schedule_fire":   point(testing.Benchmark(benchsuite.EngineScheduleFire)),
-		"engine_schedule_pop":    point(testing.Benchmark(benchsuite.EngineSchedulePop)),
-		"engine_mixed_horizons":  point(testing.Benchmark(benchsuite.EngineMixedHorizons)),
-		"server_pipeline":        point(testing.Benchmark(benchsuite.ServerPipeline)),
-		"frontend_decode":        point(testing.Benchmark(benchsuite.FrontendDecode)),
-		"frontend_decode_shard4": point(testing.Benchmark(benchsuite.FrontendDecodeSharded)),
+		"engine_schedule_fire":  point(testing.Benchmark(benchsuite.EngineScheduleFire)),
+		"engine_schedule_pop":   point(testing.Benchmark(benchsuite.EngineSchedulePop)),
+		"engine_mixed_horizons": point(testing.Benchmark(benchsuite.EngineMixedHorizons)),
+		"server_pipeline":       point(testing.Benchmark(benchsuite.ServerPipeline)),
+		"frontend_decode":       point(testing.Benchmark(benchsuite.FrontendDecode)),
 		"frontend_decode_critical_path": point(testing.Benchmark(
 			benchsuite.FrontendDecodeCriticalPath)),
 	}
@@ -176,10 +187,13 @@ func runBenchJSON(path, note string) error {
 	fd := results["frontend_decode"]
 	fmt.Printf("benchjson written to %s\n", path)
 	fmt.Printf("frontend decode: %.0f ns/task, %.1f allocs/task\n", fd.NsPerTask, fd.AllocsPerTask)
-	for _, policy := range tss.PolicyNames() {
-		p := pc[policy]
-		fmt.Printf("policy %-14s %.1fx speedup, %d cycle makespan, %d work cycles\n",
-			policy+":", p.Speedup, p.Cycles, p.WorkCycles)
+	for _, m := range policyMachines {
+		for _, policy := range tss.PolicyNames() {
+			key := m.name + "/" + policy
+			p := pc[key]
+			fmt.Printf("policy %-24s %.2fx speedup, %d cycle makespan, %d work cycles\n",
+				key+":", p.Speedup, p.Cycles, p.WorkCycles)
+		}
 	}
 	if b := out.Baseline.Results["frontend_decode"]; b.NsPerTask > 0 {
 		fmt.Printf("vs baseline:     %.0f ns/task (%+.1f%%), %.1f allocs/task (%+.1f%%)\n",

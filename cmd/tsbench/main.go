@@ -58,7 +58,6 @@ func main() {
 		cores     = flag.Int("cores", 256, "largest machine size")
 		workers   = flag.Int("workers", 0, "sweep worker pool width (0 = one per CPU, 1 = serial)")
 		policy    = flag.String("policy", "", "dispatch policy for every simulation that does not pin its own (default fifo)")
-		shards    = flag.Int("shards", 1, "engine shards per simulation (results are identical at any count)")
 		jsonOut   = flag.String("json", "", "also write every sweep point to this file as JSON")
 		benchJS   = flag.String("benchjson", "", "measure substrate benches and write this JSON file, then exit")
 		benchNote = flag.String("benchnote", "", "label for the -benchjson snapshot (set when the measured code changed)")
@@ -95,7 +94,7 @@ func main() {
 	}
 	opts := experiments.Options{
 		Quick: !*full, Seed: *seed, Cores: *cores,
-		Workers: *workers, Shards: *shards, Sink: sink,
+		Workers: *workers, Sink: sink,
 		Policy: *policy,
 	}
 	var ids []string

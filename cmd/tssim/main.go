@@ -55,7 +55,6 @@ func main() {
 		memory   = flag.Bool("memory", false, "model the full memory hierarchy")
 		policy   = flag.String("policy", "", "backend dispatch policy: "+strings.Join(tss.PolicyNames(), " | ")+" (default fifo)")
 		classes  = flag.String("classes", "", "heterogeneous worker classes, e.g. 'fast:8@2,slow:24@0.5' or 'gpu:4@1(4,0.25)'")
-		shards   = flag.Int("shards", 1, "engine shards for in-run parallelism (results are identical at any count)")
 		saveTo   = flag.String("save", "", "write the generated task trace to this file and exit (.json for JSON)")
 		loadFrom = flag.String("load", "", "replay a task trace from this file instead of generating")
 		stream   = flag.Bool("stream", false, "generate tasks lazily and run via the streaming frontend path")
@@ -74,7 +73,6 @@ func main() {
 			"stream": "-remote submits recorded workloads only",
 			"save":   "-remote does not materialize a local trace",
 			"load":   "-remote regenerates the workload on the daemon",
-			"shards": "-remote runs use the daemon's engine configuration",
 		}
 		flag.Visit(func(f *flag.Flag) {
 			if why, ok := conflicts[f.Name]; ok {
@@ -103,7 +101,7 @@ func main() {
 				os.Exit(2)
 			}
 		})
-		runStreaming(*tasks, *seed, *cores, *numTRS, *numORT, *trsKB, *ortKB, *runtime, *shards,
+		runStreaming(*tasks, *seed, *cores, *numTRS, *numORT, *trsKB, *ortKB, *runtime,
 			*policy, parseClasses(*classes))
 		return
 	}
@@ -167,7 +165,6 @@ func main() {
 	cfg.Memory = *memory
 	cfg.Policy = *policy
 	cfg.WorkerClasses = parseClasses(*classes)
-	cfg.Shards = *shards
 	cfg.Frontend.NumTRS = *numTRS
 	cfg.Frontend.NumORT = *numORT
 	cfg.Frontend.TRSBytesEach = uint64(*trsKB) << 10
@@ -369,11 +366,10 @@ func runRemote(base, token, workload string, tasks int, seed int64, runtimeKind 
 
 // runStreaming drives the lazily generated CPI stream through the
 // streaming frontend path and reports the run with memory statistics.
-func runStreaming(tasks int, seed int64, cores, numTRS, numORT, trsKB, ortKB int, runtimeKind string, shards int,
+func runStreaming(tasks int, seed int64, cores, numTRS, numORT, trsKB, ortKB int, runtimeKind string,
 	policy string, classes []tss.WorkerClass) {
 	cfg := tss.DefaultConfig().WithCores(cores)
 	cfg.Memory = false
-	cfg.Shards = shards
 	// Streaming runs cannot precompute chain depths (the stream is lazy),
 	// so critical-path degrades to depth-0 priority; the other policies
 	// work unchanged.

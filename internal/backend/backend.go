@@ -246,9 +246,6 @@ func New(eng *sim.Engine, net *noc.Network, coreNodes []noc.NodeID, cfg Config, 
 	}
 	b.recSched = cfg.RecordSchedule
 	b.gtu = sim.NewServer[any](eng, "gtu", b.handleGTU)
-	// Shard affinity: the GTU keys past the per-worker space; worker-bound
-	// events key by worker index (see taskEvent/deliverTaskEvent.ShardKey).
-	b.gtu.SetShardKey(uint32(cfg.Cores))
 	// Workers, credits, and credit messages in three contiguous arrays.
 	ws := make([]worker, cfg.Cores)
 	creds := make([]gtuCredit, cfg.Cores)
@@ -349,9 +346,6 @@ type deliverTaskEvent struct {
 	rt   *core.ReadyTask
 	next *deliverTaskEvent
 }
-
-// ShardKey stages each in-flight delivery with its destination worker.
-func (ev *deliverTaskEvent) ShardKey() uint32 { return uint32(ev.w.idx) }
 
 func (ev *deliverTaskEvent) Fire() {
 	b, w, rt := ev.b, ev.w, ev.rt
@@ -454,9 +448,6 @@ const (
 	phaseExecDone uint8 = iota
 	phaseWriteDone
 )
-
-// ShardKey keeps a task's lifecycle events on its worker's shard.
-func (ev *taskEvent) ShardKey() uint32 { return uint32(ev.w.idx) }
 
 func (ev *taskEvent) Fire() {
 	b, w, rt := ev.b, ev.w, ev.rt

@@ -11,8 +11,8 @@ import (
 
 // Built-in dispatch policy names. The policy is part of the machine (it
 // changes which worker runs which task and when), so it participates in
-// config canonicalization — unlike the Shards observer, which only changes
-// how the same machine is simulated.
+// config canonicalization — unlike observers such as the cancellation-poll
+// granularity, which only change how the same machine is simulated.
 const (
 	// PolicyFIFO is the paper's dispatcher: tasks leave the global ready
 	// queue in arrival order to the first free worker, round-robin.
@@ -115,10 +115,10 @@ type DispatchStats struct {
 }
 
 // Policy owns the backend's ready set and picks the next (task, worker)
-// pair. Implementations run inside the GTU's message handler — on the
-// committer under sharded simulation — so they are single-threaded and must
-// be deterministic functions of the message order; they must not allocate
-// on the steady-state pick path.
+// pair. Implementations run inside the GTU's message handler on the
+// engine's single event loop, so they are single-threaded and must be
+// deterministic functions of the message order; they must not allocate on
+// the steady-state pick path.
 type Policy interface {
 	// Name returns the policy's registered name.
 	Name() string

@@ -156,21 +156,3 @@ func FrontendDecodeCriticalPath(b *testing.B) {
 		}
 	})
 }
-
-// FrontendDecodeSharded is FrontendDecode on the sharded engine (4 shards):
-// the parallel trajectory tracked alongside the serial one in
-// BENCH_engine.json. Results are bit-identical to FrontendDecode's run; the
-// metric is purely host-time, and on hosts with few CPUs the barrier
-// overhead dominates any queue-work overlap.
-func FrontendDecodeSharded(b *testing.B) {
-	build := workloads.Cholesky(2000, 42)
-	cfg := tss.DefaultConfig().WithCores(256)
-	cfg.Memory = false
-	cfg.Shards = 4
-	b.ReportAllocs()
-	ReportPerTask(b, len(build.Tasks), func() {
-		if _, err := tss.RunTasks(build.Tasks, cfg); err != nil {
-			b.Fatal(err)
-		}
-	})
-}

@@ -174,60 +174,3 @@ func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal("task left in flight")
 	}
 }
-
-// TestDecodeSteadyStateShardedAllocBudget is the sharded twin of the
-// zero-alloc test: the decode path itself still allocates nothing, but each
-// inject() here spans a full Run, and a sharded Run spawns and joins its
-// shard goroutines — a fixed per-run cost. The gate is therefore a small
-// per-shard budget rather than zero; a structural regression on the sharded
-// path (a buffer rebuilt per window, a cell escaping to the heap) blows
-// well past it.
-func TestDecodeSteadyStateShardedAllocBudget(t *testing.T) {
-	const shards = 4
-	cfg := DefaultConfig()
-	cfg.RecordChains = false
-
-	eng := sim.NewEngine()
-	eng.SetShards(shards, 0)
-	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
-	fe := New(eng, net, cfg, NewNullCopyEngine(eng))
-	rb := &releasingBackend{eng: eng, fe: fe, node: net.AddGlobalNode("rb")}
-	rb.fireFn = rb.fire
-	fe.SetDispatcher(rb)
-	net.Build()
-
-	var tasks []*taskmodel.Task
-	for i := 0; i < 12; i++ {
-		a := taskmodel.Addr(0x300000 + (i%4)*0x1000)
-		var task *taskmodel.Task
-		switch i % 3 {
-		case 0:
-			task = tk(150, opOut(a), opScalar())
-		case 1:
-			task = tk(150, opIn(a))
-		case 2:
-			task = tk(150, opInOut(a))
-		}
-		task.Seq = uint64(i)
-		tasks = append(tasks, task)
-	}
-	next := 0
-	inject := func() {
-		task := tasks[next]
-		next = (next + 1) % len(tasks)
-		fe.gw.Reserve(task)
-		fe.gw.Enqueue(task)
-		eng.Run()
-	}
-
-	for i := 0; i < 3*len(tasks); i++ {
-		inject()
-	}
-	avg := testing.AllocsPerRun(200, inject)
-	if perShard := avg / shards; perShard > 8 {
-		t.Fatalf("sharded decode allocated %.2f per task (%.2f per shard), budget 8/shard", avg, perShard)
-	}
-	if rb.pending != nil {
-		t.Fatal("task left in flight")
-	}
-}

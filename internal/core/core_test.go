@@ -508,6 +508,39 @@ func TestCopyBackOnIdleRenamedVersion(t *testing.T) {
 	}
 }
 
+// An OVT output-buffer grant can overtake the ORT's operand info on the
+// ring. The TRS counts the early grant and nets it when the operand info
+// lands; a data-ready for a stored operand with nothing pending is still a
+// protocol bug and panics.
+func TestTRSNetsEarlyOutputGrant(t *testing.T) {
+	r := buildRig(t, DefaultConfig(), nil)
+	trs := r.fe.trs[0]
+	trs.handleAlloc(trsAllocMsg{task: tk(100, opOut(0x1000))})
+	id := TaskID{TRS: 0, Slot: 0}
+	op := OperandID{Task: id}
+	grant := trsDataReadyMsg{op: op, buf: 0x9000, output: true}
+
+	trs.handleDataReady(grant)
+	rec := trs.rec(id, 0, false)
+	if rec.dispatched {
+		t.Fatal("task dispatched before its operand info arrived")
+	}
+	trs.handleOperandInfo(trsOperandInfoMsg{op: op, base: 0x1000, size: 4096, dir: taskmodel.Out})
+	if !rec.dispatched {
+		t.Fatalf("early grant not netted: pending %d, pendingReady %d", rec.op(0).pending, rec.pendingReady)
+	}
+	if buf := rec.op(0).buf; buf != grant.buf {
+		t.Fatalf("output buffer %#x, want the early grant's %#x", buf, grant.buf)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a duplicate data ready for a stored operand did not panic")
+		}
+	}()
+	trs.handleDataReady(grant)
+}
+
 func TestTaskIDStrings(t *testing.T) {
 	id := TaskID{TRS: 1, Slot: 17}
 	if id.String() != "<1,17>" {

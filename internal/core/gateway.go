@@ -69,7 +69,6 @@ func newGateway(fe *Frontend) *gateway {
 	}
 	g.anyFree = true
 	g.srv = sim.NewServer[any](fe.eng, "gateway", g.handle)
-	g.srv.SetShardKey(0) // frontend shard map: gateway, then TRS/ORT/OVT blocks
 	g.enqSink = enqueueSink{g}
 	return g
 }

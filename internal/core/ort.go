@@ -61,7 +61,6 @@ func newORT(fe *Frontend, index int) *ortModule {
 	o.entries = make([]ortEntry, nsets*ortWays)
 	o.waiting = make([]sim.FIFO[ortDecodeMsg], nsets)
 	o.srv = sim.NewServer[any](fe.eng, "ort", o.handle)
-	o.srv.SetShardKey(1 + uint32(fe.cfg.NumTRS) + uint32(index))
 	return o
 }
 

@@ -133,7 +133,6 @@ func newOVT(fe *Frontend, index int) *ovtModule {
 	o.tabInit(size)
 	o.slab = append(o.slab, make([]verRec, ovtSlabChunk))
 	o.srv = sim.NewServer[any](fe.eng, "ovt", o.handle)
-	o.srv.SetShardKey(1 + uint32(fe.cfg.NumTRS+fe.cfg.NumORT) + uint32(index))
 	return o
 }
 

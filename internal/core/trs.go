@@ -12,7 +12,7 @@ type opRec struct {
 	dir     taskmodel.Dir
 	version VersionID
 
-	pending  int8 // data-ready messages still required
+	pending  int8 // data-ready messages still required (negative: early arrivals)
 	stored   bool // operand info has arrived from the ORT/gateway
 	dataDone bool // input data available (pure readers forward on arrival)
 	buf      uint64
@@ -106,7 +106,6 @@ func newTRS(fe *Frontend, index int) *trsModule {
 	t.sramHeads = sramFreeListHeads
 	t.slab = append(t.slab, make([]taskRec, trsSlabChunk))
 	t.srv = sim.NewServer[any](fe.eng, "trs", t.handle)
-	t.srv.SetShardKey(1 + uint32(index))
 	return t
 }
 
@@ -281,13 +280,18 @@ func (t *trsModule) handleOperandInfo(m trsOperandInfoMsg) sim.Cycle {
 	op.dir = m.dir
 	op.version = m.version
 	op.stored = true
+	// Add rather than assign: an OVT output-buffer grant can overtake this
+	// message on the ring, and handleDataReady has then already counted it
+	// against op.pending and r.pendingReady.
+	var need int8
 	switch m.dir {
 	case taskmodel.In, taskmodel.Out:
-		op.pending = 1
+		need = 1
 	case taskmodel.InOut:
-		op.pending = 2
+		need = 2
 	}
-	r.pendingReady += int(op.pending)
+	op.pending += need
+	r.pendingReady += int(need)
 
 	cost := t.fe.cfg.ProcCycles + t.fe.cfg.EDRAMCycles
 	if m.hasProducer {
@@ -374,7 +378,10 @@ func (t *trsModule) handleDataReady(m trsDataReadyMsg) sim.Cycle {
 	}
 	op := r.op(int(m.op.Index))
 	cost := t.fe.cfg.ProcCycles + t.fe.cfg.EDRAMCycles
-	if op.pending <= 0 {
+	// Before the operand info lands (op.stored false) a data-ready is an
+	// early arrival: it drives op.pending negative and handleOperandInfo
+	// nets it. Once stored, nothing pending means a true duplicate.
+	if op.stored && op.pending <= 0 {
 		panic("trs: duplicate data ready")
 	}
 	op.pending--

@@ -40,12 +40,8 @@ type Options struct {
 	// Workers bounds the sweep worker pool: 0 uses GOMAXPROCS, 1 runs
 	// the sweep serially. Results are identical at every width.
 	Workers int
-	// Shards runs every constituent simulation on the sharded engine
-	// (tss.Config.Shards). Like Workers it is an observer: results are
-	// identical at every shard count.
-	Shards int
 	// Policy, when non-empty, runs every constituent simulation under the
-	// named backend dispatch policy (tss.Config.Policy). Unlike Shards it
+	// named backend dispatch policy (tss.Config.Policy). Unlike Workers it
 	// is machine state: it changes results and fingerprints, making it a
 	// sweepable axis rather than an observer.
 	Policy string
@@ -191,7 +187,6 @@ func runHW(b *workloads.Build, cfg tss.Config) (*tss.Result, error) {
 // the figure is computable from the result alone and both execution paths
 // produce bit-identical numbers.
 func benchRun(o Options, wl workloads.Info, budget int, seed int64, cfg tss.Config) (*tss.Result, float64, error) {
-	cfg.Shards = o.Shards
 	if o.Policy != "" && cfg.Policy == "" {
 		cfg.Policy = o.Policy
 	}

@@ -480,10 +480,6 @@ const (
 	evWriteback                 // writeback burst arrived at the bank
 )
 
-// ShardKey gives memory-protocol events the affinity of the core they
-// serve, so one core's fetch/writeback chatter stays in one shard's queue.
-func (ev *memEvent) ShardKey() uint32 { return uint32(ev.core) }
-
 func (m *System) getEvent(kind uint8, core int, base uint64, size uint32, then func()) *memEvent {
 	ev := m.freeEv
 	if ev == nil {

@@ -130,7 +130,6 @@ type hopEvent struct {
 	net    *Network
 	bytes  uint32
 	sent   sim.Cycle
-	key    uint32 // shard affinity: the destination node
 	stage  int8
 	stages int8
 	rings  [3]*Ring
@@ -145,9 +144,6 @@ type hopEvent struct {
 
 	next *hopEvent
 }
-
-// ShardKey stages a bridged message with its destination node's shard.
-func (h *hopEvent) ShardKey() uint32 { return h.key }
 
 func (h *hopEvent) Fire() {
 	if h.stage < h.stages {
@@ -226,7 +222,6 @@ func (n *Network) send(from, to NodeID, bytes uint32, sink sim.Sink, m any, ev s
 
 	// Bridged routes: relay via a pooled hop event.
 	h := n.getHop(bytes)
-	h.key = uint32(to)
 	h.sink, h.m, h.ev, h.fn = sink, m, ev, fn
 	if nf.kind == kindCore {
 		h.addHop(n.locals[nf.localRing], nf.localStop, n.bridgeLocalStop())

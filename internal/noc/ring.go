@@ -29,15 +29,6 @@ func DefaultConfig() Config {
 	return Config{HopCycles: 1, LinkBytes: 16, SegConns: 4, RouterOver: 2}
 }
 
-// MinMessageLatency is the smallest possible cross-module transfer latency
-// under this configuration: the fixed router overhead plus one hop's head
-// latency. The sharded engine derives its commit window from it — it is the
-// conservative-PDES lookahead of the interconnect, the shortest simulated
-// interval after which a message sent now can first be observed elsewhere.
-func (c Config) MinMessageLatency() sim.Cycle {
-	return c.RouterOver + c.HopCycles
-}
-
 // Ring is a bidirectional ring with a fixed number of stops. Messages take
 // the shortest direction. The zero value is not usable; use NewRing.
 type Ring struct {

@@ -136,7 +136,7 @@ func (f *fleet) dispatch(j *job) {
 		return
 	}
 	if j.spec.Kind == KindSweep {
-		f.s.runShardedSweep(j)
+		f.s.runSweepByPoint(j)
 		return
 	}
 	ctx, cancel := f.s.execCtx(e)

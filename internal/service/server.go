@@ -493,7 +493,7 @@ func (s *Server) runJob(j *job) {
 		cancel()
 		err = s.deadlineErr(e, err)
 	case KindSweep:
-		s.runShardedSweep(j)
+		s.runSweepByPoint(j)
 		return
 	default:
 		err = fmt.Errorf("unknown job kind %q", j.spec.Kind)

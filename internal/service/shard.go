@@ -20,10 +20,10 @@ import (
 // run at any fan-out, while each point becomes individually cacheable,
 // shareable, and retryable.
 
-// runShardedSweep executes a sweep job point-by-point through the resolver
+// runSweepByPoint executes a sweep job point-by-point through the resolver
 // and settles it. Shared by the local worker pool and the fleet dispatcher;
 // the dispatcher additionally widens the point fan-out to cover its workers.
-func (s *Server) runShardedSweep(j *job) {
+func (s *Server) runSweepByPoint(j *job) {
 	e := j.exec
 	result, err := runSweepWith(e.ctx, j.spec.Sweep, func(line string) {
 		s.appendLog(e, line)

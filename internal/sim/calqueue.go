@@ -189,27 +189,6 @@ func (q *calQueue) pop() (cell, bool) {
 	return out, true
 }
 
-// peek returns the (at, seq) ordering key of the earliest pending cell
-// without removing it. The sharded committer uses it to merge the overlay
-// queue against shard batches at exact (cycle, seq) precision; peekAt below
-// remains the cheaper time-only probe.
-func (q *calQueue) peek() (Cycle, uint64, bool) {
-	if q.n == 0 {
-		return 0, 0, false
-	}
-	q.init()
-	if q.inWin == 0 {
-		// n > 0 and nothing in the window means the far heap is non-empty.
-		return q.far.h[0].at, q.far.h[0].seq, true
-	}
-	b := q.seek()
-	c := &b.events[b.head]
-	if len(q.far.h) > 0 && cellBefore(&q.far.h[0], c) {
-		return q.far.h[0].at, q.far.h[0].seq, true
-	}
-	return c.at, c.seq, true
-}
-
 // peekAt returns the timestamp of the earliest pending cell without
 // removing it.
 func (q *calQueue) peekAt() (Cycle, bool) {

@@ -17,10 +17,7 @@
 // senders rely on.
 package sim
 
-import (
-	"context"
-	"sync"
-)
+import "context"
 
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle = uint64
@@ -58,19 +55,6 @@ type Engine struct {
 	// sync.Pool: engines are single-threaded and pool hits must be
 	// allocation- and lock-free) backing ScheduleDeliver.
 	freeDeliver *deliverEvent
-
-	// Sharded execution (see parallel.go). nshards <= 1 leaves every path
-	// in this file exactly as the serial engine; during a sharded run par
-	// is non-nil and put() routes cells through it. extPending counts
-	// events staged outside q (outboxes, shard queues, drained batches),
-	// so Pending stays exact in sharded mode.
-	nshards    int
-	window     Cycle
-	shards     []*shard
-	parWG      sync.WaitGroup
-	par        *parRun
-	parState   parRun
-	extPending int
 }
 
 // NewEngine returns an engine with its clock at cycle zero.
@@ -83,26 +67,14 @@ func (e *Engine) Now() Cycle { return e.now }
 func (e *Engine) Fired() uint64 { return e.fire }
 
 // Pending returns the number of scheduled events that have not yet fired.
-func (e *Engine) Pending() int { return e.q.len() + e.extPending }
-
-// put stores a freshly sequenced cell: straight into the calendar queue on
-// the serial path, through the shard router during a sharded run. The
-// single predictable branch is the serial loop's entire cost for the
-// sharded machinery.
-func (e *Engine) put(c cell) {
-	if p := e.par; p != nil {
-		p.route(c)
-		return
-	}
-	e.q.schedule(c)
-}
+func (e *Engine) Pending() int { return e.q.len() }
 
 // Schedule arranges for fn to run delay cycles from now. A zero delay runs
 // fn later in the current cycle, after all previously scheduled work for
 // this cycle.
 func (e *Engine) Schedule(delay Cycle, fn func()) {
 	e.seq++
-	e.put(cell{at: e.now + delay, seq: e.seq, ev: FuncEvent(fn)})
+	e.q.schedule(cell{at: e.now + delay, seq: e.seq, ev: FuncEvent(fn)})
 }
 
 // ScheduleAt arranges for fn to run at the given absolute cycle. Scheduling
@@ -113,14 +85,14 @@ func (e *Engine) ScheduleAt(at Cycle, fn func()) {
 		at = e.now
 	}
 	e.seq++
-	e.put(cell{at: at, seq: e.seq, ev: FuncEvent(fn)})
+	e.q.schedule(cell{at: at, seq: e.seq, ev: FuncEvent(fn)})
 }
 
 // ScheduleEvent arranges for ev.Fire to run delay cycles from now, without
 // allocating: the event reference is stored directly in the queue cell.
 func (e *Engine) ScheduleEvent(delay Cycle, ev Event) {
 	e.seq++
-	e.put(cell{at: e.now + delay, seq: e.seq, ev: ev})
+	e.q.schedule(cell{at: e.now + delay, seq: e.seq, ev: ev})
 }
 
 // ScheduleEventAt is ScheduleEvent with an absolute cycle, clamped to the
@@ -130,7 +102,7 @@ func (e *Engine) ScheduleEventAt(at Cycle, ev Event) {
 		at = e.now
 	}
 	e.seq++
-	e.put(cell{at: at, seq: e.seq, ev: ev})
+	e.q.schedule(cell{at: at, seq: e.seq, ev: ev})
 }
 
 // deliverEvent carries one message to a sink; instances are recycled
@@ -190,14 +162,8 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until none remain, and returns the final cycle. With
-// SetShards(n > 1) the run executes on the sharded engine (parallel.go);
-// results are bit-for-bit identical either way.
+// Run fires events until none remain, and returns the final cycle.
 func (e *Engine) Run() Cycle {
-	if e.nshards > 1 {
-		c, _ := e.runSharded(nil, 0)
-		return c
-	}
 	for e.Step() {
 	}
 	return e.now
@@ -224,9 +190,6 @@ const DefaultCancelCheckCycles Cycle = 1 << 16
 // A ctx that can never be cancelled (nil, or Done() == nil like
 // context.Background()) skips the polling entirely and is exactly Run.
 func (e *Engine) RunContext(ctx context.Context, checkEvery Cycle) (Cycle, error) {
-	if e.nshards > 1 {
-		return e.runSharded(ctx, checkEvery)
-	}
 	if ctx == nil || ctx.Done() == nil {
 		return e.Run(), nil
 	}
@@ -251,9 +214,6 @@ func (e *Engine) RunContext(ctx context.Context, checkEvery Cycle) (Cycle, error
 // RunUntil fires events with timestamps <= limit and then advances the
 // clock to limit (when it has not already passed it), whether or not events
 // remain beyond the horizon. The returned clock never exceeds limit.
-// RunUntil always executes serially: between sharded runs every event lives
-// in the engine's own queue (shards drain completely before Run returns),
-// so the serial walk is exact regardless of the SetShards setting.
 func (e *Engine) RunUntil(limit Cycle) Cycle {
 	for {
 		at, ok := e.q.peekAt()

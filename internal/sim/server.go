@@ -20,7 +20,6 @@ type Server[M any] struct {
 	eng  *Engine
 	name string
 	h    func(M) Cycle
-	key  uint32 // shard-affinity key (see ShardHinted)
 
 	busy  bool
 	queue FIFO[M]
@@ -43,16 +42,6 @@ func NewServer[M any](eng *Engine, name string, handler func(M) Cycle) *Server[M
 // Name returns the diagnostic name of the server.
 func (s *Server[M]) Name() string { return s.name }
 
-// SetShardKey assigns the server's shard-affinity key. Modules call this at
-// construction so the sharded engine stages all of one unit's events — its
-// own dispatch steps, pooled deliveries addressed to it and SubmitAfter
-// transits — in the same shard's calendar queue. Purely placement; never
-// affects results.
-func (s *Server[M]) SetShardKey(k uint32) { s.key = k }
-
-// ShardKey implements ShardHinted.
-func (s *Server[M]) ShardKey() uint32 { return s.key }
-
 // Submit enqueues a message for processing. Messages are processed in FIFO
 // order; the handler for a message runs when the unit becomes free.
 func (s *Server[M]) Submit(m M) {
@@ -73,10 +62,6 @@ type submitEvent[M any] struct {
 	m    M
 	next *submitEvent[M]
 }
-
-// ShardKey gives in-transit submissions the affinity of their destination
-// server.
-func (ev *submitEvent[M]) ShardKey() uint32 { return ev.s.key }
 
 func (ev *submitEvent[M]) Fire() {
 	s, m := ev.s, ev.m

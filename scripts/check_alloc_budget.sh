@@ -21,13 +21,10 @@ bench=${1:-BENCH_engine.json}
 budget_file=docs/goldens/alloc_budget.txt
 
 # The budget file commits one ceiling per line: serial decode first, then
-# the sharded (4-shard) decode, whose figure additionally carries the
-# shard machinery (queues, outboxes, per-run goroutine spawns) amortized
-# over the reference workload, then the critical-path policy decode,
-# which adds the one-time dependence-graph depth precompute.
+# the critical-path policy decode, which adds the one-time dependence-graph
+# depth precompute.
 ceiling=$(grep -v '^#' "$budget_file" | sed -n 1p | tr -d '[:space:]')
-shard_ceiling=$(grep -v '^#' "$budget_file" | sed -n 2p | tr -d '[:space:]')
-cp_ceiling=$(grep -v '^#' "$budget_file" | sed -n 3p | tr -d '[:space:]')
+cp_ceiling=$(grep -v '^#' "$budget_file" | sed -n 2p | tr -d '[:space:]')
 
 gate() { # gate <bench-key> <ceiling>
   local key=$1 limit=$2
@@ -53,6 +50,5 @@ EOF
 }
 
 gate frontend_decode "$ceiling"
-gate frontend_decode_shard4 "$shard_ceiling"
 gate frontend_decode_critical_path "$cp_ceiling"
 echo "allocation budget OK"

@@ -42,38 +42,6 @@ fi
 "$tmp/tssim" -workload h264 -tasks 2000 -seed 3 -cores 128 -memory > "$tmp/sim-h264-seed3.txt"
 "$tmp/tssim" -workload cholesky -tasks 3000 -seed 7 -cores 64 -policy critical-path > "$tmp/sim-cholesky-cp.txt"
 
-# Sharded-engine invariance: the same fixed-seed runs at several shard
-# counts must reproduce the serial output byte for byte. The goldens are
-# deliberately shard-count-invariant — sharding is an observer — so the
-# sharded outputs are diffed against the serial files that the goldens
-# hash, rather than hashed separately. Only the host-resource line (wall
-# time and heap of the simulator process itself) is excluded: it reports
-# the host, not the simulation.
-simnorm() { grep -v '^host:'; }
-simnorm < "$tmp/sim-cholesky-seed7.txt" > "$tmp/serial-cholesky.norm"
-simnorm < "$tmp/sim-h264-seed3.txt" > "$tmp/serial-h264.norm"
-simnorm < "$tmp/sim-cholesky-cp.txt" > "$tmp/serial-cholesky-cp.norm"
-for n in 2 4 8; do
-  "$tmp/tssim" -workload cholesky -tasks 3000 -seed 7 -cores 64 -shards "$n" | simnorm > "$tmp/shard$n-cholesky.norm"
-  if ! cmp -s "$tmp/serial-cholesky.norm" "$tmp/shard$n-cholesky.norm"; then
-    echo "FAIL: $n-shard cholesky run differs from serial (sharded determinism broken)" >&2
-    diff "$tmp/serial-cholesky.norm" "$tmp/shard$n-cholesky.norm" | head -20 >&2
-    exit 1
-  fi
-  "$tmp/tssim" -workload h264 -tasks 2000 -seed 3 -cores 128 -memory -shards "$n" | simnorm > "$tmp/shard$n-h264.norm"
-  if ! cmp -s "$tmp/serial-h264.norm" "$tmp/shard$n-h264.norm"; then
-    echo "FAIL: $n-shard h264+memory run differs from serial (sharded determinism broken)" >&2
-    diff "$tmp/serial-h264.norm" "$tmp/shard$n-h264.norm" | head -20 >&2
-    exit 1
-  fi
-  "$tmp/tssim" -workload cholesky -tasks 3000 -seed 7 -cores 64 -policy critical-path -shards "$n" | simnorm > "$tmp/shard$n-cholesky-cp.norm"
-  if ! cmp -s "$tmp/serial-cholesky-cp.norm" "$tmp/shard$n-cholesky-cp.norm"; then
-    echo "FAIL: $n-shard critical-path run differs from serial (policy sharded determinism broken)" >&2
-    diff "$tmp/serial-cholesky-cp.norm" "$tmp/shard$n-cholesky-cp.norm" | head -20 >&2
-    exit 1
-  fi
-done
-
 (cd "$tmp" && sha256sum bench-serial.txt sim-cholesky-seed7.txt sim-h264-seed3.txt sim-cholesky-cp.txt) > "$tmp/hashes"
 
 if [ "$update" = 1 ]; then

@@ -3,16 +3,13 @@ package tss
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
-	"time"
 
 	"tasksuperscalar/internal/workloads"
 )
 
 // An uncancelled context must leave a run cycle-exact identical to the
-// plain entry point, for every runtime kind and for both the serial and
-// the sharded engine: cancellation polling (like sharding) is
+// plain entry point, for every runtime kind: cancellation polling is
 // observational.
 func TestRunCtxUncancelledMatchesRun(t *testing.T) {
 	wl, _ := workloads.ByName("cholesky")
@@ -26,20 +23,17 @@ func TestRunCtxUncancelledMatchesRun(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 
-		for _, shards := range []int{1, 4} {
-			ctx, cancel := context.WithCancel(context.Background())
-			b2 := wl.Gen(600, 7)
-			cfg.Shards = shards
-			cfg.CancelCheckCycles = 1000 // aggressive polling must not perturb anything
-			got, err := RunTasksCtx(ctx, b2.Tasks, cfg)
-			cancel()
-			if err != nil {
-				t.Fatalf("%v shards %d: %v", kind, shards, err)
-			}
-			if got.Cycles != want.Cycles || got.Tasks != want.Tasks {
-				t.Fatalf("%v shards %d: ctx run %d cycles/%d tasks, plain run %d cycles/%d tasks",
-					kind, shards, got.Cycles, got.Tasks, want.Cycles, want.Tasks)
-			}
+		ctx, cancel := context.WithCancel(context.Background())
+		b2 := wl.Gen(600, 7)
+		cfg.CancelCheckCycles = 1000 // aggressive polling must not perturb anything
+		got, err := RunTasksCtx(ctx, b2.Tasks, cfg)
+		cancel()
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if got.Cycles != want.Cycles || got.Tasks != want.Tasks {
+			t.Fatalf("%v: ctx run %d cycles/%d tasks, plain run %d cycles/%d tasks",
+				kind, got.Cycles, got.Tasks, want.Cycles, want.Tasks)
 		}
 	}
 }
@@ -48,89 +42,61 @@ func TestRunCtxUncancelledMatchesRun(t *testing.T) {
 // context.Canceled and no result.
 func TestRunTasksCtxPreCancelled(t *testing.T) {
 	wl, _ := workloads.ByName("cholesky")
-	for _, shards := range []int{1, 8} {
-		b := wl.Gen(600, 7)
-		cfg := DefaultConfig().WithCores(16)
-		cfg.Memory = false
-		cfg.Shards = shards
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		res, err := RunTasksCtx(ctx, b.Tasks, cfg)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards %d: error = %v, want wrap of context.Canceled", shards, err)
-		}
-		if res != nil {
-			t.Fatalf("shards %d: cancelled run returned a result", shards)
-		}
+	b := wl.Gen(600, 7)
+	cfg := DefaultConfig().WithCores(16)
+	cfg.Memory = false
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := RunTasksCtx(ctx, b.Tasks, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want wrap of context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatal("cancelled run returned a result")
 	}
 }
 
 // Cancelling mid-run (from the OnComplete observer, so the cancel lands at a
 // known point of simulated time) stops the engine promptly: with a poll
 // interval of k cycles, no more than k cycles of simulated time may elapse
-// after the cancellation. The sharded rows additionally pin the barrier
-// protocol: a cancelled sharded run must return (joining every shard
-// goroutine on the way out) rather than deadlocking at a window barrier,
-// and must leak no workers.
+// after the cancellation.
 func TestRunTasksCtxCancelMidRun(t *testing.T) {
 	wl, _ := workloads.ByName("cholesky")
-	for _, shards := range []int{1, 2, 8} {
-		base := runtime.NumGoroutine()
-		b := wl.Gen(2000, 7)
-		cfg := DefaultConfig().WithCores(16)
-		cfg.Memory = false
-		cfg.Shards = shards
-		cfg.CancelCheckCycles = 4096
+	b := wl.Gen(2000, 7)
+	cfg := DefaultConfig().WithCores(16)
+	cfg.Memory = false
+	cfg.CancelCheckCycles = 4096
 
-		ctx, cancel := context.WithCancel(context.Background())
-		var cancelAt uint64
-		var retired int
-		cfg.OnComplete = func(seq, cycle uint64) {
-			retired++
-			if retired == 50 {
-				cancelAt = cycle
-				cancel()
-			}
+	ctx, cancel := context.WithCancel(context.Background())
+	var cancelAt uint64
+	var retired int
+	cfg.OnComplete = func(seq, cycle uint64) {
+		retired++
+		if retired == 50 {
+			cancelAt = cycle
+			cancel()
 		}
-		_, err := RunTasksCtx(ctx, b.Tasks, cfg)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards %d: error = %v, want wrap of context.Canceled", shards, err)
-		}
-		if cancelAt == 0 {
-			t.Fatalf("shards %d: run finished before the cancel point was reached", shards)
-		}
-		waitGoroutines(t, base)
 	}
-}
-
-// waitGoroutines polls until the goroutine count returns to base (exited
-// goroutines may stay briefly visible to runtime.NumGoroutine).
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("shard goroutines leaked after cancel: %d live, base %d",
-				runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
+	_, err := RunTasksCtx(ctx, b.Tasks, cfg)
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want wrap of context.Canceled", err)
+	}
+	if cancelAt == 0 {
+		t.Fatal("run finished before the cancel point was reached")
 	}
 }
 
 // RunStreamCtx honors cancellation too (the streaming path shares the same
-// engine loop), serial and sharded alike.
+// engine loop).
 func TestRunStreamCtxCancelled(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := DefaultConfig().WithCores(8)
-		cfg.Memory = false
-		cfg.Shards = shards
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := RunStreamCtx(ctx, workloads.NewCPIStream(5000, 42), cfg)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards %d: error = %v, want wrap of context.Canceled", shards, err)
-		}
+	cfg := DefaultConfig().WithCores(8)
+	cfg.Memory = false
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunStreamCtx(ctx, workloads.NewCPIStream(5000, 42), cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want wrap of context.Canceled", err)
 	}
 }
 
@@ -145,22 +111,5 @@ func TestCancelCheckCyclesNotInFingerprint(t *testing.T) {
 	}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("CancelCheckCycles leaked into Fingerprint")
-	}
-}
-
-// Shards is an observer knob exactly like CancelCheckCycles: a sharded run
-// is bit-identical to the serial run, so the shard count must not enter the
-// canonical encoding or the fingerprint.
-func TestShardsNotInFingerprint(t *testing.T) {
-	a := DefaultConfig()
-	for _, shards := range []int{2, 4, 8, 64} {
-		b := DefaultConfig()
-		b.Shards = shards
-		if a.CanonicalString() != b.CanonicalString() {
-			t.Fatalf("Shards=%d leaked into CanonicalString", shards)
-		}
-		if a.Fingerprint() != b.Fingerprint() {
-			t.Fatalf("Shards=%d leaked into Fingerprint", shards)
-		}
 	}
 }

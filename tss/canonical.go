@@ -25,10 +25,9 @@ const SimVersion = "tss-sim/2"
 // daemon's result cache.
 //
 // Function-valued fields (OnComplete/OnDispatch hooks), the
-// cancellation-poll granularity (CancelCheckCycles), the engine shard count
-// (Shards), the SpecValidate replay trace, and the derived per-workload
-// Backend.TaskDepth table are observers or derived inputs, not machine
-// state, and are excluded. The dispatch policy and worker classes ARE
+// cancellation-poll granularity (CancelCheckCycles), the SpecValidate
+// replay trace, and the derived per-workload Backend.TaskDepth table are
+// observers or derived inputs, not machine state, and are excluded. The dispatch policy and worker classes ARE
 // machine state and are always included.
 func (c Config) CanonicalString() string {
 	var b strings.Builder

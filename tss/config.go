@@ -85,8 +85,8 @@ type Config struct {
 	// Policy selects the backend dispatch policy by name ("" = "fifo";
 	// see backend.PolicyNames). It is machine state — different policies
 	// schedule different (task, worker, cycle) triples — so it
-	// participates in canonicalization, unlike the Shards observer. A
-	// policy set here overrides Backend.Policy; both spellings
+	// participates in canonicalization, unlike the CancelCheckCycles
+	// observer. A policy set here overrides Backend.Policy; both spellings
 	// canonicalize identically (EffectivePolicy).
 	Policy string
 
@@ -116,16 +116,6 @@ type Config struct {
 	// it is an observer, not machine state: it never alters event order,
 	// so it is excluded from CanonicalString and cannot change a result.
 	CancelCheckCycles uint64
-
-	// Shards runs the simulation on the engine's sharded executor: the
-	// pending-event set is partitioned across Shards goroutine-owned
-	// calendar queues, with events committed in global (cycle, seq) order
-	// (<= 1 selects the serial loop; values above sim.MaxShards are
-	// clamped). Like CancelCheckCycles it is an observer, not machine
-	// state: a sharded run is bit-for-bit identical to the serial run at
-	// every shard count, so Shards is excluded from CanonicalString and
-	// cannot change a result. See docs/ARCHITECTURE.md, "Parallel engine".
-	Shards int
 }
 
 // DefaultConfig returns the paper's operating point: 256 cores, 8 TRS,

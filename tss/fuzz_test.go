@@ -54,7 +54,6 @@ func FuzzConfigCanonicalString(f *testing.F) {
 		// the content address.
 		b.OnComplete = func(seq, cycle uint64) {}
 		b.CancelCheckCycles = 99999
-		b.Shards = 8
 		if b.CanonicalString() != canon {
 			t.Fatal("observer fields leaked into CanonicalString")
 		}

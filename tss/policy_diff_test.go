@@ -8,19 +8,18 @@ import (
 	"tasksuperscalar/internal/workloads"
 )
 
-// The differential policy harness: every workload × every policy ×
-// serial/2-shard/4-shard engines, asserting
+// The differential policy harness: every workload × every policy,
+// asserting
 //
 //	(a) fifo is byte-identical to the default (unset-policy) machine,
 //	(b) every policy conserves tasks (each seq retires exactly once),
 //	(c) spec replays cycle-exact against its own recorded dispatch trace
 //	    under the non-speculative validation oracle,
-//	(d) every policy is deterministic across repeated runs and across
-//	    shard counts.
+//	(d) every policy is deterministic across repeated runs.
 //
-// The absolute fifo goldens (pre-PR behaviour at 1/2/4/8 shards) are pinned
-// separately by scripts/check_determinism.sh; here fifo's baseline is the
-// in-process default machine, which those goldens anchor.
+// The absolute fifo goldens are pinned separately by
+// scripts/check_determinism.sh; here fifo's baseline is the in-process
+// default machine, which those goldens anchor.
 
 // diffPolicyConfig is the harness machine: small enough that the full grid
 // stays fast, hardware pipeline, no memory system (policies act on the
@@ -71,6 +70,10 @@ func TestPolicyDifferential(t *testing.T) {
 				policy := policy
 				t.Run(policy, func(t *testing.T) {
 					t.Parallel()
+					// A task slice of its own: RunTasks writes sequence
+					// numbers into the records, and the policy subtests
+					// run concurrently.
+					tasks := wl.Gen(budget, 42).Tasks
 					cfg := diffPolicyConfig(policy)
 
 					// (b) conservation: each seq exactly once.
@@ -106,20 +109,13 @@ func TestPolicyDifferential(t *testing.T) {
 						t.Fatalf("Dispatches = %d, want %d", ds.Dispatches, n)
 					}
 
-					// (d) repeatability and shard invariance.
-					for _, run := range []struct {
-						name   string
-						shards int
-					}{{"repeat", 0}, {"shards2", 2}, {"shards4", 4}} {
-						c := cfg
-						c.Shards = run.shards
-						r, err := RunTasks(tasks, c)
-						if err != nil {
-							t.Fatalf("%s run: %v", run.name, err)
-						}
-						if b := resultBytes(t, r); string(b) != string(got) {
-							t.Fatalf("%s diverged from serial:\n%s\nvs\n%s", run.name, b, got)
-						}
+					// (d) repeatability.
+					r, err := RunTasks(tasks, cfg)
+					if err != nil {
+						t.Fatalf("repeat run: %v", err)
+					}
+					if b := resultBytes(t, r); string(b) != string(got) {
+						t.Fatalf("repeat diverged from first run:\n%s\nvs\n%s", b, got)
 					}
 
 					// (c) spec validates against its own trace.

@@ -144,9 +144,6 @@ type machine struct {
 // buildMachine assembles engine, network, cores, memory and backend.
 func buildMachine(cfg Config) *machine {
 	eng := sim.NewEngine()
-	if cfg.Shards > 1 {
-		eng.SetShards(cfg.Shards, shardWindow(noc.DefaultConfig()))
-	}
 	net := noc.NewNetwork(eng, cfg.CoresPerRing, noc.DefaultConfig())
 	m := &machine{eng: eng, net: net}
 	// One shared diagnostic name: cores are identified by NodeID, and a
@@ -174,24 +171,6 @@ func buildMachine(cfg Config) *machine {
 	}
 	m.back = backend.New(eng, net, m.coreNodes, bcfg, m.memory)
 	return m
-}
-
-// shardWindow derives the sharded engine's commit window from the
-// interconnect's conservative lookahead: the default window rounded up to a
-// whole number of minimum message latencies, so every cross-module message
-// staged in one window is committed on a lookahead boundary of the next.
-// Window length — like everything about sharding — is an observer: it tunes
-// barrier amortization, never results.
-func shardWindow(nc noc.Config) sim.Cycle {
-	la := nc.MinMessageLatency()
-	if la == 0 {
-		return sim.DefaultShardWindow
-	}
-	w := sim.DefaultShardWindow
-	if rem := w % la; rem != 0 {
-		w += la - rem
-	}
-	return w
 }
 
 // finish fills the common result fields. n and work are the stream's task

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tasksuperscalar/internal/graph"
+	"tasksuperscalar/internal/workloads"
 )
 
 // chainProgram builds w independent chains of depth d (runtime per task rt).
@@ -128,6 +129,25 @@ func TestRunWithMemorySystem(t *testing.T) {
 	if res.Cycles <= res2.Cycles {
 		t.Fatalf("memory-modeled run (%d) not slower than free-memory run (%d)",
 			res.Cycles, res2.Cycles)
+	}
+}
+
+// An OVT output-buffer grant can reach a consumer's TRS before the ORT's
+// operand info for the same operand, which is still in flight on the ring.
+// Knn on 64 cores with the memory hierarchy on produces that ordering; the
+// TRS must net the early grant when the operand info lands, and every
+// generated task must retire.
+func TestEarlyOutputGrantRetiresAllTasks(t *testing.T) {
+	wl, _ := workloads.ByName("knn")
+	b := wl.Gen(2500, 42)
+	cfg := DefaultConfig().WithCores(64)
+	cfg.Memory = true
+	res, err := RunTasks(b.Tasks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tasks != uint64(len(b.Tasks)) {
+		t.Fatalf("executed %d of %d tasks", res.Tasks, len(b.Tasks))
 	}
 }
 
