@@ -82,7 +82,7 @@ func main() {
 		advertise        = flag.String("advertise", "", "base URL at which the dispatcher can reach this worker (default derived from -addr)")
 		authFile         = flag.String("auth-file", "", "JSON tenant/token table; when set, every /v1 endpoint requires a bearer token (see docs/SERVICE.md)")
 		token            = flag.String("token", "", "bearer token this daemon presents to other daemons (-join registration, heartbeats, and dispatch)")
-		heartbeat        = flag.Duration("heartbeat", 5*time.Second, "fleet heartbeat interval: workers beat at this rate, the dispatcher ages liveness by it (0 with -join = register once, no heartbeats)")
+		heartbeat        = flag.Duration("heartbeat", 5*time.Second, "fleet heartbeat interval I: a -join worker beats this often (0 = join once, never beat); a dispatcher polls workers unheard for I and reads them suspect after 2.5*I, dead after 5*I")
 		journalDir       = flag.String("journal-dir", "", "directory for the durable job journal; accepted jobs survive a daemon crash and are recovered on restart (empty = no journal)")
 		jobTimeout       = flag.Duration("job-timeout", 0, "per-job execution deadline; a job (or sweep point) running longer fails with a deadline error (0 = no deadline)")
 		dispatchRetries  = flag.Int("dispatch-retries", 0, "fleet mode: worker-level failures retried per job before it fails (0 = 4 default)")

@@ -57,10 +57,6 @@ func (b *backoff) next() time.Duration {
 	return d/2 + time.Duration(b.mix()%uint64(d))
 }
 
-// reset rewinds the exponential ramp (kept jitter stream), for loops that
-// back off between failures but recover after a success.
-func (b *backoff) reset() { b.attempt = 0 }
-
 // seedFromString folds a string into a backoff seed (FNV-1a), giving each
 // worker/client a distinct but deterministic jitter stream.
 func seedFromString(s string) int64 {

@@ -64,9 +64,6 @@ type RetryPolicy struct {
 	// (defaults 100ms and 5s). Each delay is jittered ±50%.
 	Base time.Duration
 	Max  time.Duration
-	// Seed drives the jitter stream, making retry timing reproducible. 0
-	// derives a seed from the daemon URL.
-	Seed int64
 }
 
 // WithRetry makes the client retry failed calls under the given policy.
@@ -143,12 +140,10 @@ func (c *Client) retryable(ctx context.Context, err error) bool {
 	return errors.As(err, &ue)
 }
 
-// retrySeed is the jitter seed for one retry loop, keyed by the call path so
-// concurrent calls through one client don't share a delay schedule.
+// retrySeed is the jitter seed for one retry loop, keyed by the daemon URL
+// and call path so concurrent calls through one client don't share a delay
+// schedule.
 func (c *Client) retrySeed(path string) int64 {
-	if c.retry.Seed != 0 {
-		return c.retry.Seed ^ seedFromString(path)
-	}
 	return seedFromString(c.base + path)
 }
 

@@ -45,7 +45,7 @@ func (e remoteJobError) Error() string { return e.msg }
 type fleet struct {
 	s     *Server
 	slots chan struct{} // bounds concurrent dispatches (QueueDepth)
-	stop  chan struct{} // ends the background health re-probe loop
+	stop  chan struct{} // ends the liveness loop
 
 	mu        sync.Mutex
 	workers   []*workerNode // registration order
@@ -61,15 +61,20 @@ func newFleet(s *Server) *fleet {
 	return f
 }
 
-// livenessLoop is the background liveness sweep, ticking at the configured
-// heartbeat interval. Heartbeat-opted workers age through the state machine
-// (healthy → suspect → dead) purely on elapsed time since their last beat;
-// join-only workers — which never beat — are instead re-probed when suspect,
-// so a recovered node rejoins the rotation even while healthy peers are
-// absorbing the load (the pre-heartbeat behavior).
+// livenessLoop polls, once per heartbeat interval, the /healthz of every
+// worker not heard from since the previous sweep: a join-only worker at every
+// sweep, a heartbeating one only when its beat is late. An answer is evidence
+// of life dated at the sweep's start; silence grows into suspect, then dead.
+// No sweep waits for its polls and each may take two intervals, so a
+// blackholed worker delays no other's poll and an answer within 1.5
+// intervals keeps a worker from reading suspect.
 func (f *fleet) livenessLoop() {
-	t := time.NewTicker(f.s.cfg.HeartbeatInterval)
+	interval := f.s.cfg.HeartbeatInterval
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	t := time.NewTicker(interval)
 	defer t.Stop()
+	last := time.Now()
 	for {
 		select {
 		case <-f.stop:
@@ -78,18 +83,16 @@ func (f *fleet) livenessLoop() {
 		}
 		now := time.Now()
 		f.mu.Lock()
-		nodes := append([]*workerNode(nil), f.workers...)
-		f.mu.Unlock()
-		for _, w := range nodes {
+		for _, w := range f.workers {
 			w.mu.Lock()
-			opted, state := w.beatOpted, w.state
+			quiet := !w.seen.After(last)
 			w.mu.Unlock()
-			if opted {
-				w.age(now, f.s.cfg.HeartbeatInterval)
-			} else if state != WorkerHealthy {
-				w.probe()
+			if quiet {
+				go w.poll(ctx, 2*interval, now)
 			}
 		}
+		f.mu.Unlock()
+		last = now
 	}
 }
 
@@ -149,15 +152,16 @@ func (f *fleet) dispatch(j *job) {
 // when a worker fails mid-job — back off (exponential, seeded ±50% jitter)
 // and retry, preferring a different node, until the job finishes, is
 // cancelled, the retry budget (Config.DispatchRetries) is exhausted, or the
-// deadline passes. A transient error no longer excludes the worker from the
-// job forever: the circuit breaker decides who is dispatchable, so a fleet
-// whose nodes all hiccuped once still serves jobs. When zero workers are
-// dispatchable the job degrades gracefully — it waits (bounded by
-// Config.NoWorkerWait and ctx) for a worker to register, revive, or exit
-// cooldown instead of failing instantly. It returns the result instead of
-// settling the job, so the primary dispatch path and the sweep-point
-// resolver share it. Points do not hold dispatch slots: a sweep occupies one
-// slot while its points fan out bounded by the sweep's own pool width.
+// deadline passes. Each worker's derived health decides whether it is
+// dispatchable, so a fleet whose nodes all hiccuped once still serves jobs;
+// a suspect worker, the last resort, gets the job only after it answers
+// /healthz. When zero workers are dispatchable the job degrades gracefully —
+// it waits (bounded by Config.NoWorkerWait and ctx), spending no retry
+// budget, for a worker to register, revive, or exit cooldown instead of
+// failing instantly. It returns the result instead of settling the job, so
+// the primary dispatch path and the sweep-point resolver share it. Points do
+// not hold dispatch slots: a sweep occupies one slot while its points fan
+// out bounded by the sweep's own pool width.
 func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 	e := j.exec
 	cfg := f.s.cfg
@@ -171,7 +175,13 @@ func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("dispatch cancelled: %w", err)
 		}
-		w := f.pick(lastFailed)
+		w, h := f.pick(lastFailed, time.Now())
+		if w != nil && h == healthSuspect {
+			// An unreachable last resort costs the job a wait, not budget.
+			if !w.poll(ctx, 2*time.Second, time.Now()) {
+				w = nil
+			}
+		}
 		if w == nil {
 			// Graceful degradation: zero dispatchable workers right now is
 			// not a job failure yet — wait for the fleet to come back.
@@ -196,7 +206,7 @@ func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 		var jobErr remoteJobError
 		switch {
 		case err == nil:
-			w.noteSuccess()
+			w.noteSuccess(time.Now())
 			return result, nil
 		case ctx.Err() != nil:
 			// The caller classifies this as cancelled (or past deadline) via
@@ -208,7 +218,7 @@ func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 			// Deterministic failure: retrying elsewhere reproduces it. The
 			// worker did its part correctly — this is a success for its
 			// breaker.
-			w.noteSuccess()
+			w.noteSuccess(time.Now())
 			return nil, err
 		default:
 			// Worker-level failure (connection refused, SSE cut mid-job,
@@ -216,7 +226,7 @@ func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 			// back off, and go around — preferring a different node.
 			lastErr = fmt.Errorf("worker %s (%s): %w", w.id, w.url, err)
 			lastFailed = w.id
-			w.noteFailure(cfg.BreakerThreshold)
+			w.noteFailure(time.Now())
 			failures++
 			if failures > cfg.DispatchRetries {
 				f.mu.Lock()
@@ -240,22 +250,18 @@ func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 // but bounded. SweepSpec.Workers is excluded from the sweep key and the
 // sweep engine is width-independent, so the dispatcher is free to choose.
 func (f *fleet) shardWidth() int {
+	now := time.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := 0
 	for _, w := range f.workers {
-		if ok, healthy, _ := w.dispatchable(); ok && healthy {
+		w.mu.Lock()
+		if !w.draining && w.healthAt(now) == healthOK {
 			n++
 		}
+		w.mu.Unlock()
 	}
-	width := 2 * n
-	if width < 1 {
-		width = 1
-	}
-	if width > 64 {
-		width = 64
-	}
-	return width
+	return min(max(2*n, 1), 64)
 }
 
 // runOn executes the job on one worker: submit, relay the SSE stream into
@@ -270,6 +276,12 @@ func (f *fleet) runOn(ctx context.Context, w *workerNode, j *job) ([]byte, error
 	defer w.end()
 
 	st, err := w.cl.SubmitVia(ctx, &j.spec, append(append([]string(nil), j.via...), f.s.instance))
+	var ae *APIError
+	if errors.As(err, &ae) && ae.Code == CodeDispatchLoop {
+		// The fleet topology routes this job in a cycle, which every
+		// worker would report the same way: the job fails, not the worker.
+		return nil, remoteJobError{ae.Error()}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -341,77 +353,48 @@ func (f *fleet) relay(e *execution, ev Event) {
 	}
 }
 
-// pick chooses the worker for the next attempt, in preference order:
-//
-//  1. healthy, breaker-closed workers, fewest active dispatches first
-//     (ties: registration order), skipping `avoid` — the worker that just
-//     failed this job — while any alternative exists;
-//  2. a tripped worker whose cooldown has expired: it is claimed into the
-//     half-open state and gets exactly this one probe job — success revives
-//     it (noteSuccess), failure re-trips it;
-//  3. a suspect join-only worker that answers a /healthz probe, so a
-//     recovered node rejoins the rotation without manual intervention.
-//
-// Draining and dead workers are never picked — that is the whole drain and
-// liveness contract. `avoid` is only a preference: a one-worker fleet still
-// retries on the worker that just failed.
-func (f *fleet) pick(avoid string) *workerNode {
-	now := time.Now()
-	cooldown := f.s.cfg.BreakerCooldown
+// pick chooses the worker for the next attempt in one pass over the fleet,
+// ranking candidates by health at now (healthy, then half-open-ready, then
+// suspect as a last resort), then by not being `avoid` — the worker that
+// just failed this job — then by fewest active dispatches, then by
+// registration order. Draining, dead and tripped workers are never picked;
+// that is the whole drain, liveness and breaker contract. A half-open-ready
+// winner claims its worker's one probe slot, whose outcome (noteSuccess,
+// noteFailure, releaseHalfOpen) frees it again. `avoid` is only a
+// preference: a one-worker fleet still retries on the worker that just
+// failed. pick returns the winner with its health, or nil.
+func (f *fleet) pick(avoid string, now time.Time) (*workerNode, health) {
 	f.mu.Lock()
-	candidates := append([]*workerNode(nil), f.workers...)
-	f.mu.Unlock()
-
-	pass := func(includeAvoid bool) *workerNode {
-		var best *workerNode
-		bestActive := 0
-		for _, w := range candidates {
-			if w.id == avoid && !includeAvoid {
-				continue
-			}
-			ok, healthy, active := w.dispatchable()
-			if !ok || !healthy || !w.breakerClosed() {
-				continue
-			}
-			if best == nil || active < bestActive {
-				best, bestActive = w, active
-			}
-		}
-		return best
-	}
-	if best := pass(false); best != nil {
-		return best
-	}
-	// Half-open probes: one tripped-but-cooled worker gets one job.
-	for _, w := range candidates {
-		if ok, _, _ := w.dispatchable(); ok && w.claimHalfOpen(now, cooldown) {
-			return w
-		}
-	}
-	// Probe-based revival for suspect join-only workers (pre-heartbeat
-	// behavior), still subject to the breaker.
-	for _, w := range candidates {
-		if w.id == avoid {
+	defer f.mu.Unlock()
+	var best *workerNode
+	var bestH health
+	var bestAvoided bool
+	var bestActive int
+	for _, w := range f.workers {
+		w.mu.Lock()
+		h, draining, active := w.healthAt(now), w.draining, w.active
+		w.mu.Unlock()
+		if draining || h > healthSuspect {
 			continue
 		}
-		if ok, _, _ := w.dispatchable(); ok && w.breakerClosed() && w.probe() {
-			return w
+		avoided := w.id == avoid
+		if best == nil || h < bestH || h == bestH &&
+			(bestAvoided && !avoided || avoided == bestAvoided && active < bestActive) {
+			best, bestH, bestAvoided, bestActive = w, h, avoided, active
 		}
 	}
-	if best := pass(true); best != nil {
-		return best
-	}
-	if avoid != "" {
-		for _, w := range candidates {
-			if w.id != avoid {
-				continue
-			}
-			if ok, _, _ := w.dispatchable(); ok && w.breakerClosed() && w.probe() {
-				return w
-			}
+	if best != nil && bestH == healthHalfOpen {
+		// Another job on the worker may have settled since the ranking: claim
+		// the slot only if it is still half-open-ready (f.mu bars other picks).
+		best.mu.Lock()
+		bestH = best.healthAt(now)
+		best.probing = bestH == healthHalfOpen
+		best.mu.Unlock()
+		if bestH > healthSuspect {
+			return nil, bestH
 		}
 	}
-	return nil
+	return best, bestH
 }
 
 // FleetStats is the dispatcher section of GET /stats.
@@ -431,6 +414,7 @@ type FleetStats struct {
 }
 
 func (f *fleet) stats() FleetStats {
+	now := time.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := FleetStats{
@@ -438,7 +422,7 @@ func (f *fleet) stats() FleetStats {
 		Workers: make([]WorkerInfo, 0, len(f.workers)),
 	}
 	for _, w := range f.workers {
-		st.Workers = append(st.Workers, w.info())
+		st.Workers = append(st.Workers, w.info(now))
 	}
 	return st
 }

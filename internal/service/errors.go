@@ -31,9 +31,9 @@ const (
 	// CodeRateLimited: the tenant exceeded its submission rate; retry
 	// after backing off.
 	CodeRateLimited = "rate_limited"
-	// CodeDraining: the daemon is shutting down (or the fleet has no
-	// dispatchable worker because every node is draining); running jobs
-	// finish, new work is refused.
+	// CodeDraining: the daemon is shutting down; running jobs finish, new
+	// work is refused. (A dispatcher whose workers are all draining still
+	// accepts jobs and holds them for Config.NoWorkerWait.)
 	CodeDraining = "draining"
 	// CodeNotFound: no such job or worker.
 	CodeNotFound = "not_found"

@@ -25,7 +25,7 @@ func (w *fleetWorker) kill() { w.hs.CloseClientConnections() }
 // startFleet spins up a dispatcher with n registered in-process workers.
 func startFleet(t *testing.T, n int, workerCfg Config) (*Server, *Client, []*fleetWorker) {
 	t.Helper()
-	disp, err := New(Config{Fleet: true, QueueDepth: 256})
+	disp, err := New(Config{Fleet: true, QueueDepth: 256, NoWorkerWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,6 +283,17 @@ func TestFleetDispatchCycleFailsFast(t *testing.T) {
 	}
 	if !strings.Contains(fin.Error, "loop") && !strings.Contains(fin.Error, "worker") {
 		t.Fatalf("failure does not surface the loop: %s", fin.Error)
+	}
+	// The loop is the job's fault, not a worker's: neither dispatcher
+	// retries it or trips its peer's breaker.
+	for name, d := range map[string]*Server{"A": ad, "B": bd} {
+		fs := d.Stats().Fleet
+		if fs.Retries != 0 {
+			t.Fatalf("dispatcher %s retried the looping job %d times", name, fs.Retries)
+		}
+		if w := fs.Workers[0]; w.Breaker != BreakerClosed {
+			t.Fatalf("dispatcher %s left its worker's breaker %s", name, w.Breaker)
+		}
 	}
 }
 

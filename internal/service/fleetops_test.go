@@ -294,3 +294,45 @@ func TestFleetAuthEndToEnd(t *testing.T) {
 		t.Fatalf("job attributed to %q, want ops", fin.Tenant)
 	}
 }
+
+// A join-only worker (one that never heartbeats) follows the same health
+// rule as a heartbeating one: the dispatcher polls its /healthz once it has
+// gone an interval unheard, so an idle reachable worker stays healthy, one
+// whose /healthz fails ages to suspect and then dead, and the first answer
+// after that revives it.
+func TestJoinOnlyWorkerLiveness(t *testing.T) {
+	interval := 50 * time.Millisecond
+	disp, err := New(Config{Fleet: true, HeartbeatInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dhs := httptest.NewServer(disp.Handler())
+	t.Cleanup(func() { dhs.Close(); disp.Close() })
+	cl := NewClient(dhs.URL)
+	ctx := context.Background()
+
+	fw := newFlakyWorker(t, Config{Workers: 1})
+	if _, err := cl.JoinWorker(ctx, fw.proxy.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	for end := time.Now().Add(10 * interval); time.Now().Before(end); time.Sleep(interval / 5) {
+		ws, err := cl.Workers(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ws[0].State != WorkerHealthy {
+			t.Fatalf("idle, reachable join-only worker reads %+v, want healthy", ws[0])
+		}
+	}
+
+	fw.healthzDown.Store(true)
+	pollWorkers(t, cl, "suspect", func(ws []WorkerInfo) bool { return ws[0].State == WorkerSuspect })
+	pollWorkers(t, cl, "dead", func(ws []WorkerInfo) bool { return ws[0].State == WorkerDead })
+
+	fw.healthzDown.Store(false)
+	ws := pollWorkers(t, cl, "revival", func(ws []WorkerInfo) bool { return ws[0].State == WorkerHealthy })
+	if ws[0].Revived != 1 || ws[0].Heartbeat {
+		t.Fatalf("revived join-only worker %+v, want revived=1 and no heartbeat", ws[0])
+	}
+}

@@ -56,15 +56,17 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 // flakyWorker fronts a real worker daemon with a proxy that fails POST
-// /v1/jobs while `failing` is set (everything else — health probes, SSE,
+// /v1/jobs while `failing` is set, or for the next `failNext` submissions,
+// and fails GET /healthz while `healthzDown` is set (everything else — SSE,
 // results — passes through), which is how tests produce worker-level
-// dispatch failures on demand.
+// dispatch and liveness failures on demand.
 type flakyWorker struct {
-	srv     *Server
-	hs      *httptest.Server // the real worker
-	proxy   *httptest.Server // what the dispatcher sees
-	failing atomic.Bool
-	fails   atomic.Uint64
+	srv         *Server
+	hs          *httptest.Server // the real worker
+	proxy       *httptest.Server // what the dispatcher sees
+	failing     atomic.Bool
+	failNext    atomic.Int64
+	healthzDown atomic.Bool
 }
 
 func newFlakyWorker(t *testing.T, cfg Config) *flakyWorker {
@@ -78,9 +80,12 @@ func newFlakyWorker(t *testing.T, cfg Config) *flakyWorker {
 	rp := httputil.NewSingleHostReverseProxy(u)
 	fw := &flakyWorker{srv: srv, hs: hs}
 	fw.proxy = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if fw.failing.Load() && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-			fw.fails.Add(1)
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" && (fw.failing.Load() || fw.failNext.Add(-1) >= 0) {
 			http.Error(w, "injected worker failure", http.StatusBadGateway)
+			return
+		}
+		if fw.healthzDown.Load() && r.URL.Path == "/healthz" {
+			http.Error(w, "injected healthz failure", http.StatusBadGateway)
 			return
 		}
 		rp.ServeHTTP(w, r)
@@ -111,14 +116,8 @@ func TestFleetRetryAccountingConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fw.failing.Store(true)
-	go func() {
-		// Recover the worker after it has eaten two submissions.
-		for fw.fails.Load() < 2 {
-			time.Sleep(time.Millisecond)
-		}
-		fw.failing.Store(false)
-	}()
+	// The worker eats two submissions, then recovers.
+	fw.failNext.Store(2)
 
 	st, err := cl.Submit(ctx, quickSpec(51))
 	if err != nil {
@@ -310,6 +309,48 @@ func TestFleetNoWorkerWaitDegradation(t *testing.T) {
 	}
 	if fs := disp.Stats().Fleet; fs.Starved == 0 {
 		t.Fatalf("starvation wait not counted: %+v", fs)
+	}
+}
+
+// A registered worker that is down — dispatches and /healthz both fail —
+// holds the job in the dispatch wait once its first failure makes it
+// suspect: the wait spends no retry budget, so an outage longer than the
+// budget lasts still ends with the job done when the worker returns.
+func TestFleetNoWorkerWaitUnreachableWorker(t *testing.T) {
+	disp, err := New(Config{
+		Fleet: true, DispatchRetries: 2, NoWorkerWait: 10 * time.Second,
+		RetryBackoff: time.Millisecond, RetryBackoffMax: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dhs := httptest.NewServer(disp.Handler())
+	t.Cleanup(func() { dhs.Close(); disp.Close() })
+	cl := NewClient(dhs.URL)
+	ctx := context.Background()
+
+	fw := newFlakyWorker(t, Config{Workers: 1})
+	if _, err := cl.JoinWorker(ctx, fw.proxy.URL); err != nil {
+		t.Fatal(err)
+	}
+	fw.failing.Store(true)
+	fw.healthzDown.Store(true)
+	back := time.AfterFunc(300*time.Millisecond, func() {
+		fw.failing.Store(false)
+		fw.healthzDown.Store(false)
+	})
+	t.Cleanup(func() { back.Stop() })
+
+	st, err := cl.Submit(ctx, quickSpec(56))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitFor(t, cl, st.ID, func(s *SubmitStatus) bool { return terminalStatus(s.Status) }, "terminal")
+	if fin.Status != StatusDone {
+		t.Fatalf("job held through the outage ended %s: %s", fin.Status, fin.Error)
+	}
+	if fs := disp.Stats().Fleet; fs.Retries > 1 || fs.Exhausted != 0 {
+		t.Fatalf("retries=%d exhausted=%d, want at most 1/0", fs.Retries, fs.Exhausted)
 	}
 }
 

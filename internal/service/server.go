@@ -77,11 +77,12 @@ type Config struct {
 	// PeerToken is the bearer token this daemon presents when calling other
 	// daemons (a dispatcher submitting to its workers). Empty sends none.
 	PeerToken string
-	// HeartbeatInterval paces fleet liveness (dispatcher mode): workers are
-	// expected to heartbeat at this interval, turn suspect after missing
-	// ~2.5 intervals and dead after ~5, and the background liveness sweep
-	// ticks at this rate (default 5s). Workers that never heartbeat (plain
-	// -join registrations) keep the probe-based health of earlier releases.
+	// HeartbeatInterval paces fleet liveness (dispatcher mode, default 5s):
+	// a worker unheard from — no join, heartbeat, served dispatch, or
+	// /healthz answer — for ~2.5 intervals reads suspect, and for ~5 dead.
+	// Once per interval the dispatcher polls the /healthz of every worker
+	// it has not heard from since the previous sweep, so workers that never
+	// heartbeat follow the same rule.
 	HeartbeatInterval time.Duration
 	// JournalDir, when set, makes accepted jobs crash-durable: every job
 	// lifecycle transition is appended to an fsync'd, self-verifying journal
@@ -377,8 +378,8 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("POST /v1/workers/heartbeat", s.protect(s.fleet.handleHeartbeat))
 		s.mux.HandleFunc("GET /v1/workers", s.protect(s.fleet.handleList))
 		s.mux.HandleFunc("DELETE /v1/workers/{id}", s.protect(s.fleet.handleLeave))
-		s.mux.HandleFunc("POST /v1/workers/{id}/drain", s.protect(s.fleet.handleDrain))
-		s.mux.HandleFunc("DELETE /v1/workers/{id}/drain", s.protect(s.fleet.handleUndrain))
+		s.mux.HandleFunc("POST /v1/workers/{id}/drain", s.protect(s.fleet.handleDrain(true)))
+		s.mux.HandleFunc("DELETE /v1/workers/{id}/drain", s.protect(s.fleet.handleDrain(false)))
 		// Execution capacity lives on the workers; one pump goroutine pulls
 		// the scheduler's fair-share picks and fans them out.
 		s.wg.Add(1)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -18,38 +19,39 @@ import (
 // Config.Fleet set). A worker needs no special build — any tssd daemon whose
 // URL the dispatcher can reach is a valid worker.
 //
-// Two lifecycles coexist:
+// A worker registers by joining (POST /v1/workers) or by heartbeating
+// (POST /v1/workers/heartbeat); cmd/tssd -join does the first and then, by
+// default, the second every -heartbeat interval. A heartbeat carrying an
+// unknown URL registers the worker on the spot, so a restarted dispatcher
+// re-learns its whole fleet within one heartbeat interval with no operator
+// action.
 //
-//   - Join-only (POST /v1/workers, cmd/tssd -join): the original protocol.
-//     The dispatcher probes the worker at registration and marks it unhealthy
-//     on dispatch failure; a background probe returns it to the rotation.
-//   - Heartbeat (POST /v1/workers/heartbeat, cmd/tssd -join with -heartbeat):
-//     the worker reports in every HeartbeatInterval. The dispatcher ages it
-//     through a liveness state machine — healthy → suspect (missed ~2.5
-//     intervals) → dead (missed ~5) — and a beat (or successful probe)
-//     revives it. Because a heartbeat carrying an unknown URL registers the
-//     worker on the spot, a restarted dispatcher re-learns its whole fleet
-//     within one heartbeat interval with no operator action.
+// The dispatcher keeps one record per worker and derives the worker's
+// health from it whenever it reads it (workerNode.healthAt); nothing ages in
+// the background. Every kind of evidence of life — a join, a heartbeat, a
+// served dispatch, or a /healthz poll the dispatcher makes of a worker that
+// has gone quiet (fleet.livenessLoop) — refreshes the same record, so
+// join-only and heartbeating workers follow one rule.
 //
-// Either kind of worker can be drained (POST /v1/workers/{id}/drain): it
-// stops receiving new dispatches while jobs already relayed to it finish, the
+// Any worker can be drained (POST /v1/workers/{id}/drain): it stops
+// receiving new dispatches while jobs already relayed to it finish, the
 // graceful way to take a node out for maintenance. DELETE .../drain returns
 // it to the rotation.
 
 // Worker liveness states (WorkerInfo.State).
 const (
 	WorkerHealthy = "healthy"
-	WorkerSuspect = "suspect" // missed heartbeats / failed a dispatch; not picked while healthy peers exist
-	WorkerDead    = "dead"    // missed ~5 heartbeat intervals; never picked until revived
+	WorkerSuspect = "suspect" // silent ~2.5 intervals, or last heard of failing a dispatch; a last resort, once it answers /healthz
+	WorkerDead    = "dead"    // silent ~5 intervals; never picked until heard from again
 )
 
-// Circuit-breaker states, orthogonal to liveness: liveness asks "is the
-// process up?" (heartbeats, probes); the breaker asks "do dispatches to it
-// succeed?" (a node can answer /healthz all day while its pool is wedged).
-// Closed admits dispatches; tripped (after Config.BreakerThreshold
-// consecutive failures) admits none until Config.BreakerCooldown elapses;
-// half-open admits exactly one probe job, whose outcome closes or re-trips
-// the breaker (WorkerInfo.Breaker).
+// Circuit-breaker states (WorkerInfo.Breaker). Liveness asks "is the
+// process up?"; the breaker asks "do dispatches to it succeed?" (a node can
+// answer /healthz all day while its pool is wedged). Closed admits
+// dispatches; tripped (Config.BreakerThreshold consecutive failures) admits
+// none until Config.BreakerCooldown has passed since the latest failure;
+// then the next pick sends exactly one half-open probe job, whose outcome
+// closes or re-trips the breaker.
 const (
 	BreakerClosed   = "closed"
 	BreakerTripped  = "tripped"
@@ -71,13 +73,14 @@ type WorkerInfo struct {
 	// Draining reports that the worker receives no new dispatches while its
 	// running jobs finish.
 	Draining bool `json:"draining,omitempty"`
-	// Heartbeat reports that the worker uses the heartbeat lifecycle.
+	// Heartbeat reports that the worker has heartbeated at least once. It
+	// is informational: health follows the same rule either way.
 	Heartbeat bool `json:"heartbeat,omitempty"`
 	// Active is the number of jobs currently dispatched to the worker.
 	Active int `json:"active"`
 	// Dispatched and Failures count dispatch attempts and worker-level
 	// failures over the worker's registration lifetime; Revived counts
-	// returns from the dead state.
+	// evidence of life that arrived while the worker was dead.
 	Dispatched uint64 `json:"dispatched"`
 	Failures   uint64 `json:"failures"`
 	Revived    uint64 `json:"revived,omitempty"`
@@ -87,29 +90,65 @@ type WorkerInfo struct {
 	BreakerTrips uint64 `json:"breaker_trips,omitempty"`
 }
 
-// workerNode is the dispatcher's handle on one registered worker.
+// workerNode is the dispatcher's record of one registered worker. Health is
+// never stored: healthAt derives it from the record at the moment of
+// reading.
 type workerNode struct {
 	id  string
 	url string
 	cl  *Client
+	cfg *Config // the dispatcher's: HeartbeatInterval and the breaker knobs
 
-	mu         sync.Mutex
-	state      string // WorkerHealthy, WorkerSuspect, or WorkerDead
-	draining   bool
-	beatOpted  bool      // the worker has sent at least one heartbeat
-	lastBeat   time.Time // last heartbeat or successful probe
+	mu       sync.Mutex
+	seen     time.Time // last join, heartbeat, served dispatch, or successful /healthz poll
+	fails    int       // consecutive worker-level dispatch failures
+	failedAt time.Time // when the latest of them happened
+	probing  bool      // the one half-open probe job is out
+	draining bool
+	beaten   bool // has heartbeated at least once (WorkerInfo.Heartbeat)
+
 	active     int
 	dispatched uint64
 	failures   uint64
 	revived    uint64
+	trips      uint64
+}
 
-	// Circuit breaker (see the Breaker* constants): consecFails counts
-	// consecutive dispatch failures since the last success; trippedAt stamps
-	// the trip for the cooldown clock.
-	breaker     string
-	consecFails int
-	trippedAt   time.Time
-	trips       uint64
+// health is a worker's state as pick sees it, in pick's order of
+// preference: the first three are dispatchable, the last two are skipped.
+type health uint8
+
+const (
+	healthOK       health = iota
+	healthHalfOpen        // tripped with the cooldown over: the next pick claims the probe slot
+	healthSuspect         // see suspect; a last resort
+	healthTripped         // cooling down, or its half-open probe job is out
+	healthDead            // silent for 5 heartbeat intervals
+)
+
+// healthAt derives the worker's health at now from its record (w.mu held).
+// Silence and the cooldown are measured when the record is read, which is
+// what lets liveness need no background ageing.
+func (w *workerNode) healthAt(now time.Time) health {
+	silent, c := now.Sub(w.seen), w.cfg
+	switch {
+	case silent >= 5*c.HeartbeatInterval:
+		return healthDead
+	case w.fails >= c.BreakerThreshold && (w.probing || now.Sub(w.failedAt) < c.BreakerCooldown):
+		return healthTripped
+	case w.fails >= c.BreakerThreshold:
+		return healthHalfOpen
+	case w.suspect(silent):
+		return healthSuspect
+	}
+	return healthOK
+}
+
+// suspect reports whether a worker silent for `silent` is in doubt: it has
+// missed about 2.5 heartbeat intervals, or the last thing heard of it was a
+// failed dispatch (w.mu held).
+func (w *workerNode) suspect(silent time.Duration) bool {
+	return silent >= w.cfg.HeartbeatInterval*5/2 || w.failedAt.After(w.seen)
 }
 
 func (w *workerNode) begin() {
@@ -125,148 +164,88 @@ func (w *workerNode) end() {
 	w.mu.Unlock()
 }
 
-// noteFailure records one worker-level dispatch failure: liveness drops to
-// suspect, and the breaker trips after `threshold` consecutive failures — or
-// instantly if this was the half-open probe job.
-func (w *workerNode) noteFailure(threshold int) {
-	w.mu.Lock()
-	if w.state == WorkerHealthy {
-		w.state = WorkerSuspect
-	}
-	w.failures++
-	w.consecFails++
-	switch {
-	case w.breaker == BreakerHalfOpen:
-		// The probe job failed: straight back to tripped, cooldown restarts.
-		w.breaker = BreakerTripped
-		w.trippedAt = time.Now()
-		w.trips++
-	case w.breaker != BreakerTripped && w.consecFails >= threshold:
-		w.breaker = BreakerTripped
-		w.trippedAt = time.Now()
-		w.trips++
-	}
-	w.mu.Unlock()
-}
-
-// noteSuccess records a dispatch the worker served correctly: the breaker
-// closes (reviving a half-open worker into the rotation), the consecutive
-// failure count resets, and — a served job being direct evidence of life —
-// liveness returns to healthy.
-func (w *workerNode) noteSuccess() {
-	w.mu.Lock()
-	w.breaker = BreakerClosed
-	w.consecFails = 0
-	if w.state == WorkerDead {
-		w.revived++
-	}
-	w.state = WorkerHealthy
-	w.lastBeat = time.Now()
-	w.mu.Unlock()
-}
-
-// breakerClosed reports whether the breaker admits normal dispatches.
-func (w *workerNode) breakerClosed() bool {
+// heard records evidence of life at now — a join, a heartbeat, a served
+// dispatch, or a successful /healthz poll — counting a revival when it
+// reaches a dead worker. A poll is stamped with the time it was sent, so
+// evidence older than the record's is ignored rather than moving it back.
+func (w *workerNode) heard(now time.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.breaker == BreakerClosed || w.breaker == ""
-}
-
-// claimHalfOpen claims the single half-open probe slot of a tripped worker
-// whose cooldown has expired. At most one caller wins until the probe's
-// outcome (noteSuccess / noteFailure / releaseHalfOpen) resolves the state.
-func (w *workerNode) claimHalfOpen(now time.Time, cooldown time.Duration) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.breaker != BreakerTripped || now.Sub(w.trippedAt) < cooldown {
-		return false
-	}
-	w.breaker = BreakerHalfOpen
-	return true
-}
-
-// releaseHalfOpen returns an unresolved half-open claim (the probe dispatch
-// was aborted by cancellation, proving nothing) to tripped — with the
-// original trip time, so the next pick may claim a fresh probe immediately.
-func (w *workerNode) releaseHalfOpen() {
-	w.mu.Lock()
-	if w.breaker == BreakerHalfOpen {
-		w.breaker = BreakerTripped
-	}
-	w.mu.Unlock()
-}
-
-// markAlive records direct evidence of life (a heartbeat or a successful
-// probe): the worker returns to healthy, counting a revival if it was dead.
-func (w *workerNode) markAlive(now time.Time) {
-	w.mu.Lock()
-	if w.state == WorkerDead {
-		w.revived++
-	}
-	w.state = WorkerHealthy
-	w.lastBeat = now
-	w.mu.Unlock()
-}
-
-// noteBeat is markAlive plus heartbeat-lifecycle opt-in.
-func (w *workerNode) noteBeat(now time.Time) {
-	w.mu.Lock()
-	w.beatOpted = true
-	w.mu.Unlock()
-	w.markAlive(now)
-}
-
-// age advances the liveness state machine of a heartbeat-opted worker:
-// suspect after missing ~2.5 intervals, dead after ~5. Join-only workers are
-// untouched — their health is probe- and dispatch-driven, as before
-// heartbeats existed.
-func (w *workerNode) age(now time.Time, interval time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.beatOpted {
+	if !now.After(w.seen) {
 		return
 	}
-	elapsed := now.Sub(w.lastBeat)
-	switch {
-	case elapsed >= 5*interval:
-		w.state = WorkerDead
-	case elapsed >= interval*5/2:
-		if w.state == WorkerHealthy {
-			w.state = WorkerSuspect
-		}
+	if w.healthAt(now) == healthDead {
+		w.revived++
 	}
+	w.seen = now
 }
 
-// dispatchable reports whether pick may send new work: not draining and not
-// dead. (Suspect workers are dispatchable only as a probed last resort.)
-func (w *workerNode) dispatchable() (ok, healthy bool, active int) {
+// noteFailure records one worker-level dispatch failure at now. The
+// BreakerThreshold-th consecutive failure trips the breaker, and so does a
+// failed half-open probe job; either way the cooldown runs from now.
+func (w *workerNode) noteFailure(now time.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return !w.draining && w.state != WorkerDead, w.state == WorkerHealthy, w.active
+	w.failures++
+	w.fails++
+	w.failedAt = now
+	if w.probing || w.fails == w.cfg.BreakerThreshold {
+		w.trips++
+	}
+	w.probing = false
 }
 
-func (w *workerNode) info() WorkerInfo {
+// noteSuccess records a dispatch the worker served correctly at now: the
+// failure run ends, which closes the breaker (a half-open probe's success
+// returns the worker to the rotation), and a served job is evidence of life.
+func (w *workerNode) noteSuccess(now time.Time) {
+	w.mu.Lock()
+	w.fails, w.probing = 0, false
+	w.mu.Unlock()
+	w.heard(now)
+}
+
+// releaseHalfOpen frees the half-open slot when the probe dispatch was
+// aborted by cancellation, which proves nothing either way. The cooldown is
+// already over, so the next pick may claim a fresh probe at once.
+func (w *workerNode) releaseHalfOpen() {
+	w.mu.Lock()
+	w.probing = false
+	w.mu.Unlock()
+}
+
+// info projects the record at now onto its wire form.
+func (w *workerNode) info(now time.Time) WorkerInfo {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	breaker := w.breaker
-	if breaker == "" {
-		breaker = BreakerClosed
+	state := WorkerHealthy
+	switch {
+	case w.healthAt(now) == healthDead:
+		state = WorkerDead
+	case w.suspect(now.Sub(w.seen)):
+		state = WorkerSuspect
+	}
+	breaker := BreakerClosed
+	switch {
+	case w.fails < w.cfg.BreakerThreshold:
+	case w.probing:
+		breaker = BreakerHalfOpen
+	default:
+		breaker = BreakerTripped
 	}
 	return WorkerInfo{
 		ID: w.id, URL: w.url,
-		State: w.state, Healthy: w.state == WorkerHealthy,
-		Draining: w.draining, Heartbeat: w.beatOpted,
+		State: state, Healthy: state == WorkerHealthy,
+		Draining: w.draining, Heartbeat: w.beaten,
 		Active: w.active, Dispatched: w.dispatched,
 		Failures: w.failures, Revived: w.revived,
 		Breaker: breaker, BreakerTrips: w.trips,
 	}
 }
 
-// probeHealthz fetches a daemon's /healthz with a short timeout and returns
-// its instance identity.
-func probeHealthz(cl *Client) (string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
+// probeHealthz fetches a daemon's /healthz and returns its instance
+// identity.
+func probeHealthz(ctx context.Context, cl *Client) (string, error) {
 	var h healthz
 	if err := cl.getJSON(ctx, "/healthz", &h); err != nil {
 		return "", err
@@ -274,15 +253,16 @@ func probeHealthz(cl *Client) (string, error) {
 	return h.Instance, nil
 }
 
-// probe checks the worker's /healthz and, on success, marks the worker
-// alive — a probe is evidence of life as good as a heartbeat, so it also
-// resets the heartbeat ageing clock (otherwise a just-probed worker would be
-// re-suspected on the next liveness sweep).
-func (w *workerNode) probe() bool {
-	if _, err := probeHealthz(w.cl); err != nil {
+// poll asks the worker's /healthz, waiting up to timeout, and records an
+// answer as evidence of life dated `sent`, when the poll went out. It reports
+// whether the worker answered.
+func (w *workerNode) poll(ctx context.Context, timeout time.Duration, sent time.Time) bool {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	if _, err := probeHealthz(ctx, w.cl); err != nil {
 		return false
 	}
-	w.markAlive(time.Now())
+	w.heard(sent)
 	return true
 }
 
@@ -315,9 +295,9 @@ func parseWorkerURL(raw string) (string, error) {
 // rejected (joiners retry; see JoinFleet), and so is a URL that reaches this
 // dispatcher itself, which would otherwise dispatch every job back onto its
 // own queue, coalesce it with itself, and deadlock. Joining is idempotent —
-// a URL that is already registered gets its existing ID back and is marked
-// healthy again, which is how a restarted worker or dispatcher converges
-// without duplicate nodes.
+// a URL that is already registered gets its existing ID back, and the join
+// counts as evidence of life, which is how a restarted worker or dispatcher
+// converges without duplicate nodes.
 func (f *fleet) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
 	dec := json.NewDecoder(r.Body)
@@ -332,7 +312,9 @@ func (f *fleet) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	instance, err := probeHealthz(f.workerClient(base))
+	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
+	instance, err := probeHealthz(ctx, f.workerClient(base))
+	cancel()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "worker at %s is unreachable: %v", base, err)
 		return
@@ -344,16 +326,12 @@ func (f *fleet) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 
 	n, created := f.register(base)
-	n.markAlive(time.Now())
-	w.Header().Set("Content-Type", "application/json")
-	if created {
-		w.WriteHeader(http.StatusCreated)
-	}
-	json.NewEncoder(w).Encode(n.info())
+	n.heard(time.Now())
+	writeWorker(w, n, created)
 }
 
 // handleHeartbeat implements POST /v1/workers/heartbeat. A beat from a known
-// URL refreshes its liveness (reviving a dead worker); a beat from an unknown
+// URL is evidence of life (reviving a dead worker); a beat from an unknown
 // URL registers the worker on the spot — the beat itself is the liveness
 // proof, no probe needed — which is what lets a restarted dispatcher re-learn
 // its fleet within one heartbeat interval.
@@ -377,12 +355,21 @@ func (f *fleet) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 
 	n, created := f.register(base)
-	n.noteBeat(time.Now())
+	n.mu.Lock()
+	n.beaten = true
+	n.mu.Unlock()
+	n.heard(time.Now())
+	writeWorker(w, n, created)
+}
+
+// writeWorker answers with the worker's record, as 201 Created if the
+// request registered it.
+func writeWorker(w http.ResponseWriter, n *workerNode, created bool) {
 	w.Header().Set("Content-Type", "application/json")
 	if created {
 		w.WriteHeader(http.StatusCreated)
 	}
-	json.NewEncoder(w).Encode(n.info())
+	json.NewEncoder(w).Encode(n.info(time.Now()))
 }
 
 // workerClient builds the dispatcher's client for one worker, presenting the
@@ -412,11 +399,11 @@ func (f *fleet) register(base string) (*workerNode, bool) {
 	}
 	f.nextID++
 	n := &workerNode{
-		id:      fmt.Sprintf("worker-%d", f.nextID),
-		url:     base,
-		cl:      f.workerClient(base),
-		state:   WorkerHealthy,
-		breaker: BreakerClosed,
+		id:   fmt.Sprintf("worker-%d", f.nextID),
+		url:  base,
+		cl:   f.workerClient(base),
+		cfg:  &f.s.cfg,
+		seen: time.Now(),
 	}
 	f.workers = append(f.workers, n)
 	return n, true
@@ -432,28 +419,22 @@ func (f *fleet) handleList(w http.ResponseWriter, r *http.Request) {
 // currently relayed to it finish (or fail over) on their own; the worker
 // just stops receiving new dispatches. Removing an unknown ID is a 404.
 func (f *fleet) handleLeave(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	f.mu.Lock()
-	for i, n := range f.workers {
-		if n.id == id {
-			f.workers = append(f.workers[:i], f.workers[i+1:]...)
-			f.mu.Unlock()
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(n.info())
-			return
-		}
+	if n := f.lookupWorker(w, r, true); n != nil {
+		writeWorker(w, n, false)
 	}
-	f.mu.Unlock()
-	writeError(w, http.StatusNotFound, CodeNotFound, "no such worker %q", id)
 }
 
-// lookupWorker resolves {id} for the drain endpoints.
-func (f *fleet) lookupWorker(w http.ResponseWriter, r *http.Request) *workerNode {
+// lookupWorker resolves {id} for the leave and drain endpoints, answering
+// 404 itself for an unknown ID; with remove, it also deregisters the worker.
+func (f *fleet) lookupWorker(w http.ResponseWriter, r *http.Request, remove bool) *workerNode {
 	id := r.PathValue("id")
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, n := range f.workers {
+	for i, n := range f.workers {
 		if n.id == id {
+			if remove {
+				f.workers = slices.Delete(f.workers, i, i+1)
+			}
 			return n
 		}
 	}
@@ -461,33 +442,22 @@ func (f *fleet) lookupWorker(w http.ResponseWriter, r *http.Request) *workerNode
 	return nil
 }
 
-// handleDrain implements POST /v1/workers/{id}/drain: stop dispatching new
-// jobs to the worker while jobs already relayed to it run to completion —
-// the graceful way to take a node out for maintenance. Idempotent.
-func (f *fleet) handleDrain(w http.ResponseWriter, r *http.Request) {
-	n := f.lookupWorker(w, r)
-	if n == nil {
-		return
+// handleDrain implements POST /v1/workers/{id}/drain (drain true): stop
+// dispatching new jobs to the worker while jobs already relayed to it run to
+// completion — the graceful way to take a node out for maintenance — and
+// DELETE /v1/workers/{id}/drain (drain false), which returns it to the
+// rotation. Both are idempotent.
+func (f *fleet) handleDrain(drain bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		n := f.lookupWorker(w, r, false)
+		if n == nil {
+			return
+		}
+		n.mu.Lock()
+		n.draining = drain
+		n.mu.Unlock()
+		writeWorker(w, n, false)
 	}
-	n.mu.Lock()
-	n.draining = true
-	n.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(n.info())
-}
-
-// handleUndrain implements DELETE /v1/workers/{id}/drain: return a drained
-// worker to the dispatch rotation. Idempotent.
-func (f *fleet) handleUndrain(w http.ResponseWriter, r *http.Request) {
-	n := f.lookupWorker(w, r)
-	if n == nil {
-		return
-	}
-	n.mu.Lock()
-	n.draining = false
-	n.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(n.info())
 }
 
 // JoinFleet registers the worker daemon reachable at advertiseURL with the
@@ -540,47 +510,40 @@ func HeartbeatLoop(ctx context.Context, dispatcherURL, advertiseURL, instance st
 	}
 }
 
-// JoinWorker registers workerURL with the dispatcher this client points at
-// (POST /v1/workers) and returns the registration record.
-func (c *Client) JoinWorker(ctx context.Context, workerURL string) (*WorkerInfo, error) {
+// workerCall sends one worker-registry request and decodes the worker
+// record the dispatcher answers with.
+func (c *Client) workerCall(ctx context.Context, method, path string, body any) (*WorkerInfo, error) {
 	var info WorkerInfo
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/workers", joinRequest{URL: workerURL}, &info); err != nil {
+	if err := c.doJSON(ctx, method, path, body, &info); err != nil {
 		return nil, err
 	}
 	return &info, nil
 }
 
+// JoinWorker registers workerURL with the dispatcher this client points at
+// (POST /v1/workers) and returns the registration record.
+func (c *Client) JoinWorker(ctx context.Context, workerURL string) (*WorkerInfo, error) {
+	return c.workerCall(ctx, http.MethodPost, "/v1/workers", joinRequest{URL: workerURL})
+}
+
 // Heartbeat reports the worker at workerURL alive to the dispatcher
 // (POST /v1/workers/heartbeat), registering it if unknown.
 func (c *Client) Heartbeat(ctx context.Context, workerURL, instance string) (*WorkerInfo, error) {
-	var info WorkerInfo
-	err := c.doJSON(ctx, http.MethodPost, "/v1/workers/heartbeat",
-		heartbeatRequest{URL: workerURL, Instance: instance}, &info)
-	if err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return c.workerCall(ctx, http.MethodPost, "/v1/workers/heartbeat",
+		heartbeatRequest{URL: workerURL, Instance: instance})
 }
 
 // DrainWorker takes a worker out of the dispatch rotation gracefully
 // (POST /v1/workers/{id}/drain): running jobs finish, new dispatches go
 // elsewhere.
 func (c *Client) DrainWorker(ctx context.Context, id string) (*WorkerInfo, error) {
-	var info WorkerInfo
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/workers/"+id+"/drain", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return c.workerCall(ctx, http.MethodPost, "/v1/workers/"+id+"/drain", nil)
 }
 
 // UndrainWorker returns a drained worker to the dispatch rotation
 // (DELETE /v1/workers/{id}/drain).
 func (c *Client) UndrainWorker(ctx context.Context, id string) (*WorkerInfo, error) {
-	var info WorkerInfo
-	if err := c.doJSON(ctx, http.MethodDelete, "/v1/workers/"+id+"/drain", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return c.workerCall(ctx, http.MethodDelete, "/v1/workers/"+id+"/drain", nil)
 }
 
 // Workers lists the dispatcher's registered workers (GET /v1/workers).
