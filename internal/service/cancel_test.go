@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,36 @@ func assertSlotFree(t *testing.T, cl *Client, seed int64) {
 // terminal status, no error), and that the worker-pool slot the job held (if
 // any) is released.
 func TestCancelLifecycle(t *testing.T) {
+	runCancelLifecycle(t, func(t *testing.T) (*Server, *Client) {
+		return startDaemon(t, Config{Workers: 1})
+	})
+}
+
+// The same lifecycle on a dispatcher that runs one dispatch at a time
+// (QueueDepth 1) over one joined single-worker daemon: a queued cancel there
+// takes the same run and settle path as on a plain daemon.
+func TestCancelLifecycleOnDispatcher(t *testing.T) {
+	runCancelLifecycle(t, func(t *testing.T) (*Server, *Client) {
+		worker, err := New(Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		whs := httptest.NewServer(worker.Handler())
+		t.Cleanup(func() {
+			whs.Close()
+			worker.Close()
+		})
+		disp, cl := startDaemon(t, Config{Fleet: true, QueueDepth: 1, NoWorkerWait: -1})
+		if _, err := cl.JoinWorker(context.Background(), whs.URL); err != nil {
+			t.Fatal(err)
+		}
+		return disp, cl
+	})
+}
+
+// runCancelLifecycle runs the cancellation table against fresh daemons from
+// start, one per scenario.
+func runCancelLifecycle(t *testing.T, start func(t *testing.T) (*Server, *Client)) {
 	ctx := context.Background()
 	cases := []struct {
 		name string
@@ -192,7 +223,7 @@ func TestCancelLifecycle(t *testing.T) {
 
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, cl := startDaemon(t, Config{Workers: 1})
+			srv, cl := start(t)
 			tc.run(t, srv, cl, int64(1000*(i+1)))
 			// Whatever the scenario did, the single worker slot must be
 			// usable afterwards.
@@ -209,6 +240,45 @@ func TestCancelLifecycle(t *testing.T) {
 				t.Fatalf("%d executions still inflight after drain", st.Inflight)
 			}
 		})
+	}
+}
+
+// A job cancelled while queued leaves its scheduler queue at once: it stops
+// counting against QueueDepth and in the queue stats, and no pick ever
+// dispatches it.
+func TestCancelQueuedLeavesSchedulerQueue(t *testing.T) {
+	srv, cl := startDaemon(t, Config{Workers: 1, QueueDepth: 1})
+	ctx := context.Background()
+	blocker, err := cl.Submit(ctx, longSpec(4100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, cl, blocker.ID, func(s *SubmitStatus) bool { return s.Status == StatusRunning }, "running")
+	queued, err := cl.Submit(ctx, longSpec(4101))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Cancel(ctx, queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.Sched.Queued != 0 || st.Tenants[0].QueuedInteractive != 0 {
+		t.Fatalf("after cancelling the only queued job: sched.queued=%d, tenant queued_interactive=%d, want 0",
+			st.Sched.Queued, st.Tenants[0].QueuedInteractive)
+	}
+	// The freed queue slot admits the next submission.
+	next, err := cl.Submit(ctx, longSpec(4102))
+	if err != nil {
+		t.Fatalf("submission after the queued cancel: %v", err)
+	}
+	for _, id := range []string{next.ID, blocker.ID} {
+		if _, err := cl.Cancel(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, cl, id, func(s *SubmitStatus) bool { return s.Status == StatusCancelled }, "cancelled")
+	}
+	if d := srv.Stats().Sched.Dispatched; d != 1 {
+		t.Fatalf("scheduler dispatched %d jobs, want 1 (the blocker): a cancelled queued job was picked", d)
 	}
 }
 

@@ -43,9 +43,8 @@ func (e remoteJobError) Error() string { return e.msg }
 
 // fleet is the dispatcher state behind a Server with Config.Fleet set.
 type fleet struct {
-	s     *Server
-	slots chan struct{} // bounds concurrent dispatches (QueueDepth)
-	stop  chan struct{} // ends the liveness loop
+	s    *Server
+	stop chan struct{} // ends the liveness loop
 
 	mu        sync.Mutex
 	workers   []*workerNode // registration order
@@ -56,7 +55,7 @@ type fleet struct {
 }
 
 func newFleet(s *Server) *fleet {
-	f := &fleet{s: s, slots: make(chan struct{}, s.cfg.QueueDepth), stop: make(chan struct{})}
+	f := &fleet{s: s, stop: make(chan struct{})}
 	go f.livenessLoop()
 	return f
 }
@@ -96,58 +95,6 @@ func (f *fleet) livenessLoop() {
 	}
 }
 
-// pump is fleet mode's intake: one goroutine pulls the scheduler's
-// fair-share picks — the same weighted, priority-aware order the local
-// worker pool sees — and fans each job out on its own dispatch goroutine,
-// bounded by the slots semaphore. It exits when the scheduler is closed and
-// drained; in-flight dispatches then finish under the server WaitGroup.
-func (f *fleet) pump() {
-	defer f.s.wg.Done()
-	for {
-		j := f.s.sched.next()
-		if j == nil {
-			return
-		}
-		f.slots <- struct{}{}
-		f.s.wg.Add(1)
-		go f.dispatch(j)
-	}
-}
-
-// dispatch runs one primary job to completion on the fleet. Sim jobs go
-// through the remote attempt loop (execute); sweep jobs are sharded into
-// per-point sim jobs right here on the dispatcher, each point itself
-// dispatched through execute — so the whole fleet works one sweep in
-// parallel. Either way the persistent store is consulted first (the
-// dispatcher-side lookup that makes the result space fleet-wide), and
-// exactly-one terminal transition is guaranteed by finishJob.
-func (f *fleet) dispatch(j *job) {
-	defer func() {
-		<-f.slots
-		f.s.wg.Done()
-	}()
-	e := j.exec
-	// The job is "running" from the fleet's perspective the moment a
-	// dispatch goroutine owns it; if a cancel won the race this transition
-	// fails and the context check inside execute ends the dispatch
-	// immediately.
-	e.transition(StatusQueued, StatusRunning)
-
-	f.s.journalStart(j)
-	if result, ok := f.s.diskGet(j.key); ok {
-		f.s.finishJobFromDisk(j, result)
-		return
-	}
-	if j.spec.Kind == KindSweep {
-		f.s.runSweepByPoint(j)
-		return
-	}
-	ctx, cancel := f.s.execCtx(e)
-	result, err := f.execute(ctx, j)
-	cancel()
-	f.s.finishJob(j, result, f.s.deadlineErr(e, err))
-}
-
 // execute runs one job's remote attempt loop: pick a worker, relay, and —
 // when a worker fails mid-job — back off (exponential, seeded ±50% jitter)
 // and retry, preferring a different node, until the job finishes, is
@@ -158,10 +105,10 @@ func (f *fleet) dispatch(j *job) {
 // /healthz. When zero workers are dispatchable the job degrades gracefully —
 // it waits (bounded by Config.NoWorkerWait and ctx), spending no retry
 // budget, for a worker to register, revive, or exit cooldown instead of
-// failing instantly. It returns the result instead of settling the job, so
-// the primary dispatch path and the sweep-point resolver share it. Points do
-// not hold dispatch slots: a sweep occupies one slot while its points fan
-// out bounded by the sweep's own pool width.
+// failing instantly. It returns the result instead of settling the job;
+// produce is its one caller, for picked jobs and sweep points alike. Points
+// do not hold run slots: a sweep occupies one slot while its points fan out
+// bounded by the sweep's own pool width.
 func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 	e := j.exec
 	cfg := f.s.cfg
@@ -337,7 +284,7 @@ func (f *fleet) runOn(ctx context.Context, w *workerNode, j *job) ([]byte, error
 // relay publishes one worker SSE event into the dispatcher-side execution,
 // so dispatcher watchers see the worker's progress and log stream live.
 // Status/result/error events are not relayed: terminal state is published
-// exactly once by finishJob, from the fetched canonical result.
+// exactly once by settle, from the fetched canonical result.
 func (f *fleet) relay(e *execution, ev Event) {
 	switch ev.Type {
 	case "progress":

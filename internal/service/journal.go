@@ -15,14 +15,14 @@ import (
 // Crash durability: the journal is an append-only, fsync'd, self-verifying
 // record of job lifecycle transitions. Every accepted API job appends an
 // `accept` record (id, key, tenant, and the full normalized spec — enough to
-// reconstruct the submission from nothing), execution start appends `start`,
-// and terminal settlement appends `settle`. On daemon start the journal is
-// replayed: jobs accepted but never settled are re-registered under their
-// original IDs and re-enqueued — queued jobs simply run, in-flight jobs
-// re-execute. Determinism plus the content-addressed result store make this
-// sound: a re-executed job produces byte-identical results, and work that
-// settled into the persistent store before the crash is answered from disk
-// without a duplicate execution.
+// reconstruct the submission from nothing) and terminal settlement appends
+// `settle`. On daemon start the journal is replayed: jobs accepted but never
+// settled are re-registered under their original IDs and re-enqueued —
+// queued jobs simply run, in-flight jobs re-execute. Determinism plus the
+// content-addressed result store make this sound: a re-executed job
+// produces byte-identical results, and work that settled into the
+// persistent store before the crash is answered from disk without a
+// duplicate execution.
 //
 // Format: one record per line,
 //
@@ -51,7 +51,6 @@ const (
 // Journal record ops.
 const (
 	journalOpAccept = "accept"
-	journalOpStart  = "start"
 	journalOpSettle = "settle"
 	// journalOpMark preserves the highest job-ID sequence ever accepted
 	// across compaction (which otherwise rewrites only live accepts): a
@@ -61,17 +60,16 @@ const (
 )
 
 // journalRecord is one line of the journal. Accept records carry the whole
-// submission; start records flip the Started flag of a live accept (carried
-// forward through compaction so an operator can distinguish re-enqueued from
-// re-executed work); settle records clear a key.
+// submission; settle records clear a key. Replay skips ops it does not know
+// (older journals also hold `start` records), and decoding ignores unknown
+// fields.
 type journalRecord struct {
-	Op      string          `json:"op"`
-	ID      string          `json:"id,omitempty"`
-	Key     string          `json:"key,omitempty"`
-	Tenant  string          `json:"tenant,omitempty"`
-	Spec    json.RawMessage `json:"spec,omitempty"`
-	Status  string          `json:"status,omitempty"`
-	Started bool            `json:"started,omitempty"`
+	Op     string          `json:"op"`
+	ID     string          `json:"id,omitempty"`
+	Key    string          `json:"key,omitempty"`
+	Tenant string          `json:"tenant,omitempty"`
+	Spec   json.RawMessage `json:"spec,omitempty"`
+	Status string          `json:"status,omitempty"`
 	// Seq is the ID watermark carried by mark records.
 	Seq uint64 `json:"seq,omitempty"`
 }
@@ -181,10 +179,6 @@ func (jl *journal) applyLocked(rec *journalRecord) {
 		if rec.Seq > jl.watermark {
 			jl.watermark = rec.Seq
 		}
-	case journalOpStart:
-		if r, ok := jl.live[rec.ID]; ok {
-			r.Started = true
-		}
 	case journalOpSettle:
 		for _, id := range jl.byKey[rec.Key] {
 			delete(jl.live, id)
@@ -286,11 +280,6 @@ func (jl *journal) append(rec *journalRecord) {
 // accept records one accepted API submission.
 func (jl *journal) accept(id, key, tenant string, spec json.RawMessage) {
 	jl.append(&journalRecord{Op: journalOpAccept, ID: id, Key: key, Tenant: tenant, Spec: spec})
-}
-
-// start records that a job's execution began.
-func (jl *journal) start(id string) {
-	jl.append(&journalRecord{Op: journalOpStart, ID: id})
 }
 
 // settleKey records terminal settlement of every live job coalesced onto
@@ -407,15 +396,6 @@ func (s *Server) journalAccept(j *job) {
 	s.journal.accept(j.id, j.key, tenant, spec)
 }
 
-// journalStart records execution start for registered jobs (internal sweep
-// points carry no id and are never journaled).
-func (s *Server) journalStart(j *job) {
-	if s.journal == nil || j.id == "" {
-		return
-	}
-	s.journal.start(j.id)
-}
-
 // tenantByName resolves a journaled tenant name to its state for replay; an
 // unknown name (auth table changed across the restart) falls back to the
 // default tenant rather than dropping the job.
@@ -429,11 +409,11 @@ func (s *Server) tenantByName(name string) *tenantState {
 }
 
 // replayJournal re-registers and re-enqueues every unsettled journaled job.
-// Called from New before any worker or pump goroutine starts, so replayed
-// jobs are queued before the first pick. Jobs are replayed in original ID
-// order; the first live job of each key becomes the primary (new runnable
-// execution, inflight slot, scheduler entry) and later ones coalesce onto
-// it, reconstructing the exact sharing structure the crash interrupted.
+// Called from New before the pump starts, so replayed jobs are queued
+// before the first pick. Jobs are replayed in original ID order; the first
+// live job of each key becomes the primary (new runnable execution, inflight
+// slot, scheduler entry) and later ones coalesce onto it, reconstructing the
+// exact sharing structure the crash interrupted.
 // Replayed jobs bypass tenant quota and rate admission — they were admitted
 // once already — but do count as submissions, so the conservation invariant
 // (every submission settles into exactly one terminal bucket) spans replay.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -314,6 +316,47 @@ func TestJournalCleanShutdownReplaysNothing(t *testing.T) {
 	js := srvB.Stats().Journal
 	if js == nil || js.Replayed != 0 || js.Live != 0 {
 		t.Fatalf("clean shutdown left journal state: %+v", js)
+	}
+}
+
+// A journal holding `start` records and accepts with a `started` field, as
+// earlier daemons wrote them, still opens: replay skips the unknown op and
+// field, and every unsettled accept replays and runs.
+func TestJournalReplaysStartRecords(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "journal")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(body string) string {
+		return fmt.Sprintf("%s %08x %s\n", journalMagic, crc32.ChecksumIEEE([]byte(body)), body)
+	}
+	accept := func(id string, seed int64, extra string) string {
+		spec := mustNormalize(t, quickSpec(seed))
+		b, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame(fmt.Sprintf(`{"op":"accept","id":%q,"key":%q,"tenant":%q,"spec":%s%s}`,
+			id, spec.Key(), DefaultTenant, b, extra))
+	}
+	old := accept("job-1", 71, `,"started":true`) +
+		frame(`{"op":"start","id":"job-1"}`) +
+		accept("job-2", 72, "")
+	if err := os.WriteFile(filepath.Join(jdir, journalFileName), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, cl, hs := journaledServer(t, dir, Config{Workers: 1})
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	if js := srv.Stats().Journal; js.Replayed != 2 || js.CorruptDropped != 0 {
+		t.Fatalf("older journal replayed %d jobs (corrupt %d), want 2 (0)", js.Replayed, js.CorruptDropped)
+	}
+	for _, id := range []string{"job-1", "job-2"} {
+		fin := waitFor(t, cl, id, func(s *SubmitStatus) bool { return terminalStatus(s.Status) }, "terminal")
+		if fin.Status != StatusDone {
+			t.Fatalf("replayed job %s ended %s: %s", id, fin.Status, fin.Error)
+		}
 	}
 }
 

@@ -1,9 +1,13 @@
 package service
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// Weighted fair-share scheduling: the intake between accepted submissions
-// and the worker pool (or, in fleet mode, the dispatch pump).
+// Weighted fair-share scheduling: the queue between accepted submissions and
+// the daemon's one intake, Server.pump, on a plain daemon and a dispatcher
+// alike.
 //
 // The old intake was a single FIFO channel — one heavy tenant could bury
 // everyone else's jobs arbitrarily deep. The scheduler replaces it with
@@ -25,7 +29,7 @@ import "sync"
 // no timers, no randomness — so a given submission interleaving always
 // yields the same dispatch order, and the byte-identity and conservation
 // guarantees of the execution layer are untouched (the scheduler only
-// reorders *which* job a worker takes next).
+// reorders *which* job runs next).
 
 // Priority classes. PriorityInteractive is the default for sim jobs (a
 // human waiting on one point), PriorityBulk for sweep jobs (a batch of
@@ -73,9 +77,9 @@ func (tq *tenantQueue) queued() int {
 	return len(tq.q[classInteractive]) + len(tq.q[classBulk])
 }
 
-// scheduler is the shared intake. enqueue never blocks (capacity rejection
+// scheduler is the shared queue. enqueue never blocks (capacity rejection
 // is the caller's 503); next blocks until a job is available, and returns
-// nil once the scheduler is closed and drained — the worker-pool shutdown
+// nil once the scheduler is closed and drained — the pump's shutdown
 // signal, mirroring the closed-channel semantics it replaces.
 type scheduler struct {
 	mu     sync.Mutex
@@ -188,8 +192,21 @@ func (sc *scheduler) pickLocked() *job {
 	return j
 }
 
-// close wakes every waiter; workers drain the remaining queue (next keeps
-// returning queued jobs) and then exit on nil.
+// remove drops a job cancelled while queued from its tenant queue, so it no
+// longer counts against the depth or in the queue stats. A job a pick already
+// popped is in no queue, and remove leaves everything as it is.
+func (sc *scheduler) remove(j *job) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	tq := sc.byName[j.tenant.name] // enqueue created it
+	if i := slices.Index(tq.q[j.class], j); i >= 0 {
+		tq.q[j.class] = slices.Delete(tq.q[j.class], i, i+1)
+		sc.queued--
+	}
+}
+
+// close wakes every waiter; the pump drains the remaining queue (next keeps
+// returning queued jobs) and then exits on nil.
 func (sc *scheduler) close() {
 	sc.mu.Lock()
 	sc.closed = true
@@ -198,8 +215,8 @@ func (sc *scheduler) close() {
 }
 
 // abort closes the scheduler AND drops the queue on the floor — crash
-// semantics (Server.Kill), where close is shutdown semantics. Workers exit
-// on their next pick; the dropped jobs live on in the journal, which is
+// semantics (Server.Kill), where close is shutdown semantics. The pump exits
+// on its next pick; the dropped jobs live on in the journal, which is
 // exactly where a restart recovers them from.
 func (sc *scheduler) abort() {
 	sc.mu.Lock()

@@ -158,7 +158,7 @@ func newRunnableExecution() *execution {
 
 // transition moves status from → to atomically, waking watchers; it reports
 // whether the move happened. A failed transition means another actor won the
-// race (e.g. a cancel flipped a queued job before its worker popped it).
+// race (e.g. a cancel settled a queued job before a pick reached it).
 func (e *execution) transition(from, to string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -234,7 +234,7 @@ type job struct {
 	class  int
 	seq    uint64
 	// slotHeld marks that the job holds one of its tenant's in-flight
-	// quota slots; released exactly once at settle or queued-cancel.
+	// quota slots; released exactly once, by settle or a rejected enqueue.
 	slotHeld atomic.Bool
 
 	// disk records that the result was served from the persistent store
@@ -243,7 +243,7 @@ type job struct {
 	disk atomic.Bool
 }
 
-// Server is the tssd daemon: an http.Handler plus the worker pool and
+// Server is the tssd daemon: an http.Handler plus the intake, run path and
 // result cache behind it. Create with New, serve via Handler, and Close when
 // done.
 type Server struct {
@@ -255,8 +255,9 @@ type Server struct {
 	fleet    *fleet // non-nil in dispatcher mode
 	instance string // unique per-process daemon identity (see handleHealthz)
 
-	// sched is the weighted fair-share intake between accepted submissions
-	// and the worker pool (local mode) or dispatch pump (fleet mode).
+	// sched is the weighted fair-share queue between accepted submissions
+	// and the pump, which runs its picks on a plain daemon and a dispatcher
+	// alike.
 	sched *scheduler
 	// tokens maps bearer tokens to tenants (empty = open daemon);
 	// tenantOrder is the deterministic /stats ordering; defaultTenant is
@@ -283,7 +284,7 @@ type Server struct {
 	shard     ShardStats
 }
 
-// New starts a server: its workers are running on return. The error paths
+// New starts a server: its intake is running on return. The error paths
 // are a Config.CacheDir that cannot be opened and an invalid Config.Auth.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
@@ -361,9 +362,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.protect(s.handleEvents))
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	// Open and replay the journal before any worker or pump goroutine
-	// exists: recovered jobs are queued (in original ID order) ahead of the
-	// first pick, and no settle can race the replay.
+	// Open and replay the journal before the pump starts: recovered jobs
+	// are queued (in original ID order) ahead of the first pick, and no
+	// settle can race the replay.
 	if cfg.JournalDir != "" {
 		jl, live, err := openJournal(cfg.JournalDir)
 		if err != nil {
@@ -372,7 +373,11 @@ func New(cfg Config) (*Server, error) {
 		s.journal = jl
 		s.replayJournal(live)
 	}
+	width := cfg.Workers
 	if cfg.Fleet {
+		// Execution capacity lives on the workers; QueueDepth bounds the
+		// concurrent dispatches.
+		width = cfg.QueueDepth
 		s.fleet = newFleet(s)
 		s.mux.HandleFunc("POST /v1/workers", s.protect(s.fleet.handleJoin))
 		s.mux.HandleFunc("POST /v1/workers/heartbeat", s.protect(s.fleet.handleHeartbeat))
@@ -380,16 +385,9 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("DELETE /v1/workers/{id}", s.protect(s.fleet.handleLeave))
 		s.mux.HandleFunc("POST /v1/workers/{id}/drain", s.protect(s.fleet.handleDrain(true)))
 		s.mux.HandleFunc("DELETE /v1/workers/{id}/drain", s.protect(s.fleet.handleDrain(false)))
-		// Execution capacity lives on the workers; one pump goroutine pulls
-		// the scheduler's fair-share picks and fans them out.
-		s.wg.Add(1)
-		go s.fleet.pump()
-		return s, nil
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	s.wg.Add(1)
+	go s.pump(width)
 	return s, nil
 }
 
@@ -400,11 +398,15 @@ func (s *Server) Instance() string { return s.instance }
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close rejects further submissions and waits for the workers (or, in fleet
-// mode, the in-flight dispatches) to drain. In-flight jobs finish; queued
-// jobs still run (the queue is drained, not dropped). Safe to call once.
+// Close rejects further submissions and waits for the running jobs to
+// drain. In-flight jobs finish; queued jobs still run (the queue is drained,
+// not dropped). A Close after Close or Kill returns at once.
 func (s *Server) Close() {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
 	s.closed = true
 	s.mu.Unlock()
 	if s.fleet != nil {
@@ -452,54 +454,71 @@ func (s *Server) Kill() {
 	s.wg.Wait()
 }
 
-func (s *Server) worker() {
+// pump is the daemon's one intake. It claims one of width run slots and only
+// then takes the scheduler's next pick, so a job waiting for a slot keeps its
+// place in fair-share order; each pick runs on its own goroutine. pump exits
+// once the scheduler is closed and drained; running jobs then finish under
+// the server WaitGroup.
+func (s *Server) pump(width int) {
 	defer s.wg.Done()
+	slots := make(chan struct{}, width)
 	for {
+		slots <- struct{}{}
 		j := s.sched.next()
 		if j == nil {
 			return
 		}
-		s.runJob(j)
+		s.wg.Add(1)
+		go func() {
+			defer func() {
+				<-slots
+				s.wg.Done()
+			}()
+			s.run(j)
+		}()
 	}
 }
 
-// runJob executes a primary job on the local pool and publishes its outcome
-// to the shared execution, the cache, and the server counters.
-func (s *Server) runJob(j *job) {
-	e := j.exec
-	if !e.transition(StatusQueued, StatusRunning) {
-		// Cancelled while queued: the cancel handler already published
-		// the terminal state and released the inflight slot; just free
-		// the worker.
+// run is the one run path of a picked job: queued to running, produce, then
+// settle. A cancel that won the race for the transition already settled the
+// job, so run just returns.
+func (s *Server) run(j *job) {
+	if !j.exec.transition(StatusQueued, StatusRunning) {
 		return
 	}
-	s.journalStart(j)
-	// Read through the persistent store before simulating anything: a
-	// result that survived a restart answers the job without a run — which
-	// is also what makes journal replay duplicate-free for work that
-	// settled into the store before a crash.
-	if result, ok := s.diskGet(j.key); ok {
-		s.finishJobFromDisk(j, result)
-		return
-	}
+	result, fromDisk, err := s.produce(j)
+	s.settle(j, StatusRunning, result, err, fromDisk)
+}
 
+// produce computes a running job's result, reporting whether it came from
+// the persistent store. The store is read first: a result that survived a
+// restart answers the job without a run, which is also what makes journal
+// replay duplicate-free for work that settled before a crash. A sweep then
+// runs point by point; a sim (Normalize admits no other kind) runs under
+// the per-job deadline, inline on a plain daemon or through the fleet's
+// attempt loop on a dispatcher. produce is the one place that chooses where
+// a simulation runs.
+func (s *Server) produce(j *job) ([]byte, bool, error) {
+	if result, ok := s.diskGet(j.key); ok {
+		return result, true, nil
+	}
+	if j.spec.Kind == KindSweep {
+		result, err := s.runSweepByPoint(j)
+		return result, false, err
+	}
+	e := j.exec
+	ctx, cancel := s.execCtx(e)
+	defer cancel()
 	var result []byte
 	var err error
-	switch j.spec.Kind {
-	case KindSim:
-		ctx, cancel := s.execCtx(e)
+	if s.fleet != nil {
+		result, err = s.fleet.execute(ctx, j)
+	} else {
 		result, err = runSim(ctx, j.spec.Sim, func(done, total uint64) {
 			e.set(func() { e.done, e.total = done, total })
 		})
-		cancel()
-		err = s.deadlineErr(e, err)
-	case KindSweep:
-		s.runSweepByPoint(j)
-		return
-	default:
-		err = fmt.Errorf("unknown job kind %q", j.spec.Kind)
 	}
-	s.finishJob(j, result, err)
+	return result, false, s.deadlineErr(e, err)
 }
 
 // execCtx derives the context an execution runs under: its cancel context,
@@ -547,23 +566,24 @@ func (s *Server) appendLog(e *execution, line string) {
 	})
 }
 
-// settle publishes an execution's terminal state exactly once: done with its
-// result on success, cancelled when the execution's context was cancelled,
-// failed otherwise. It stores successful results in both cache layers (the
-// disk write is skipped when the result just came from there) before the
-// status becomes visible and releases the key's inflight slot. An execution
-// that is already terminal (a cancel flipped it while queued) is left
-// untouched, which is what makes status transitions idempotent under every
-// race.
+// settle publishes an execution's terminal state exactly once, and only
+// while the execution is still in `from`: running after produce, queued for
+// a cancel that beat every pick (the job then also leaves its scheduler
+// queue). The status is done with its result on success, cancelled when the
+// execution's context was cancelled, failed otherwise. Successful results go
+// into both cache layers (the disk write is skipped when the result just
+// came from there) before the status becomes visible, and the key's inflight
+// slot is released. An execution that has left `from` is untouched, which
+// is what makes status transitions idempotent under every race.
 //
-// For a primary API job (api set), settle also counts the job — as a disk
-// hit when its result came from the store, otherwise by terminal state —
-// and returns its tenant quota slot. That happens under s.mu in the same
-// critical section that publishes the status (lock order s.mu, then e.mu),
-// so a client that observes the terminal status, by polling or on the SSE
-// stream, and then reads /stats always finds the job counted. Internal
-// sweep points pass api false and account themselves in ShardStats.
-func (s *Server) settle(j *job, result []byte, err error, fromDisk, api bool) {
+// A registered job (one with an ID) is also counted — as a disk hit when its
+// result came from the store, otherwise by terminal state — and returns its
+// tenant quota slot. That happens under s.mu in the same critical section
+// that publishes the status (lock order s.mu, then e.mu), so a client that
+// observes the terminal status, by polling or on the SSE stream, and then
+// reads /stats always finds the job counted. Internal sweep points have no
+// ID and account themselves in ShardStats.
+func (s *Server) settle(j *job, from string, result []byte, err error, fromDisk bool) {
 	e := j.exec
 	status := StatusDone
 	if err != nil {
@@ -582,10 +602,10 @@ func (s *Server) settle(j *job, result []byte, err error, fromDisk, api bool) {
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e.mu.Lock()
-	if terminalStatus(e.status) {
+	if e.status != from {
 		e.mu.Unlock()
-		s.mu.Unlock()
 		return
 	}
 	switch status {
@@ -594,7 +614,8 @@ func (s *Server) settle(j *job, result []byte, err error, fromDisk, api bool) {
 	default:
 		e.errMsg = err.Error()
 	}
-	if api {
+	registered := j.id != ""
+	if registered {
 		s.countSettledLocked(j, status, fromDisk)
 	}
 	e.status = status
@@ -603,6 +624,9 @@ func (s *Server) settle(j *job, result []byte, err error, fromDisk, api bool) {
 	e.mu.Unlock()
 	if e.cancel != nil {
 		e.cancel()
+	}
+	if from == StatusQueued {
+		s.sched.remove(j)
 	}
 	if p := s.inflight[j.key]; p != nil && p.exec == e {
 		delete(s.inflight, j.key)
@@ -613,10 +637,9 @@ func (s *Server) settle(j *job, result []byte, err error, fromDisk, api bool) {
 	// this (earlier) settle. Keys never journaled (internal sweep points)
 	// write nothing.
 	s.journal.settleKey(j.key, status)
-	if api {
+	if registered {
 		s.evictJobsLocked()
 	}
-	s.mu.Unlock()
 }
 
 // releaseSlot returns the job's tenant quota slot, exactly once.
@@ -647,17 +670,6 @@ func (s *Server) countSettledLocked(j *job, status string, fromDisk bool) {
 	case status == StatusCancelled:
 		s.cancelled++
 	}
-}
-
-// finishJob settles a primary API job that ran (see settle).
-func (s *Server) finishJob(j *job, result []byte, err error) {
-	s.settle(j, result, err, false, true)
-}
-
-// finishJobFromDisk settles a primary API job whose result was read from the
-// persistent store (see settle).
-func (s *Server) finishJobFromDisk(j *job, result []byte) {
-	s.settle(j, result, nil, true, true)
 }
 
 // SubmitStatus is the response to POST /v1/jobs and the per-job body of the
@@ -784,8 +796,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		// The job will occupy execution capacity: charge the tenant's
 		// in-flight quota, then hand it to the fair-share scheduler. The
-		// worker pool (or, in fleet mode, the dispatch pump) picks it up
-		// in weighted fair order rather than FIFO.
+		// pump picks it up in weighted fair order rather than FIFO.
 		if !tenant.acquireSlot() {
 			s.mu.Unlock()
 			writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
@@ -795,10 +806,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.slotHeld.Store(true)
 		j.exec = newRunnableExecution()
 		// Register and journal before the enqueue: the accept record must be
-		// durable before any worker can pop the job, or a fast settle could
+		// durable before the pump can pick the job, or a fast settle could
 		// land in the journal ahead of its own accept. All under one s.mu
-		// hold, so a worker that pops the job immediately still blocks on
-		// s.mu in settle until the job is fully recorded.
+		// hold, so a job picked immediately still blocks on s.mu in settle
+		// until it is fully recorded.
 		s.register(j)
 		s.journalAccept(j)
 		if !s.sched.enqueue(j) {
@@ -877,51 +888,28 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancel implements DELETE /v1/jobs/{id}: cooperative, idempotent
-// cancellation. A queued job flips straight to cancelled (it will be skipped
-// when a worker pops it); a running job has its context cancelled, and the
-// engine loop abandons the run within one cancellation-poll interval (a
-// dispatched job is also cancelled on its remote worker, best effort); a
-// terminal job — done, failed, or already cancelled — is left untouched.
-// The response is always the job's current status, so repeated DELETEs
-// observe a stable terminal state. Cancelling any submission that coalesced
-// onto a shared execution cancels that execution for every submission
-// attached to it.
+// cancellation. It cancels the execution's context; a queued job then
+// settles cancelled on the spot and leaves its scheduler queue, while a
+// running job's engine loop abandons the run within one cancellation-poll
+// interval (a dispatched job is also cancelled on its remote worker, best
+// effort) and its run path settles it. A terminal job — done, failed, or
+// already cancelled — is left untouched. The response is always the job's
+// current status, so repeated DELETEs observe a stable terminal state.
+// Cancelling any submission that coalesced onto a shared execution cancels
+// that execution for every submission attached to it.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(w, r)
 	if j == nil {
 		return
 	}
-	e := j.exec
-
-	// A queued cancel bypasses settle, so it follows settle's locking: the
-	// flip and its counter land in one s.mu critical section, and a client
-	// that sees "cancelled" finds it counted on /stats.
-	s.mu.Lock()
-	e.mu.Lock()
-	cancelledNow := e.status == StatusQueued
-	if cancelledNow {
-		e.status = StatusCancelled
-		e.errMsg = "cancelled before execution"
-		e.version++
-		e.cond.Broadcast()
-		s.cancelled++
-		if p := s.inflight[j.key]; p != nil && p.exec == e {
-			delete(s.inflight, j.key)
-			// The primary never reaches finishJob (a worker popping it
-			// just skips it), so its tenant quota slot is returned here.
-			s.releaseSlot(p)
+	if e := j.exec; e.cancel != nil {
+		e.cancel()
+		s.mu.Lock()
+		p := s.inflight[j.key]
+		s.mu.Unlock()
+		if p != nil && p.exec == e {
+			s.settle(p, StatusQueued, nil, errors.New("cancelled before execution"), false)
 		}
-	}
-	e.mu.Unlock()
-	if cancelledNow {
-		// Cancelling any submission of the key cancels them all, and none
-		// must replay after a crash.
-		s.journal.settleKey(j.key, StatusCancelled)
-		s.evictJobsLocked()
-	}
-	s.mu.Unlock()
-	if e.cancel != nil {
-		e.cancel() // idempotent; running executions observe it cooperatively
 	}
 
 	w.Header().Set("Content-Type", "application/json")

@@ -475,3 +475,31 @@ func TestJobLifecycleAndFailureSurface(t *testing.T) {
 		t.Fatalf("key %q is not a hex sha256", final.Key)
 	}
 }
+
+// Shutdown calls compose: Kill then Close, Close then Kill, and Close twice
+// all return, on a plain daemon and on a dispatcher, whose fleet stop
+// channel both calls would otherwise close.
+func TestKillCloseIdempotent(t *testing.T) {
+	orders := []struct {
+		name string
+		shut func(*Server)
+	}{
+		{"kill then close", func(s *Server) { s.Kill(); s.Close() }},
+		{"close then kill", func(s *Server) { s.Close(); s.Kill() }},
+		{"close twice", func(s *Server) { s.Close(); s.Close() }},
+	}
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{{"daemon", Config{Workers: 1}}, {"dispatcher", Config{Fleet: true}}} {
+		for _, o := range orders {
+			t.Run(mode.name+"/"+o.name, func(t *testing.T) {
+				srv, err := New(mode.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.shut(srv)
+			})
+		}
+	}
+}

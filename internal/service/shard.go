@@ -20,12 +20,12 @@ import (
 // run at any fan-out, while each point becomes individually cacheable,
 // shareable, and retryable.
 
-// runSweepByPoint executes a sweep job point-by-point through the resolver
-// and settles it. Shared by the local worker pool and the fleet dispatcher;
-// the dispatcher additionally widens the point fan-out to cover its workers.
-func (s *Server) runSweepByPoint(j *job) {
+// runSweepByPoint runs a sweep job point by point through the resolver and
+// returns its result bytes. A dispatcher widens the point fan-out to cover
+// its workers.
+func (s *Server) runSweepByPoint(j *job) ([]byte, error) {
 	e := j.exec
-	result, err := runSweepWith(e.ctx, j.spec.Sweep, func(line string) {
+	return runSweepWith(e.ctx, j.spec.Sweep, func(line string) {
 		s.appendLog(e, line)
 	}, func(o *experiments.Options) {
 		if s.fleet != nil {
@@ -35,7 +35,6 @@ func (s *Server) runSweepByPoint(j *job) {
 		}
 		o.RunSim = s.pointRunner(e.ctx)
 	})
-	s.finishJob(j, result, err)
 }
 
 // pointRunner returns the Options.RunSim hook bound to one sweep run: each
@@ -92,8 +91,7 @@ const (
 
 // resolvePoint resolves one sweep point to its canonical result bytes:
 // coalesce onto an identical in-flight execution, hit the in-memory cache,
-// hit the persistent store, or claim the key and simulate (locally on a
-// plain daemon, through the fleet's attempt loop on a dispatcher). The
+// or claim the key and produce it as the run path produces any job. The
 // claimed execution is placed in the inflight table as an internal job, so
 // concurrent API submissions of the same sim spec coalesce onto the point
 // and vice versa. ctx is the owning sweep's context: a point execution that
@@ -142,30 +140,16 @@ func (s *Server) resolvePoint(ctx context.Context, spec *JobSpec) ([]byte, strin
 		s.inflight[key] = pj
 		s.mu.Unlock()
 
-		if payload, ok := s.diskGet(key); ok {
-			s.settle(pj, payload, nil, true, false)
-			return payload, pointDiskHit, nil
-		}
-		// The per-job deadline applies per point — the same granularity
-		// cancellation already has — so long sweeps make progress while no
-		// single point can wedge a worker forever.
-		pctx, pcancel := s.execCtx(pj.exec)
-		var payload []byte
-		var err error
-		if s.fleet != nil {
-			payload, err = s.fleet.execute(pctx, pj)
-		} else {
-			// Run inline in the sweep's pool goroutine — point
-			// concurrency is bounded by the sweep's pool width, never by
-			// (or competing for) the server's job queue.
-			payload, err = runSim(pctx, spec.Sim, func(done, total uint64) {
-				pj.exec.set(func() { pj.exec.done, pj.exec.total = done, total })
-			})
-		}
-		pcancel()
-		err = s.deadlineErr(pj.exec, err)
-		s.settle(pj, payload, err, false, false)
+		// Produce the point in the sweep's pool goroutine: point concurrency
+		// is bounded by the sweep's pool width, never by (or competing for)
+		// the server's run slots. The per-job deadline applies per point, the
+		// granularity cancellation already has, so long sweeps make progress
+		// while no single point can wedge a worker forever.
+		payload, fromDisk, err := s.produce(pj)
+		s.settle(pj, StatusRunning, payload, err, fromDisk)
 		switch {
+		case fromDisk:
+			return payload, pointDiskHit, nil
 		case err == nil:
 			return payload, pointSimulated, nil
 		case ctx.Err() != nil:
