@@ -169,7 +169,7 @@ func runRemote(base, token string, ids []string, full bool, seed int64, cores, s
 	// Retry policy: a content-addressed API is idempotent, so riding out a
 	// dispatcher restart or a transient 503 cannot double-run an experiment.
 	cl := service.NewClient(base, service.WithToken(token),
-		service.WithRetry(service.RetryPolicy{Attempts: 8, Base: 200 * time.Millisecond, Max: 5 * time.Second}))
+		service.WithRetry(service.CLIRetry))
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		e, ok := experiments.Get(id)

@@ -35,9 +35,11 @@
 // through its own cache (give it -cache-dir and the whole fleet's results
 // persist), and retries on another worker when one dies mid-job. Sweep jobs
 // are sharded: the dispatcher decomposes the sweep into per-point sim jobs,
-// fans the points across the fleet, and reassembles a byte-identical result. A worker is just a plain daemon that registers itself; -advertise
-// is the URL at which the dispatcher can reach it (default derived from
-// -addr with a localhost host).
+// fans the points across the fleet, and reassembles a byte-identical result.
+//
+// A worker is just a plain daemon that registers itself; -advertise is the
+// URL at which the dispatcher can reach it (default derived from -addr with
+// a localhost host).
 //
 // Submit a job:
 //
@@ -86,7 +88,7 @@ func main() {
 		journalDir       = flag.String("journal-dir", "", "directory for the durable job journal; accepted jobs survive a daemon crash and are recovered on restart (empty = no journal)")
 		jobTimeout       = flag.Duration("job-timeout", 0, "per-job execution deadline; a job (or sweep point) running longer fails with a deadline error (0 = no deadline)")
 		dispatchRetries  = flag.Int("dispatch-retries", 0, "fleet mode: worker-level failures retried per job before it fails (0 = 4 default)")
-		noWorkerWait     = flag.Duration("no-worker-wait", 0, "fleet mode: how long dispatch waits for a dispatchable worker before failing a job (0 = 30s default, negative = fail fast)")
+		noWorkerWait     = flag.Duration("no-worker-wait", 0, "fleet mode: how long dispatch waits for a dispatchable worker before failing a job, counted from when the job starts waiting (0 = 30s default, negative = fail fast)")
 		breakerThreshold = flag.Int("breaker-threshold", 0, "fleet mode: consecutive failures that trip a worker's circuit breaker (0 = 3 default)")
 		breakerCooldown  = flag.Duration("breaker-cooldown", 0, "fleet mode: how long a tripped worker sits out before a half-open probe (0 = 5s default)")
 	)
@@ -111,6 +113,12 @@ func main() {
 		}
 	}
 
+	// -dispatch-retries counts retries, not tries; 0 keeps the default.
+	var dispatchRetry service.RetryPolicy
+	if *dispatchRetries > 0 {
+		dispatchRetry.Attempts = *dispatchRetries + 1
+	}
+
 	srv, err := service.New(service.Config{
 		Workers:           *workers,
 		QueueDepth:        *queueDepth,
@@ -125,7 +133,7 @@ func main() {
 		HeartbeatInterval: *heartbeat,
 		JournalDir:        *journalDir,
 		JobTimeout:        *jobTimeout,
-		DispatchRetries:   *dispatchRetries,
+		DispatchRetry:     dispatchRetry,
 		NoWorkerWait:      *noWorkerWait,
 		BreakerThreshold:  *breakerThreshold,
 		BreakerCooldown:   *breakerCooldown,

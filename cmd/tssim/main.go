@@ -301,7 +301,7 @@ func runRemote(base, token, workload string, tasks int, seed int64, runtimeKind 
 	// mid-wait, a 503 while the queue drains — safely, because submissions
 	// are content-addressed and therefore idempotent.
 	cl := service.NewClient(base, service.WithToken(token),
-		service.WithRetry(service.RetryPolicy{Attempts: 8, Base: 200 * time.Millisecond, Max: 5 * time.Second}))
+		service.WithRetry(service.CLIRetry))
 	st, err := cl.Submit(ctx, spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tssim: %v\n", err)

@@ -59,9 +59,7 @@ func (cf *chaosFleet) dispatcherConfig() Config {
 		Fleet:             true,
 		JournalDir:        filepath.Join(cf.dir, "journal"),
 		CacheDir:          filepath.Join(cf.dir, "cache"),
-		DispatchRetries:   8,
-		RetryBackoff:      5 * time.Millisecond,
-		RetryBackoffMax:   50 * time.Millisecond,
+		DispatchRetry:     RetryPolicy{Attempts: 9, Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
 		NoWorkerWait:      20 * time.Second,
 		BreakerCooldown:   100 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond,

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"encoding/json"
 )
@@ -53,19 +52,6 @@ func WithUserAgent(ua string) ClientOption {
 	return func(c *Client) { c.userAgent = ua }
 }
 
-// RetryPolicy bounds the client's transparent retries. The zero policy (or
-// Attempts <= 1) disables retrying entirely — every call is single-shot, the
-// pre-retry behaviour.
-type RetryPolicy struct {
-	// Attempts is the total number of tries per call, first attempt
-	// included. 5 means up to 4 retries.
-	Attempts int
-	// Base and Max bound the exponential backoff between attempts
-	// (defaults 100ms and 5s). Each delay is jittered ±50%.
-	Base time.Duration
-	Max  time.Duration
-}
-
 // WithRetry makes the client retry failed calls under the given policy.
 //
 // A call is retried only when it failed in a way the daemon itself marks as
@@ -79,7 +65,8 @@ type RetryPolicy struct {
 //
 // With a retry policy installed, Wait additionally survives a severed event
 // stream by reconnecting (the job's status is re-checked between attempts),
-// so a watcher rides through a dispatcher restart.
+// so a watcher rides through a dispatcher restart. cmd/tssim and cmd/tsbench
+// -remote use CLIRetry.
 func WithRetry(p RetryPolicy) ClientOption {
 	return func(c *Client) { c.retry = p }
 }
@@ -126,12 +113,8 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 
 // retryable reports whether err is worth retrying: a transport error (the
 // daemon was unreachable or the connection died — *url.Error) or an API
-// error the daemon explicitly marked transient in its envelope. A done ctx
-// is never retryable: the caller gave up, not the daemon.
-func (c *Client) retryable(ctx context.Context, err error) bool {
-	if err == nil || ctx.Err() != nil {
-		return false
-	}
+// error the daemon explicitly marked transient in its envelope.
+func retryable(err error) bool {
 	var ae *APIError
 	if errors.As(err, &ae) {
 		return ae.Retryable
@@ -140,51 +123,14 @@ func (c *Client) retryable(ctx context.Context, err error) bool {
 	return errors.As(err, &ue)
 }
 
-// retrySeed is the jitter seed for one retry loop, keyed by the daemon URL
-// and call path so concurrent calls through one client don't share a delay
-// schedule.
-func (c *Client) retrySeed(path string) int64 {
-	return seedFromString(c.base + path)
-}
-
-// withRetry runs fn under the client's retry policy. fn must build its
-// request from scratch on every call (bodies are consumed per attempt).
-func (c *Client) withRetry(ctx context.Context, path string, fn func() error) error {
-	err := fn()
-	if c.retry.Attempts <= 1 || err == nil {
-		return err
-	}
-	bo := newBackoff(c.retry.Base, c.retry.Max, c.retrySeed(path))
-	for attempt := 1; attempt < c.retry.Attempts && c.retryable(ctx, err); attempt++ {
-		if !sleepCtx(ctx, bo.next()) {
-			return err
-		}
-		err = fn()
-	}
-	return err
-}
-
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	return c.withRetry(ctx, path, func() error {
-		req, err := c.newRequest(ctx, http.MethodGet, path, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return decodeAPIError(resp)
-		}
-		defer resp.Body.Close()
-		return json.NewDecoder(resp.Body).Decode(out)
-	})
-}
-
-// doJSON issues a request with an optional JSON body and decodes a 2xx
-// response into out.
-func (c *Client) doJSON(ctx context.Context, method, path string, body, out any) error {
+// call sends one API request under the client's retry policy, whose jitter
+// stream is seeded by the daemon URL and path, so concurrent calls through
+// one client don't share a delay schedule. Every try builds the request
+// afresh from the once-encoded JSON body (nil sends none) and the dispatch
+// chain via (see DispatchPathHeader). A non-2xx answer becomes its
+// *APIError; a 2xx body decodes into out, which may be nil (body discarded)
+// or a *[]byte (raw bytes).
+func (c *Client) call(ctx context.Context, method, path string, via []string, body, out any) error {
 	var b []byte
 	if body != nil {
 		var err error
@@ -192,7 +138,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out any)
 			return err
 		}
 	}
-	return c.withRetry(ctx, path, func() error {
+	return c.retry.do(ctx, c.base+path, retryable, func() error {
 		var r io.Reader
 		if b != nil {
 			r = bytes.NewReader(b)
@@ -200,6 +146,9 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out any)
 		req, err := c.newRequest(ctx, method, path, r)
 		if err != nil {
 			return err
+		}
+		if len(via) > 0 {
+			req.Header.Set(DispatchPathHeader, strings.Join(via, ","))
 		}
 		resp, err := c.httpClient().Do(req)
 		if err != nil {
@@ -209,11 +158,20 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out any)
 			return decodeAPIError(resp)
 		}
 		defer resp.Body.Close()
-		if out == nil {
+		switch out := out.(type) {
+		case nil:
 			return nil
+		case *[]byte:
+			*out, err = io.ReadAll(resp.Body)
+			return err
 		}
 		return json.NewDecoder(resp.Body).Decode(out)
 	})
+}
+
+// get is call for a GET, which sends no body.
+func (c *Client) get(ctx context.Context, path string, out any) error {
+	return c.call(ctx, http.MethodGet, path, nil, nil, out)
 }
 
 // DispatchPathHeader carries the chain of dispatcher instance IDs a job has
@@ -231,30 +189,8 @@ func (c *Client) Submit(ctx context.Context, spec *JobSpec) (*SubmitStatus, erro
 // SubmitVia is Submit carrying the dispatch chain that routed the job here
 // (used by fleet dispatchers relaying to workers; see DispatchPathHeader).
 func (c *Client) SubmitVia(ctx context.Context, spec *JobSpec, via []string) (*SubmitStatus, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
 	var st SubmitStatus
-	err = c.withRetry(ctx, "/v1/jobs", func() error {
-		req, err := c.newRequest(ctx, http.MethodPost, "/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		if len(via) > 0 {
-			req.Header.Set(DispatchPathHeader, strings.Join(via, ","))
-		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			return decodeAPIError(resp)
-		}
-		defer resp.Body.Close()
-		return json.NewDecoder(resp.Body).Decode(&st)
-	})
-	if err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/jobs", via, spec, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -263,7 +199,7 @@ func (c *Client) SubmitVia(ctx context.Context, spec *JobSpec, via []string) (*S
 // Job fetches a job's current status (result included once done).
 func (c *Client) Job(ctx context.Context, id string) (*SubmitStatus, error) {
 	var st SubmitStatus
-	if err := c.getJSON(ctx, "/v1/jobs/"+id, &st); err != nil {
+	if err := c.get(ctx, "/v1/jobs/"+id, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -314,7 +250,7 @@ func (c *Client) Jobs(ctx context.Context, f JobFilter) (*JobList, error) {
 		path += "?" + q.Encode()
 	}
 	var list JobList
-	if err := c.getJSON(ctx, path, &list); err != nil {
+	if err := c.get(ctx, path, &list); err != nil {
 		return nil, err
 	}
 	return &list, nil
@@ -326,7 +262,7 @@ func (c *Client) Jobs(ctx context.Context, f JobFilter) (*JobList, error) {
 // and its settled status is returned, so repeated Cancels converge.
 func (c *Client) Cancel(ctx context.Context, id string) (*SubmitStatus, error) {
 	var st SubmitStatus
-	if err := c.doJSON(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st); err != nil {
+	if err := c.call(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -335,25 +271,8 @@ func (c *Client) Cancel(ctx context.Context, id string) (*SubmitStatus, error) {
 // Result fetches a finished job's raw canonical result bytes — byte-identical
 // to RunSpec of the same spec, whether simulated or served from cache.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
-	path := "/v1/jobs/" + id + "/result"
 	var out []byte
-	err := c.withRetry(ctx, path, func() error {
-		req, err := c.newRequest(ctx, http.MethodGet, path, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return decodeAPIError(resp)
-		}
-		defer resp.Body.Close()
-		out, err = io.ReadAll(resp.Body)
-		return err
-	})
-	if err != nil {
+	if err := c.get(ctx, "/v1/jobs/"+id+"/result", &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -362,7 +281,7 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 // Stats fetches the daemon's /stats counters.
 func (c *Client) Stats(ctx context.Context) (*ServerStats, error) {
 	var st ServerStats
-	if err := c.getJSON(ctx, "/stats", &st); err != nil {
+	if err := c.get(ctx, "/stats", &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -439,40 +358,42 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) er
 // stop it).
 //
 // Under a WithRetry policy, a stream that dies mid-flight (connection cut,
-// daemon restarting) is reconnected up to Attempts times with backoff: the
-// job's status is re-checked first — a job that settled while the stream
-// was down returns immediately — and a fresh stream replays the job's event
-// history, so onEvent may observe events more than once across a reconnect.
+// daemon restarting) is reconnected with backoff, within Attempts streams in
+// total. Before each reconnect one single-shot status GET — not a nested
+// retry loop — checks whether the job settled while the stream was down, and
+// returns it if so; a fresh stream replays the job's event history, so
+// onEvent may observe events more than once across a reconnect.
 func (c *Client) Wait(ctx context.Context, id string, onEvent func(Event)) (*SubmitStatus, error) {
-	bo := newBackoff(c.retry.Base, c.retry.Max, c.retrySeed("/v1/jobs/"+id+"/events"))
-	var err error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if !sleepCtx(ctx, bo.next()) {
-				return nil, err
-			}
-			// The job may have settled while the stream was down.
-			if st, jerr := c.Job(ctx, id); jerr == nil && terminalStatus(st.Status) {
-				return st, nil
+	oneShot := *c
+	oneShot.retry = RetryPolicy{}
+	var settled *SubmitStatus
+	tries := 0
+	// A stream that died mid-flight is transient by definition — the read
+	// error is a raw net error, not *url.Error — so reconnect on anything
+	// except an explicit terminal API rejection (404, 401).
+	reconnectable := func(err error) bool {
+		var ae *APIError
+		return !errors.As(err, &ae) || ae.Retryable
+	}
+	err := c.retry.do(ctx, c.base+"/v1/jobs/"+id+"/events", reconnectable, func() error {
+		if tries++; tries > 1 {
+			if st, err := oneShot.Job(ctx, id); err == nil && terminalStatus(st.Status) {
+				settled = st
+				return nil
 			}
 		}
-		err = c.Events(ctx, id, func(ev Event) error {
+		return c.Events(ctx, id, func(ev Event) error {
 			if onEvent != nil {
 				onEvent(ev)
 			}
 			return nil
 		})
-		if err == nil {
-			break
-		}
-		// A stream that died mid-flight is transient by definition — the
-		// read error is a raw net error, not *url.Error — so reconnect on
-		// anything except an explicit terminal API rejection (404, 401).
-		var ae *APIError
-		terminal := errors.As(err, &ae) && !ae.Retryable
-		if attempt+1 >= c.retry.Attempts || ctx.Err() != nil || terminal {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if settled != nil {
+		return settled, nil
 	}
 	st, err := c.Job(ctx, id)
 	if err != nil {

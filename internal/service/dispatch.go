@@ -96,28 +96,29 @@ func (f *fleet) livenessLoop() {
 }
 
 // execute runs one job's remote attempt loop: pick a worker, relay, and —
-// when a worker fails mid-job — back off (exponential, seeded ±50% jitter)
-// and retry, preferring a different node, until the job finishes, is
-// cancelled, the retry budget (Config.DispatchRetries) is exhausted, or the
-// deadline passes. Each worker's derived health decides whether it is
-// dispatchable, so a fleet whose nodes all hiccuped once still serves jobs;
-// a suspect worker, the last resort, gets the job only after it answers
-// /healthz. When zero workers are dispatchable the job degrades gracefully —
-// it waits (bounded by Config.NoWorkerWait and ctx), spending no retry
-// budget, for a worker to register, revive, or exit cooldown instead of
-// failing instantly. It returns the result instead of settling the job;
-// produce is its one caller, for picked jobs and sweep points alike. Points
-// do not hold run slots: a sweep occupies one slot while its points fan out
-// bounded by the sweep's own pool width.
+// when a worker fails mid-job — back off (Config.DispatchRetry, its jitter
+// seeded by the job key) and retry, preferring a different node, until the
+// job finishes, is cancelled, the retry budget is exhausted, or the deadline
+// passes. It keeps its own loop rather than RetryPolicy.do because a wait
+// for a worker spends no budget. Each worker's derived health decides
+// whether it is dispatchable, so a fleet whose nodes all hiccuped once still
+// serves jobs; a suspect worker, the last resort, gets the job only after it
+// answers /healthz. When zero workers are dispatchable the job degrades
+// gracefully — it waits (bounded by Config.NoWorkerWait from when the wait
+// begins, and by ctx) for a worker to register, revive, or exit cooldown
+// instead of failing instantly. It returns the result instead of settling
+// the job; produce is its one caller, for picked jobs and sweep points
+// alike. Points do not hold run slots: a sweep occupies one slot while its
+// points fan out bounded by the sweep's own pool width.
 func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 	e := j.exec
 	cfg := f.s.cfg
-	bo := newBackoff(cfg.RetryBackoff, cfg.RetryBackoffMax, seedFromString(j.key))
+	retries := cfg.DispatchRetry.Attempts - 1
+	bo := cfg.DispatchRetry.delays(j.key)
 	var lastErr error
 	lastFailed := ""
 	failures := 0
-	waitDeadline := time.Now().Add(cfg.NoWorkerWait)
-	waitLogged := false
+	var waitDeadline time.Time // zero while not waiting
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("dispatch cancelled: %w", err)
@@ -132,23 +133,27 @@ func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 		if w == nil {
 			// Graceful degradation: zero dispatchable workers right now is
 			// not a job failure yet — wait for the fleet to come back.
-			if !time.Now().Before(waitDeadline) {
+			now := time.Now()
+			starting := waitDeadline.IsZero()
+			if starting {
+				waitDeadline = now.Add(cfg.NoWorkerWait)
+			}
+			if !now.Before(waitDeadline) {
 				if lastErr == nil {
 					lastErr = errors.New("no dispatchable workers registered")
 				}
 				return nil, fmt.Errorf("fleet: no dispatchable worker within %s: %w", cfg.NoWorkerWait, lastErr)
 			}
-			if !waitLogged {
-				waitLogged = true
+			if starting {
 				f.mu.Lock()
 				f.starved++
 				f.mu.Unlock()
 				f.s.appendLog(e, "[dispatcher] no dispatchable workers; holding the job until one returns")
 			}
-			sleepCtx(ctx, cfg.RetryBackoff)
+			sleepCtx(ctx, cfg.DispatchRetry.Base)
 			continue
 		}
-		waitLogged = false
+		waitDeadline = time.Time{}
 		result, err := f.runOn(ctx, w, j)
 		var jobErr remoteJobError
 		switch {
@@ -175,7 +180,7 @@ func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 			lastFailed = w.id
 			w.noteFailure(time.Now())
 			failures++
-			if failures > cfg.DispatchRetries {
+			if failures > retries {
 				f.mu.Lock()
 				f.exhausted++
 				f.mu.Unlock()
@@ -186,7 +191,7 @@ func (f *fleet) execute(ctx context.Context, j *job) ([]byte, error) {
 			f.retries++
 			f.mu.Unlock()
 			f.s.appendLog(e, fmt.Sprintf("[dispatcher] worker %s failed (%v); retry %d/%d",
-				w.id, err, failures, cfg.DispatchRetries))
+				w.id, err, failures, retries))
 			sleepCtx(ctx, bo.next())
 		}
 	}
@@ -347,7 +352,7 @@ func (f *fleet) pick(avoid string, now time.Time) (*workerNode, health) {
 // FleetStats is the dispatcher section of GET /stats.
 type FleetStats struct {
 	// Retries counts worker-level failures that were retried (each burns one
-	// unit of a job's DispatchRetries budget); Exhausted counts jobs failed
+	// unit of a job's DispatchRetry budget); Exhausted counts jobs failed
 	// after burning the whole budget; Starved counts waits entered because
 	// zero workers were dispatchable. Conservation: every worker-level
 	// failure is either one of the Retries or the last straw of an

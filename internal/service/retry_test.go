@@ -99,8 +99,7 @@ func newFlakyWorker(t *testing.T, cfg Config) *flakyWorker {
 // conservation identity sum(worker.Failures) == Retries + Exhausted holds.
 func TestFleetRetryAccountingConserved(t *testing.T) {
 	disp, err := New(Config{
-		Fleet: true, DispatchRetries: 5,
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 5 * time.Millisecond,
+		Fleet: true, DispatchRetry: RetryPolicy{Attempts: 6, Base: time.Millisecond, Max: 5 * time.Millisecond},
 		BreakerThreshold: 10, // keep the breaker out of this test
 	})
 	if err != nil {
@@ -150,8 +149,7 @@ func TestFleetRetryAccountingConserved(t *testing.T) {
 // Exhausted counting it and the conservation identity intact.
 func TestFleetRetryBudgetExhausted(t *testing.T) {
 	disp, err := New(Config{
-		Fleet: true, DispatchRetries: 3,
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 5 * time.Millisecond,
+		Fleet: true, DispatchRetry: RetryPolicy{Attempts: 4, Base: time.Millisecond, Max: 5 * time.Millisecond},
 		BreakerThreshold: 2, BreakerCooldown: 2 * time.Millisecond,
 		NoWorkerWait: -1,
 	})
@@ -200,8 +198,7 @@ func TestFleetRetryBudgetExhausted(t *testing.T) {
 // closes the breaker returns it — no operator action, no re-registration.
 func TestBreakerHalfOpenRevival(t *testing.T) {
 	disp, err := New(Config{
-		Fleet: true, DispatchRetries: 1,
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 5 * time.Millisecond,
+		Fleet: true, DispatchRetry: RetryPolicy{Attempts: 2, Base: time.Millisecond, Max: 5 * time.Millisecond},
 		BreakerThreshold: 2, BreakerCooldown: 10 * time.Millisecond,
 		NoWorkerWait: -1,
 	})
@@ -274,7 +271,7 @@ func TestJobDeadline(t *testing.T) {
 func TestFleetNoWorkerWaitDegradation(t *testing.T) {
 	disp, err := New(Config{
 		Fleet: true, NoWorkerWait: 10 * time.Second,
-		RetryBackoff: 5 * time.Millisecond,
+		DispatchRetry: RetryPolicy{Base: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,8 +315,8 @@ func TestFleetNoWorkerWaitDegradation(t *testing.T) {
 // budget lasts still ends with the job done when the worker returns.
 func TestFleetNoWorkerWaitUnreachableWorker(t *testing.T) {
 	disp, err := New(Config{
-		Fleet: true, DispatchRetries: 2, NoWorkerWait: 10 * time.Second,
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 5 * time.Millisecond,
+		Fleet: true, DispatchRetry: RetryPolicy{Attempts: 3, Base: time.Millisecond, Max: 5 * time.Millisecond},
+		NoWorkerWait: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,6 +348,80 @@ func TestFleetNoWorkerWaitUnreachableWorker(t *testing.T) {
 	}
 	if fs := disp.Stats().Fleet; fs.Retries > 1 || fs.Exhausted != 0 {
 		t.Fatalf("retries=%d exhausted=%d, want at most 1/0", fs.Retries, fs.Exhausted)
+	}
+}
+
+// The no-worker wait is counted from when the job starts waiting, not from
+// dispatch start: a job that has already run longer than NoWorkerWait when
+// its only worker drops out is still held for the whole wait, and finishes
+// once the worker returns. The cut is triggered by the job's own progress
+// and the worker's return by the wait beginning, so no step sleeps for a
+// fixed time; the job only has to outlast the wait.
+func TestFleetNoWorkerWaitAfterLongRun(t *testing.T) {
+	const wait = 200 * time.Millisecond
+	disp, err := New(Config{
+		Fleet: true, NoWorkerWait: wait,
+		DispatchRetry: RetryPolicy{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dhs := httptest.NewServer(disp.Handler())
+	t.Cleanup(func() { dhs.Close(); disp.Close() })
+	cl := NewClient(dhs.URL)
+	ctx := context.Background()
+
+	// While down, the worker's proxy fails every request — dispatches,
+	// /healthz polls, and the cancel of the abandoned job, so the worker
+	// keeps running it and the redispatch coalesces onto that run.
+	wsrv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whs := httptest.NewServer(wsrv.Handler())
+	u, _ := url.Parse(whs.URL)
+	rp := httputil.NewSingleHostReverseProxy(u)
+	var down atomic.Bool
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			http.Error(w, "worker down", http.StatusBadGateway)
+			return
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { proxy.Close(); whs.Close(); wsrv.Close() })
+	if _, err := cl.JoinWorker(ctx, proxy.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	st, err := cl.Submit(ctx, longSpec(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the worker at the first progress report after the job has been
+	// dispatched for longer than the wait.
+	waitFor(t, cl, st.ID, func(s *SubmitStatus) bool {
+		if terminalStatus(s.Status) {
+			t.Fatalf("job ended %s after %v, before it ran past the %v wait", s.Status, time.Since(start), wait)
+		}
+		return s.Done > 0 && time.Since(start) > wait+50*time.Millisecond
+	}, "running past the wait")
+	down.Store(true)
+	proxy.CloseClientConnections() // severs the relay mid-job
+
+	// Bring the worker back as soon as the job starts waiting for it.
+	waitFor(t, cl, st.ID, func(s *SubmitStatus) bool {
+		return terminalStatus(s.Status) || disp.Stats().Fleet.Starved > 0
+	}, "waiting")
+	down.Store(false)
+
+	fin := waitFor(t, cl, st.ID, func(s *SubmitStatus) bool { return terminalStatus(s.Status) }, "terminal")
+	if fin.Status != StatusDone {
+		t.Fatalf("job cut after running past NoWorkerWait ended %s: %s", fin.Status, fin.Error)
+	}
+	if fs := disp.Stats().Fleet; fs.Starved != 1 {
+		t.Fatalf("starved = %d, want the one wait counted", fs.Starved)
 	}
 }
 
@@ -436,6 +507,60 @@ func TestClientWithRetry(t *testing.T) {
 	}
 	if badCalls.Load() != 1 {
 		t.Fatalf("terminal error retried: %d calls", badCalls.Load())
+	}
+
+	// A daemon that never recovers gets exactly Attempts submissions.
+	var downCalls atomic.Int64
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		downCalls.Add(1)
+		writeError(w, http.StatusServiceUnavailable, CodeDraining, "daemon draining")
+	}))
+	defer down.Close()
+	cl3 := NewClient(down.URL, WithRetry(RetryPolicy{Attempts: 4, Base: time.Millisecond, Max: 2 * time.Millisecond}))
+	if _, err := cl3.Submit(context.Background(), quickSpec(57)); err == nil {
+		t.Fatal("submit to a draining daemon succeeded")
+	}
+	if downCalls.Load() != 4 {
+		t.Fatalf("never-recovering daemon got %d submissions, want Attempts = 4", downCalls.Load())
+	}
+
+	// A ctx cancelled during a backoff ends the call within that step: the
+	// shortest possible first delay is Base/2 = 30s.
+	downCalls.Store(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cl4 := NewClient(down.URL, WithRetry(RetryPolicy{Attempts: 4, Base: time.Minute, Max: time.Minute}))
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	if _, err := cl4.Submit(ctx, quickSpec(57)); err == nil {
+		t.Fatal("submit cancelled mid-backoff succeeded")
+	}
+	if took := time.Since(start); took > 10*time.Second || downCalls.Load() != 1 {
+		t.Fatalf("cancel mid-backoff: returned after %v and %d submissions, want within the 30s+ step and 1", took, downCalls.Load())
+	}
+}
+
+// Wait's reconnect budget is Attempts in total: against a daemon answering
+// 503 draining on every path, 4 tries cost 4 streams and one single-shot
+// status GET before each of the 3 reconnects — 2A-1 = 7 requests — rather
+// than a full retry loop nested inside every reconnect.
+func TestWaitReconnectBudget(t *testing.T) {
+	var streams, gets atomic.Int64
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			streams.Add(1)
+		} else {
+			gets.Add(1)
+		}
+		writeError(w, http.StatusServiceUnavailable, CodeDraining, "daemon draining")
+	}))
+	defer down.Close()
+	cl := NewClient(down.URL, WithRetry(RetryPolicy{Attempts: 4, Base: time.Millisecond, Max: 2 * time.Millisecond}))
+	if _, err := cl.Wait(context.Background(), "job-1", nil); err == nil {
+		t.Fatal("Wait on a draining daemon succeeded")
+	}
+	if s, g := streams.Load(), gets.Load(); s != 4 || g != 3 {
+		t.Fatalf("Wait sent %d streams and %d status GETs (%d requests), want 4 and 3 (7)", s, g, s+g)
 	}
 }
 

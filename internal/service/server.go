@@ -95,18 +95,17 @@ type Config struct {
 	// sweeps the bound applies per constituent point, matching the
 	// cancellation granularity.
 	JobTimeout time.Duration
-	// DispatchRetries bounds how many worker-level failures one fleet
-	// dispatch absorbs before the job fails (default 4). Between attempts
-	// the dispatcher backs off exponentially from RetryBackoff (default
-	// 100ms) capped at RetryBackoffMax (default 5s), with seeded ±50%
-	// jitter.
-	DispatchRetries int
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
+	// DispatchRetry bounds one fleet dispatch: Attempts-1 worker-level
+	// failures are absorbed before the job fails, with a backoff seeded by
+	// the job key between attempts. Zero fields take the defaults: 5 tries
+	// (4 retries), 100ms → 5s. Base also paces the no-worker wait's polls.
+	DispatchRetry RetryPolicy
 	// NoWorkerWait is how long a fleet job waits for a dispatchable worker
-	// before failing (default 30s; negative = fail immediately). Graceful
-	// degradation: a fleet momentarily at zero workers — mid-restart, all
-	// breakers tripped — holds jobs instead of failing them instantly.
+	// before failing, counted from when the job starts waiting, so a job
+	// that has run for a while gets the whole wait too (default 30s;
+	// negative = fail immediately). Graceful degradation: a fleet
+	// momentarily at zero workers — mid-restart, all breakers tripped —
+	// holds jobs instead of failing them instantly.
 	NoWorkerWait time.Duration
 	// BreakerThreshold consecutive dispatch failures trip a worker's circuit
 	// breaker (default 3); a tripped worker receives no dispatches for
@@ -302,14 +301,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 5 * time.Second
 	}
-	if cfg.DispatchRetries <= 0 {
-		cfg.DispatchRetries = 4
+	if cfg.DispatchRetry.Attempts <= 0 {
+		cfg.DispatchRetry.Attempts = dispatchRetry.Attempts
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 100 * time.Millisecond
+	if cfg.DispatchRetry.Base <= 0 {
+		cfg.DispatchRetry.Base = dispatchRetry.Base
 	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = 5 * time.Second
+	if cfg.DispatchRetry.Max <= 0 {
+		cfg.DispatchRetry.Max = dispatchRetry.Max
 	}
 	switch {
 	case cfg.NoWorkerWait == 0:

@@ -247,7 +247,7 @@ func (w *workerNode) info(now time.Time) WorkerInfo {
 // identity.
 func probeHealthz(ctx context.Context, cl *Client) (string, error) {
 	var h healthz
-	if err := cl.getJSON(ctx, "/healthz", &h); err != nil {
+	if err := cl.get(ctx, "/healthz", &h); err != nil {
 		return "", err
 	}
 	return h.Instance, nil
@@ -461,27 +461,27 @@ func (f *fleet) handleDrain(drain bool) http.HandlerFunc {
 }
 
 // JoinFleet registers the worker daemon reachable at advertiseURL with the
-// fleet dispatcher at dispatcherURL, retrying with backoff until it succeeds
-// or ctx ends. It returns the assigned worker ID. The backoff doubles from
-// 1s to a 30s cap with ±50% jitter seeded from advertiseURL: deterministic
+// fleet dispatcher at dispatcherURL, retrying under joinRetry (1s doubling
+// to a 30s cap, ±50% jitter) until it succeeds or ctx ends. It returns the
+// assigned worker ID. The jitter is seeded from advertiseURL: deterministic
 // per worker, but distinct across the fleet, so a whole fleet rejoining
 // after a dispatcher restart spreads out instead of reconnecting in
 // lockstep (thundering herd). cmd/tssd -join calls this at startup; opts
 // typically carry WithToken for an authenticated dispatcher.
 func JoinFleet(ctx context.Context, dispatcherURL, advertiseURL string, opts ...ClientOption) (string, error) {
 	cl := NewClient(dispatcherURL, opts...)
-	bo := newBackoff(time.Second, 30*time.Second, seedFromString(advertiseURL))
-	for {
+	var id string
+	err := joinRetry.do(ctx, advertiseURL, func(error) bool { return true }, func() error {
 		info, err := cl.JoinWorker(ctx, advertiseURL)
 		if err == nil {
-			return info.ID, nil
+			id = info.ID
 		}
-		select {
-		case <-ctx.Done():
-			return "", fmt.Errorf("joining fleet at %s: %w (last error: %v)", dispatcherURL, ctx.Err(), err)
-		case <-time.After(bo.next()):
-		}
+		return err
+	})
+	if err != nil {
+		return "", fmt.Errorf("joining fleet at %s: %w (last error: %v)", dispatcherURL, ctx.Err(), err)
 	}
+	return id, nil
 }
 
 // HeartbeatLoop reports the worker at advertiseURL (whose daemon instance ID
@@ -514,7 +514,7 @@ func HeartbeatLoop(ctx context.Context, dispatcherURL, advertiseURL, instance st
 // record the dispatcher answers with.
 func (c *Client) workerCall(ctx context.Context, method, path string, body any) (*WorkerInfo, error) {
 	var info WorkerInfo
-	if err := c.doJSON(ctx, method, path, body, &info); err != nil {
+	if err := c.call(ctx, method, path, nil, body, &info); err != nil {
 		return nil, err
 	}
 	return &info, nil
@@ -549,7 +549,7 @@ func (c *Client) UndrainWorker(ctx context.Context, id string) (*WorkerInfo, err
 // Workers lists the dispatcher's registered workers (GET /v1/workers).
 func (c *Client) Workers(ctx context.Context) ([]WorkerInfo, error) {
 	var ws []WorkerInfo
-	if err := c.getJSON(ctx, "/v1/workers", &ws); err != nil {
+	if err := c.get(ctx, "/v1/workers", &ws); err != nil {
 		return nil, err
 	}
 	return ws, nil
