@@ -1,7 +1,7 @@
 // tssd is the task superscalar simulation daemon: a long-running HTTP/JSON
 // service that runs simulation and experiment-sweep jobs on a bounded worker
 // pool and answers repeated identical submissions from a content-addressed
-// result cache (deterministic runs make cached results exact, not
+// result store (deterministic runs make stored results exact, not
 // approximate).
 //
 // Usage:
@@ -11,18 +11,19 @@
 //	tssd -cache-entries 4096 -cache-mb 256
 //	tssd -cache-dir /var/lib/tssd -cache-disk-mb 4096   # persistent results
 //
-// With -cache-dir the daemon keeps a persistent layer under the in-memory
-// LRU: finished results are written as self-verifying envelope files and
-// misses read through the directory, so the content-addressed result space
-// survives restarts. Corrupted or foreign-version files are treated as
-// misses and removed, never served.
+// The result store is an in-memory LRU bounded by -cache-entries and
+// -cache-mb. With -cache-dir a persistent store replaces it (the two flags
+// then have no effect): finished results are written as self-verifying
+// envelope files and every lookup reads the directory, so the
+// content-addressed result space survives restarts. Corrupted or
+// foreign-version files are treated as misses and removed, never served.
 //
 // With -journal-dir the daemon additionally keeps a durable job journal:
 // every accepted job is fsync'd to an append-only log before it is queued,
-// and a daemon restarted on the same journal re-enqueues every job that had
-// not settled — determinism plus the content-addressed store make the
-// recovered results byte-identical, and work that already reached the store
-// is never executed twice. Pair it with -cache-dir; see docs/SERVICE.md.
+// and a daemon restarted on the same journal recovers every job that had
+// not settled: one whose result already reached the store settles from it
+// without running, the rest re-enqueue, and determinism makes the recovered
+// results byte-identical. Pair it with -cache-dir; see docs/SERVICE.md.
 //
 // Fleet mode (multi-node):
 //
@@ -32,8 +33,8 @@
 //
 // A dispatcher exposes the same job API as a plain daemon but fans jobs out
 // to joined workers, coalesces identical jobs across nodes, shares results
-// through its own cache (give it -cache-dir and the whole fleet's results
-// persist), and retries on another worker when one dies mid-job. Sweep jobs
+// through its own result store (give it -cache-dir and the whole fleet's
+// results persist), and retries on another worker when one dies mid-job. Sweep jobs
 // are sharded: the dispatcher decomposes the sweep into per-point sim jobs,
 // fans the points across the fleet, and reassembles a byte-identical result.
 //
@@ -47,7 +48,7 @@
 //	curl -N localhost:7077/v1/jobs/job-1/events      # live SSE progress
 //	curl -s localhost:7077/v1/jobs/job-1/result      # canonical result JSON
 //	curl -s -X DELETE localhost:7077/v1/jobs/job-1   # cooperative cancel
-//	curl -s localhost:7077/stats                     # cache + pool counters
+//	curl -s localhost:7077/stats                     # store + pool counters
 //
 // The full API is documented in docs/SERVICE.md. cmd/tssim and cmd/tsbench
 // can target a daemon (or a fleet dispatcher) with -remote instead of
@@ -74,10 +75,10 @@ func main() {
 		addr             = flag.String("addr", ":7077", "listen address")
 		workers          = flag.Int("workers", 0, "concurrent jobs (0 = one per CPU)")
 		queueDepth       = flag.Int("queue", 1024, "max queued jobs before submits get 503")
-		cacheEntries     = flag.Int("cache-entries", 1024, "result cache entry bound")
-		cacheMB          = flag.Int("cache-mb", 64, "result cache size bound (MiB)")
+		cacheEntries     = flag.Int("cache-entries", 1024, "in-memory result store entry bound (unused with -cache-dir)")
+		cacheMB          = flag.Int("cache-mb", 64, "in-memory result store size bound (MiB) (unused with -cache-dir)")
 		maxJobs          = flag.Int("max-jobs", 4096, "job records retained; oldest finished jobs are evicted beyond this")
-		cacheDir         = flag.String("cache-dir", "", "directory for the persistent result store (empty = in-memory cache only)")
+		cacheDir         = flag.String("cache-dir", "", "directory for the persistent result store, which replaces the in-memory one (empty = in-memory store)")
 		cacheDiskMB      = flag.Int("cache-disk-mb", 1024, "persistent store size bound (MiB); least-recently-used results are evicted beyond it")
 		fleetMode        = flag.Bool("fleet", false, "run as a fleet dispatcher: jobs are fanned out to workers that register via -join (or POST /v1/workers)")
 		join             = flag.String("join", "", "dispatcher base URL to join as a fleet worker")

@@ -5,6 +5,16 @@ import (
 	"sync"
 )
 
+// resultStore is a daemon's one store of finished results, keyed by content
+// address: the in-memory Cache, or the DiskStore when Config.CacheDir is set.
+// halt freezes it for Server.Kill; stats is the /stats cache section.
+type resultStore interface {
+	Get(key string) ([]byte, bool)
+	Put(key string, val []byte)
+	halt()
+	stats() CacheStats
+}
+
 // Cache is a bounded, thread-safe LRU of finished job results, keyed by the
 // job's content address (JobSpec.Key). Values are the canonical result
 // encodings served verbatim on a hit, which is what makes repeated identical
@@ -106,7 +116,8 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	// Disk reports the persistent layer (nil without -cache-dir).
+	// Disk reports the persistent store: nil without -cache-dir, else the
+	// only field set.
 	Disk *DiskStats `json:"disk,omitempty"`
 }
 
@@ -124,3 +135,8 @@ func (c *Cache) Stats() CacheStats {
 		Evictions:  c.evictions,
 	}
 }
+
+func (c *Cache) stats() CacheStats { return c.Stats() }
+
+// halt does nothing: memory does not outlive a crash anyway.
+func (c *Cache) halt() {}

@@ -17,12 +17,11 @@ import (
 // `accept` record (id, key, tenant, and the full normalized spec — enough to
 // reconstruct the submission from nothing) and terminal settlement appends
 // `settle`. On daemon start the journal is replayed: jobs accepted but never
-// settled are re-registered under their original IDs and re-enqueued —
-// queued jobs simply run, in-flight jobs re-execute. Determinism plus the
-// content-addressed result store make this sound: a re-executed job
-// produces byte-identical results, and work that settled into the
-// persistent store before the crash is answered from disk without a
-// duplicate execution.
+// settled are re-registered under their original IDs. One whose result
+// reached the result store before the crash settles from it at replay, as a
+// hit; the rest are re-enqueued — queued jobs simply run, in-flight jobs
+// re-execute. Determinism makes this sound: a re-executed job produces
+// byte-identical results, and stored work is never executed twice.
 //
 // Format: one record per line,
 //
@@ -408,10 +407,12 @@ func (s *Server) tenantByName(name string) *tenantState {
 	return s.defaultTenant
 }
 
-// replayJournal re-registers and re-enqueues every unsettled journaled job.
-// Called from New before the pump starts, so replayed jobs are queued
-// before the first pick. Jobs are replayed in original ID order; the first
-// live job of each key becomes the primary (new runnable execution, inflight
+// replayJournal re-registers every unsettled journaled job. Called from New
+// before the pump starts, so replayed jobs are queued before the first pick.
+// Jobs are replayed in original ID order. A job whose result is in the store
+// (the crash fell between the store write and the journal settle) settles
+// from it now, as a hit, and journals the settle. Otherwise the first live
+// job of each key becomes the primary (new runnable execution, inflight
 // slot, scheduler entry) and later ones coalesce onto it, reconstructing the
 // exact sharing structure the crash interrupted.
 // Replayed jobs bypass tenant quota and rate admission — they were admitted
@@ -451,6 +452,9 @@ func (s *Server) replayJournal(live []*journalRecord) {
 			j.exec = primary.exec
 			j.coalesced = true
 			s.coalesced++
+		} else if result, ok := s.store.Get(key); ok {
+			s.storeHitLocked(j, result)
+			s.journal.settleKey(key, StatusDone)
 		} else {
 			j.exec = newRunnableExecution()
 			if !s.sched.enqueue(j) {

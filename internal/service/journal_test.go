@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http/httptest"
@@ -328,21 +329,9 @@ func TestJournalReplaysStartRecords(t *testing.T) {
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	frame := func(body string) string {
-		return fmt.Sprintf("%s %08x %s\n", journalMagic, crc32.ChecksumIEEE([]byte(body)), body)
-	}
-	accept := func(id string, seed int64, extra string) string {
-		spec := mustNormalize(t, quickSpec(seed))
-		b, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return frame(fmt.Sprintf(`{"op":"accept","id":%q,"key":%q,"tenant":%q,"spec":%s%s}`,
-			id, spec.Key(), DefaultTenant, b, extra))
-	}
-	old := accept("job-1", 71, `,"started":true`) +
-		frame(`{"op":"start","id":"job-1"}`) +
-		accept("job-2", 72, "")
+	old := acceptLine(t, "job-1", 71, `,"started":true`) +
+		frameLine(`{"op":"start","id":"job-1"}`) +
+		acceptLine(t, "job-2", 72, "")
 	if err := os.WriteFile(filepath.Join(jdir, journalFileName), []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -358,6 +347,117 @@ func TestJournalReplaysStartRecords(t *testing.T) {
 			t.Fatalf("replayed job %s ended %s: %s", id, fin.Status, fin.Error)
 		}
 	}
+}
+
+// The crash window between the store write and the journal settle: a job
+// whose result reached the store settles from it at replay, under its
+// original ID, as a disk hit, without running, and the settle is journaled.
+func TestJournalReplayServesStoredResult(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "journal")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := mustNormalize(t, quickSpec(73))
+	want, err := RunSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenDiskStore(filepath.Join(dir, "cache"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(spec.Key(), want)
+	if err := os.WriteFile(filepath.Join(jdir, journalFileName), []byte(acceptLine(t, "job-1", 73, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, cl, hs := journaledServer(t, dir, Config{Workers: 1})
+	fin := waitFor(t, cl, "job-1", func(s *SubmitStatus) bool { return terminalStatus(s.Status) }, "terminal")
+	if fin.Status != StatusDone {
+		t.Fatalf("replayed job ended %s: %s", fin.Status, fin.Error)
+	}
+	got, err := cl.Result(context.Background(), "job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("replayed job's result differs from the stored one")
+	}
+	st := srv.Stats()
+	if st.Sched.Dispatched != 0 || st.DiskHits != 1 || st.Completed != 0 || st.Journal.Live != 0 {
+		t.Fatalf("stored job at replay: dispatched=%d disk_hits=%d completed=%d journal.live=%d, want 0/1/0/0",
+			st.Sched.Dispatched, st.DiskHits, st.Completed, st.Journal.Live)
+	}
+	hs.Close()
+	srv.Close()
+
+	srv2, _, hs2 := journaledServer(t, dir, Config{Workers: 1})
+	t.Cleanup(func() { hs2.Close(); srv2.Close() })
+	if js := srv2.Stats().Journal; js.Replayed != 0 || js.Live != 0 {
+		t.Fatalf("second open replayed %d jobs (%d live), want 0", js.Replayed, js.Live)
+	}
+}
+
+// A queue-full 503 records nothing: no journal record is written, and the
+// rejected submit takes no job ID.
+func TestJournalQueueFullWritesNothing(t *testing.T) {
+	srv, cl, hs := journaledServer(t, t.TempDir(), Config{Workers: 1, QueueDepth: 1})
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	ctx := context.Background()
+	blocker, err := cl.Submit(ctx, longSpec(4200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, cl, blocker.ID, func(s *SubmitStatus) bool { return s.Status == StatusRunning }, "running")
+	queued, err := cl.Submit(ctx, longSpec(4201))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := srv.Stats().Journal.Appended
+	_, err = cl.Submit(ctx, longSpec(4202))
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != CodeQueueFull {
+		t.Fatalf("submit to a full queue: %v, want %s", err, CodeQueueFull)
+	}
+	if after := srv.Stats().Journal.Appended; after != before {
+		t.Fatalf("queue-full 503 took journal.appended %d → %d, want unchanged", before, after)
+	}
+
+	if _, err := cl.Cancel(ctx, queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	next, err := cl.Submit(ctx, longSpec(4203))
+	if err != nil {
+		t.Fatalf("submission after the queued cancel: %v", err)
+	}
+	if next.ID != "job-3" {
+		t.Fatalf("next accepted job is %s, want job-3", next.ID)
+	}
+	for _, id := range []string{next.ID, blocker.ID} {
+		if _, err := cl.Cancel(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// frameLine frames one journal record body as the journal writes it.
+func frameLine(body string) string {
+	return fmt.Sprintf("%s %08x %s\n", journalMagic, crc32.ChecksumIEEE([]byte(body)), body)
+}
+
+// acceptLine is a framed accept record for quickSpec(seed) under id, with
+// extra appended to its JSON body.
+func acceptLine(t *testing.T, id string, seed int64, extra string) string {
+	t.Helper()
+	spec := mustNormalize(t, quickSpec(seed))
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frameLine(fmt.Sprintf(`{"op":"accept","id":%q,"key":%q,"tenant":%q,"spec":%s%s}`,
+		id, spec.Key(), DefaultTenant, b, extra))
 }
 
 func mustNormalize(t *testing.T, spec *JobSpec) *JobSpec {

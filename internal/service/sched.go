@@ -134,6 +134,13 @@ func (sc *scheduler) enqueue(j *job) bool {
 	return true
 }
 
+// full reports whether enqueue would refuse a job.
+func (sc *scheduler) full() bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.closed || sc.queued >= sc.depth
+}
+
 // next blocks until a job is available and returns the fair-share pick, or
 // nil when the scheduler is closed and fully drained.
 func (sc *scheduler) next() *job {

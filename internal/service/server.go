@@ -42,8 +42,8 @@ type Config struct {
 	// QueueDepth bounds the jobs waiting for a worker; submits beyond it
 	// are rejected with 503 (default 1024).
 	QueueDepth int
-	// CacheEntries and CacheBytes bound the result cache (defaults 1024
-	// entries, 64 MiB).
+	// CacheEntries and CacheBytes bound the in-memory result store (defaults
+	// 1024 entries, 64 MiB), which a daemon uses only without CacheDir.
 	CacheEntries int
 	CacheBytes   int64
 	// MaxLogLines bounds the per-job log retained for SSE replay
@@ -52,7 +52,7 @@ type Config struct {
 	// MaxJobs bounds the job registry (default 4096): beyond it the
 	// oldest *terminal* job records — including their pinned result
 	// bytes — are evicted and subsequently 404. Results stay available
-	// through the LRU cache via re-submission of the same spec.
+	// through the result store via re-submission of the same spec.
 	MaxJobs int
 	// Fleet switches the daemon into dispatcher mode: instead of running
 	// jobs on a local pool it fans them out to remote tssd workers that
@@ -61,12 +61,12 @@ type Config struct {
 	// is ignored (execution capacity lives on the workers); QueueDepth
 	// bounds the concurrent dispatches.
 	Fleet bool
-	// CacheDir, when set, adds a persistent disk layer under the LRU: every
-	// finished result is written there as a self-verifying envelope and
-	// misses read through it, so the content-addressed result space
-	// survives restarts (see DiskStore). CacheDiskBytes bounds the
-	// directory (default 1 GiB); past it the least-recently-used envelopes
-	// are evicted.
+	// CacheDir, when set, makes a persistent DiskStore the daemon's result
+	// store in place of the in-memory one: every finished result is written
+	// there as a self-verifying envelope, and every lookup reads it, so the
+	// content-addressed result space survives restarts. CacheDiskBytes
+	// bounds the directory (default 1 GiB); past it the least-recently-used
+	// envelopes are evicted.
 	CacheDir       string
 	CacheDiskBytes int64
 	// Auth, when set, requires a bearer token on every /v1 endpoint and
@@ -86,9 +86,9 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// JournalDir, when set, makes accepted jobs crash-durable: every job
 	// lifecycle transition is appended to an fsync'd, self-verifying journal
-	// there, and on start the daemon replays it — queued jobs re-enqueue,
-	// in-flight jobs re-execute, and determinism plus the persistent result
-	// store make the recovered outcomes byte-identical (see journal.go).
+	// there, and on start the daemon replays it — a job whose result reached
+	// the store settles from it, the rest re-enqueue and run, and determinism
+	// makes the recovered outcomes byte-identical (see journal.go).
 	JournalDir string
 	// JobTimeout bounds each job execution (0 = unbounded): a job running
 	// past it settles failed with a deadline error in the envelope. For
@@ -136,7 +136,7 @@ type execution struct {
 
 	// ctx cancels the execution cooperatively (DELETE /v1/jobs/{id});
 	// cancel is idempotent and always called once the execution reaches a
-	// terminal state. Cache-hit answers never run, so they carry neither.
+	// terminal state. Store-hit answers never run, so they carry neither.
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -222,7 +222,7 @@ type job struct {
 	spec      JobSpec
 	key       string
 	exec      *execution
-	cached    bool     // answered from the in-memory result cache
+	cached    bool     // answered from the result store at admission
 	coalesced bool     // attached to an identical in-flight run
 	via       []string // dispatcher chain that routed the job here (fleet)
 
@@ -233,23 +233,17 @@ type job struct {
 	class  int
 	seq    uint64
 	// slotHeld marks that the job holds one of its tenant's in-flight
-	// quota slots; released exactly once, by settle or a rejected enqueue.
+	// quota slots; settle releases it exactly once.
 	slotHeld atomic.Bool
-
-	// disk records that the result was served from the persistent store
-	// at execution time. Atomic because it is set by the running worker
-	// while status endpoints may already be reading the job.
-	disk atomic.Bool
 }
 
 // Server is the tssd daemon: an http.Handler plus the intake, run path and
-// result cache behind it. Create with New, serve via Handler, and Close when
+// result store behind it. Create with New, serve via Handler, and Close when
 // done.
 type Server struct {
 	cfg      Config
-	cache    *Cache
-	disk     *DiskStore // non-nil when Config.CacheDir is set
-	journal  *journal   // non-nil when Config.JournalDir is set
+	store    resultStore // the DiskStore with Config.CacheDir, else a Cache
+	journal  *journal    // non-nil when Config.JournalDir is set
 	mux      *http.ServeMux
 	fleet    *fleet // non-nil in dispatcher mode
 	instance string // unique per-process daemon identity (see handleHealthz)
@@ -278,7 +272,7 @@ type Server struct {
 	completed uint64
 	failed    uint64
 	cancelled uint64
-	cacheHits uint64 // submissions answered from the in-memory cache
+	cacheHits uint64 // submissions answered from the in-memory store
 	diskHits  uint64 // submissions answered from the persistent store
 	shard     ShardStats
 }
@@ -324,7 +318,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:           cfg,
-		cache:         NewCache(cfg.CacheEntries, cfg.CacheBytes),
 		sched:         newScheduler(cfg.QueueDepth),
 		tokens:        make(map[string]*tenantState),
 		defaultTenant: newTenantState(TenantConfig{Name: DefaultTenant}),
@@ -345,12 +338,14 @@ func New(cfg Config) (*Server, error) {
 		s.tenantOrder = []*tenantState{s.defaultTenant}
 	}
 	if cfg.CacheDir != "" {
-		var err error
-		s.disk, err = OpenDiskStore(cfg.CacheDir, cfg.CacheDiskBytes)
+		disk, err := OpenDiskStore(cfg.CacheDir, cfg.CacheDiskBytes)
 		if err != nil {
 			return nil, err
 		}
-		s.disk.SetFaults(cfg.Faults)
+		disk.SetFaults(cfg.Faults)
+		s.store = disk
+	} else {
+		s.store = NewCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.protect(s.handleSubmit))
@@ -438,9 +433,7 @@ func (s *Server) Kill() {
 	// Halt durability first: nothing that happens after the "crash instant"
 	// may reach the journal or the store.
 	s.journal.halt()
-	if s.disk != nil {
-		s.disk.halt()
-	}
+	s.store.halt()
 	if s.fleet != nil {
 		close(s.fleet.stop)
 	}
@@ -485,25 +478,19 @@ func (s *Server) run(j *job) {
 	if !j.exec.transition(StatusQueued, StatusRunning) {
 		return
 	}
-	result, fromDisk, err := s.produce(j)
-	s.settle(j, StatusRunning, result, err, fromDisk)
+	result, err := s.produce(j)
+	s.settle(j, StatusRunning, result, err)
 }
 
-// produce computes a running job's result, reporting whether it came from
-// the persistent store. The store is read first: a result that survived a
-// restart answers the job without a run, which is also what makes journal
-// replay duplicate-free for work that settled before a crash. A sweep then
-// runs point by point; a sim (Normalize admits no other kind) runs under
-// the per-job deadline, inline on a plain daemon or through the fleet's
-// attempt loop on a dispatcher. produce is the one place that chooses where
-// a simulation runs.
-func (s *Server) produce(j *job) ([]byte, bool, error) {
-	if result, ok := s.diskGet(j.key); ok {
-		return result, true, nil
-	}
+// produce computes a running job's result. It never reads the result store:
+// every admission path looked the key up before the job could run. A sweep
+// runs point by point; a sim (Normalize admits no other kind) runs under the
+// per-job deadline, inline on a plain daemon or through the fleet's attempt
+// loop on a dispatcher. produce is the one place that chooses where a
+// simulation runs.
+func (s *Server) produce(j *job) ([]byte, error) {
 	if j.spec.Kind == KindSweep {
-		result, err := s.runSweepByPoint(j)
-		return result, false, err
+		return s.runSweepByPoint(j)
 	}
 	e := j.exec
 	ctx, cancel := s.execCtx(e)
@@ -517,7 +504,7 @@ func (s *Server) produce(j *job) ([]byte, bool, error) {
 			e.set(func() { e.done, e.total = done, total })
 		})
 	}
-	return result, false, s.deadlineErr(e, err)
+	return result, s.deadlineErr(e, err)
 }
 
 // execCtx derives the context an execution runs under: its cancel context,
@@ -540,19 +527,6 @@ func (s *Server) deadlineErr(e *execution, err error) error {
 	return err
 }
 
-// diskGet reads through the persistent store (a no-op without -cache-dir),
-// promoting hits into the in-memory LRU so repeats stay off the disk.
-func (s *Server) diskGet(key string) ([]byte, bool) {
-	if s.disk == nil {
-		return nil, false
-	}
-	b, ok := s.disk.Get(key)
-	if ok {
-		s.cache.Put(key, b)
-	}
-	return b, ok
-}
-
 // appendLog appends one log line to an execution, trimming to the retention
 // bound and waking the SSE watchers.
 func (s *Server) appendLog(e *execution, line string) {
@@ -569,20 +543,20 @@ func (s *Server) appendLog(e *execution, line string) {
 // while the execution is still in `from`: running after produce, queued for
 // a cancel that beat every pick (the job then also leaves its scheduler
 // queue). The status is done with its result on success, cancelled when the
-// execution's context was cancelled, failed otherwise. Successful results go
-// into both cache layers (the disk write is skipped when the result just
-// came from there) before the status becomes visible, and the key's inflight
-// slot is released. An execution that has left `from` is untouched, which
-// is what makes status transitions idempotent under every race.
+// execution's context was cancelled, failed otherwise. A successful result
+// goes into the result store before the status becomes visible and before
+// the key's inflight slot is released, so a store lookup under s.mu that
+// finds no inflight primary also finds any result that primary produced. An
+// execution that has left `from` is untouched, which is what makes status
+// transitions idempotent under every race.
 //
-// A registered job (one with an ID) is also counted — as a disk hit when its
-// result came from the store, otherwise by terminal state — and returns its
-// tenant quota slot. That happens under s.mu in the same critical section
-// that publishes the status (lock order s.mu, then e.mu), so a client that
-// observes the terminal status, by polling or on the SSE stream, and then
-// reads /stats always finds the job counted. Internal sweep points have no
-// ID and account themselves in ShardStats.
-func (s *Server) settle(j *job, from string, result []byte, err error, fromDisk bool) {
+// A registered job (one with an ID) is also counted by terminal state and
+// returns its tenant quota slot. That happens under s.mu in the same
+// critical section that publishes the status (lock order s.mu, then e.mu),
+// so a client that observes the terminal status, by polling or on the SSE
+// stream, and then reads /stats always finds the job counted. Internal sweep
+// points have no ID and account themselves in ShardStats.
+func (s *Server) settle(j *job, from string, result []byte, err error) {
 	e := j.exec
 	status := StatusDone
 	if err != nil {
@@ -594,10 +568,7 @@ func (s *Server) settle(j *job, from string, result []byte, err error, fromDisk 
 	}
 
 	if status == StatusDone {
-		s.cache.Put(j.key, result)
-		if s.disk != nil && !fromDisk {
-			s.disk.Put(j.key, result)
-		}
+		s.store.Put(j.key, result)
 	}
 
 	s.mu.Lock()
@@ -615,7 +586,7 @@ func (s *Server) settle(j *job, from string, result []byte, err error, fromDisk 
 	}
 	registered := j.id != ""
 	if registered {
-		s.countSettledLocked(j, status, fromDisk)
+		s.countSettledLocked(j, status)
 	}
 	e.status = status
 	e.version++
@@ -651,23 +622,33 @@ func (s *Server) releaseSlot(j *job) {
 // countSettledLocked records a primary job's settlement in the daemon and
 // tenant counters and returns its quota slot. Every settled submission is
 // exactly one of completed, failed, cancelled, coalesced, cache hit, or disk
-// hit (the conservation invariant); a result read from the persistent store
-// counts as a disk hit, not a completion. The caller holds s.mu.
-func (s *Server) countSettledLocked(j *job, status string, fromDisk bool) {
+// hit (the conservation invariant); the hits are counted at admission by
+// storeHitLocked. The caller holds s.mu.
+func (s *Server) countSettledLocked(j *job, status string) {
 	s.releaseSlot(j)
-	switch {
-	case fromDisk:
-		j.disk.Store(true)
-		s.diskHits++
-	case status == StatusDone:
+	switch status {
+	case StatusDone:
 		s.completed++
 		if j.tenant != nil {
 			j.tenant.noteCompleted()
 		}
-	case status == StatusFailed:
+	case StatusFailed:
 		s.failed++
-	case status == StatusCancelled:
+	case StatusCancelled:
 		s.cancelled++
+	}
+}
+
+// storeHitLocked answers j from a stored result, born done and cached, and
+// counts a disk hit with -cache-dir, else a cache hit. Caller holds s.mu.
+func (s *Server) storeHitLocked(j *job, result []byte) {
+	j.exec = newExecution(StatusDone)
+	j.exec.result = result
+	j.cached = true
+	if s.cfg.CacheDir != "" {
+		s.diskHits++
+	} else {
+		s.cacheHits++
 	}
 }
 
@@ -688,8 +669,8 @@ type SubmitStatus struct {
 	// (interactive or bulk).
 	Tenant   string `json:"tenant,omitempty"`
 	Priority string `json:"priority,omitempty"`
-	// Cached reports that the result was served from the cache without
-	// re-simulating.
+	// Cached reports that the result was served from the result store
+	// without re-simulating.
 	Cached bool `json:"cached"`
 	// Coalesced reports that the submission attached to an identical
 	// in-flight run instead of starting its own.
@@ -707,7 +688,7 @@ func (s *Server) statusOf(j *job) SubmitStatus {
 	snap := j.exec.snapshot()
 	st := SubmitStatus{
 		ID: j.id, Kind: j.spec.Kind, Key: j.key,
-		Status: snap.status, Cached: j.cached || j.disk.Load(), Coalesced: j.coalesced,
+		Status: snap.status, Cached: j.cached, Coalesced: j.coalesced,
 		Done: snap.done, Total: snap.total, Error: snap.errMsg,
 		Priority: j.spec.Priority,
 	}
@@ -723,7 +704,7 @@ func (s *Server) statusOf(j *job) SubmitStatus {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := s.requestTenant(r)
 	// Submission rate limit: counted per request, before any work is done
-	// on its behalf (coalesced and cache-hit submissions are submissions
+	// on its behalf (coalesced and store-hit submissions are submissions
 	// too — the limit protects the daemon, not just the workers).
 	if !tenant.allowRate(time.Now()) {
 		writeError(w, http.StatusTooManyRequests, CodeRateLimited,
@@ -771,63 +752,47 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.exec = primary.exec
 		j.coalesced = true
 		s.coalesced++
-		s.submitted++
-		tenant.noteSubmitted()
 		s.register(j)
 		// Coalesced submissions are journaled too (with their own spec):
 		// replay re-groups live ids by key, so after a crash the coalesced
 		// job re-attaches to — or, if alone, becomes — the key's primary.
 		s.journalAccept(j)
-		s.mu.Unlock()
-	} else if result, ok := s.cache.Get(key); ok {
-		// Content-addressed hit: answer without simulating. (The
-		// persistent store is deliberately not consulted here — disk I/O
-		// stays off the submit path; a worker checks it at execution
-		// start instead.)
-		j.exec = newExecution(StatusDone)
-		j.exec.result = result
-		j.cached = true
-		s.cacheHits++
-		s.submitted++
-		tenant.noteSubmitted()
+	} else if result, ok := s.store.Get(key); ok {
+		// Content-addressed hit: answer without simulating. Looked up
+		// under s.mu, where settle's ordering makes a run that just
+		// finished visible, so no finished run starts twice.
+		s.storeHitLocked(j, result)
 		s.register(j)
+	} else if !tenant.acquireSlot() {
+		// The job would occupy execution capacity. A quota 429 outranks a
+		// queue-full 503, and neither records anything.
 		s.mu.Unlock()
+		writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+			"tenant %q is at its in-flight job quota (%d)", tenant.name, tenant.maxInflight)
+		return
+	} else if s.sched.full() {
+		tenant.releaseSlot()
+		s.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, CodeQueueFull,
+			"job queue full (%d pending)", s.cfg.QueueDepth)
+		return
 	} else {
-		// The job will occupy execution capacity: charge the tenant's
-		// in-flight quota, then hand it to the fair-share scheduler. The
-		// pump picks it up in weighted fair order rather than FIFO.
-		if !tenant.acquireSlot() {
-			s.mu.Unlock()
-			writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
-				"tenant %q is at its in-flight job quota (%d)", tenant.name, tenant.maxInflight)
-			return
-		}
 		j.slotHeld.Store(true)
 		j.exec = newRunnableExecution()
 		// Register and journal before the enqueue: the accept record must be
 		// durable before the pump can pick the job, or a fast settle could
 		// land in the journal ahead of its own accept. All under one s.mu
 		// hold, so a job picked immediately still blocks on s.mu in settle
-		// until it is fully recorded.
+		// until it is fully recorded. Under s.mu the queue only shrinks, so
+		// the enqueue cannot fail; the pump picks in weighted fair order.
 		s.register(j)
 		s.journalAccept(j)
-		if !s.sched.enqueue(j) {
-			// Roll the registration back: the job never became runnable.
-			s.journal.settleKey(key, StatusFailed)
-			delete(s.jobs, j.id)
-			s.order = s.order[:len(s.order)-1]
-			s.nextID--
-			s.releaseSlot(j)
-			s.mu.Unlock()
-			writeError(w, http.StatusServiceUnavailable, CodeQueueFull,
-				"job queue full (%d pending)", s.cfg.QueueDepth)
-			return
-		}
-		s.submitted++
-		tenant.noteSubmitted()
+		s.sched.enqueue(j)
 		s.inflight[key] = j
-		s.mu.Unlock()
 	}
+	s.submitted++
+	tenant.noteSubmitted()
+	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
@@ -845,7 +810,7 @@ func (s *Server) register(j *job) {
 
 // evictJobsLocked drops the oldest terminal job records (and with them the
 // result bytes their executions pin) once the registry exceeds MaxJobs, so
-// daemon memory is bounded by the LRU cache plus MaxJobs records rather
+// daemon memory is bounded by the result store plus MaxJobs records rather
 // than growing with the submission history. Non-terminal jobs are never
 // evicted. Caller holds s.mu.
 func (s *Server) evictJobsLocked() {
@@ -907,7 +872,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		p := s.inflight[j.key]
 		s.mu.Unlock()
 		if p != nil && p.exec == e {
-			s.settle(p, StatusQueued, nil, errors.New("cancelled before execution"), false)
+			s.settle(p, StatusQueued, nil, errors.New("cancelled before execution"))
 		}
 	}
 
@@ -1115,8 +1080,8 @@ type ServerStats struct {
 	// number of distinct executions currently queued or running. Every
 	// settled submission is exactly one of completed, failed, cancelled,
 	// coalesced, a cache hit, or a disk hit — the conservation invariant
-	// the concurrency tests assert. (CacheHits is job-level: unlike
-	// Cache.Hits it is not inflated by internal per-point lookups.)
+	// the concurrency tests assert. A hit is a DiskHit with -cache-dir, else
+	// a CacheHit; both are job-level, not inflated by per-point lookups.
 	Submitted uint64 `json:"submitted"`
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
@@ -1135,8 +1100,8 @@ type ServerStats struct {
 	// Shard reports sweep decomposition: how many constituent points were
 	// resolved, and how (its own conservation invariant; see ShardStats).
 	Shard ShardStats `json:"shard"`
-	// Cache reports the result cache's occupancy and hit/miss/eviction
-	// counters, including the persistent layer when configured.
+	// Cache reports the result store's occupancy and hit/miss/eviction
+	// counters: the in-memory store's, or only Disk with -cache-dir.
 	Cache CacheStats `json:"cache"`
 	// Fleet reports dispatcher-mode state (nil on a plain daemon).
 	Fleet *FleetStats `json:"fleet,omitempty"`
@@ -1152,8 +1117,8 @@ type ShardStats struct {
 	// Points counts every constituent simulation a sharded sweep asked
 	// the resolver for.
 	Points uint64 `json:"points"`
-	// MemHits/DiskHits count points answered from the in-memory cache and
-	// the persistent store; Coalesced counts points that attached to an
+	// MemHits/DiskHits count points answered from the in-memory store or,
+	// with -cache-dir, the persistent one; Coalesced counts points that attached to an
 	// identical in-flight execution (another sweep's point or an API sim
 	// job); Simulated counts points actually executed (locally or on a
 	// fleet worker); Inline counts points whose machine configuration is
@@ -1191,11 +1156,7 @@ func (s *Server) Stats() ServerStats {
 		byTenant[t.name] = &st.Tenants[i]
 	}
 	st.Sched = s.sched.stats(byTenant)
-	st.Cache = s.cache.Stats()
-	if s.disk != nil {
-		d := s.disk.Stats()
-		st.Cache.Disk = &d
-	}
+	st.Cache = s.store.stats()
 	if s.fleet != nil {
 		fs := s.fleet.stats()
 		st.Fleet = &fs

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"testing"
 )
 
@@ -105,15 +106,28 @@ func TestStatsCountJobAtTerminalEvent(t *testing.T) {
 		}
 	}
 
-	// A new daemon over the same store answers the first spec from disk.
+	// A new daemon over the same store answers the first spec from disk,
+	// at submit: the answer is already done, and every view of the job
+	// says it was cached.
 	_, cl2 := startDaemon(t, Config{Workers: 1, CacheDir: dir})
 	st, err = cl2.Submit(ctx, quickSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.Status != StatusDone || !st.Cached {
+		t.Fatalf("disk-served submit answered %s with cached=%v, want done and true", st.Status, st.Cached)
+	}
 	typ, stats, err = watchTerminal(cl2, st.ID, nil)
 	assertCountedAtTerminal(t, st.ID, typ, stats, err, 0)
 	if typ != "result" || stats.DiskHits != 1 {
 		t.Fatalf("disk-served job ended %q with disk_hits=%d, want result and 1", typ, stats.DiskHits)
+	}
+	resp, err := http.Get(cl2.Base() + "/v1/jobs/" + st.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Tssd-Cached"); got != "true" {
+		t.Fatalf("disk-served /result has X-Tssd-Cached %q, want true", got)
 	}
 }

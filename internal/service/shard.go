@@ -13,12 +13,11 @@ import (
 // independent points, each a (workload, machine, seed) triple with its own
 // content address. Instead of running the sweep monolithically, the daemon
 // installs experiments.Options.RunSim and resolves every point through the
-// same machinery API sim jobs use — in-memory cache, persistent store,
-// in-flight coalescing, and (on a dispatcher) the fleet's remote attempt
-// loop. The experiment still formats its output serially from ordered
-// slots, so the reassembled sweep result is byte-identical to a monolithic
-// run at any fan-out, while each point becomes individually cacheable,
-// shareable, and retryable.
+// same machinery API sim jobs use — the result store, in-flight coalescing,
+// and (on a dispatcher) the fleet's remote attempt loop. The experiment
+// still formats its output serially from ordered slots, so the reassembled
+// sweep result is byte-identical to a monolithic run at any fan-out, while
+// each point becomes individually cacheable, shareable, and retryable.
 
 // runSweepByPoint runs a sweep job point by point through the resolver and
 // returns its result bytes. A dispatcher widens the point fan-out to cover
@@ -64,10 +63,10 @@ func (s *Server) pointRunner(swctx context.Context) func(experiments.SimJob) (*t
 		switch {
 		case err != nil:
 			s.shard.Failed++
-		case outcome == pointMemHit:
-			s.shard.MemHits++
-		case outcome == pointDiskHit:
+		case outcome == pointHit && s.cfg.CacheDir != "":
 			s.shard.DiskHits++
+		case outcome == pointHit:
+			s.shard.MemHits++
 		case outcome == pointCoalesced:
 			s.shard.Coalesced++
 		default:
@@ -81,17 +80,17 @@ func (s *Server) pointRunner(swctx context.Context) func(experiments.SimJob) (*t
 	}
 }
 
-// Point resolution outcomes (ShardStats buckets).
+// Point resolution outcomes (ShardStats buckets). A store hit counts as a
+// disk hit on a daemon with -cache-dir, a memory hit otherwise.
 const (
-	pointMemHit    = "mem"
-	pointDiskHit   = "disk"
+	pointHit       = "hit"
 	pointCoalesced = "coalesced"
 	pointSimulated = "sim"
 )
 
 // resolvePoint resolves one sweep point to its canonical result bytes:
-// coalesce onto an identical in-flight execution, hit the in-memory cache,
-// or claim the key and produce it as the run path produces any job. The
+// coalesce onto an identical in-flight execution, hit the result store, or
+// claim the key and produce it as the run path produces any job. The
 // claimed execution is placed in the inflight table as an internal job, so
 // concurrent API submissions of the same sim spec coalesce onto the point
 // and vice versa. ctx is the owning sweep's context: a point execution that
@@ -129,9 +128,9 @@ func (s *Server) resolvePoint(ctx context.Context, spec *JobSpec) ([]byte, strin
 				return nil, "", err
 			}
 		}
-		if payload, ok := s.cache.Get(key); ok {
+		if payload, ok := s.store.Get(key); ok {
 			s.mu.Unlock()
-			return payload, pointMemHit, nil
+			return payload, pointHit, nil
 		}
 		// Claim the key with an internal (unregistered) job: visible to
 		// coalescers through the inflight table, invisible to the job API.
@@ -145,11 +144,9 @@ func (s *Server) resolvePoint(ctx context.Context, spec *JobSpec) ([]byte, strin
 		// the server's run slots. The per-job deadline applies per point, the
 		// granularity cancellation already has, so long sweeps make progress
 		// while no single point can wedge a worker forever.
-		payload, fromDisk, err := s.produce(pj)
-		s.settle(pj, StatusRunning, payload, err, fromDisk)
+		payload, err := s.produce(pj)
+		s.settle(pj, StatusRunning, payload, err)
 		switch {
-		case fromDisk:
-			return payload, pointDiskHit, nil
 		case err == nil:
 			return payload, pointSimulated, nil
 		case ctx.Err() != nil:

@@ -8,9 +8,10 @@
 // stream. Because every run is deterministic (see docs/ARCHITECTURE.md,
 // "Determinism rules"), results are content-addressable: each normalized
 // spec hashes to a key over (workload, machine config, seed, tss.SimVersion),
-// identical submissions are answered byte-identically from a bounded LRU
-// cache without re-simulating, and concurrent identical submissions coalesce
-// onto a single execution.
+// identical submissions are answered byte-identically from the daemon's one
+// result store (a bounded in-memory LRU, or a persistent directory with
+// Config.CacheDir) without re-simulating, and concurrent identical
+// submissions coalesce onto a single execution.
 //
 // Jobs are cancelled cooperatively (DELETE /v1/jobs/{id}): queued jobs flip
 // to cancelled immediately, running jobs stop within one engine
@@ -18,8 +19,8 @@
 // idempotent. In fleet mode (Config.Fleet) the same Server becomes a
 // dispatcher: jobs fan out to remote worker daemons registered via
 // POST /v1/workers, identical jobs coalesce across nodes, the dispatcher's
-// cache answers repeats without touching a worker, and a job whose worker
-// dies mid-run is retried elsewhere with byte-identical results.
+// result store answers repeats without touching a worker, and a job whose
+// worker dies mid-run is retried elsewhere with byte-identical results.
 //
 // The HTTP API is documented in docs/SERVICE.md; cmd/tssd is the daemon
 // binary and Client is the Go client used by the CLIs' -remote mode.

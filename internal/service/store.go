@@ -17,11 +17,11 @@ import (
 	"tasksuperscalar/tss"
 )
 
-// The persistent layer of the result cache: one file per content-addressed
-// result under a directory (cmd/tssd -cache-dir), so the fleet's result
-// space survives daemon restarts. Every file is a self-verifying envelope —
-// magic, a JSON header binding the job key, tss.SimVersion, and a payload
-// checksum, then the payload — written atomically (temp file + rename).
+// The persistent result store: one file per content-addressed result under a
+// directory (cmd/tssd -cache-dir), so the fleet's result space survives
+// daemon restarts. Every file is a self-verifying envelope — magic, a JSON
+// header binding the job key, tss.SimVersion, and a payload checksum, then
+// the payload — written atomically (temp file + rename).
 // Anything that fails verification (truncation, bit flips, a result produced
 // under different simulator semantics) is treated as a miss and removed;
 // the store never serves bytes it cannot prove are the keyed result.
@@ -348,4 +348,9 @@ func (s *DiskStore) Stats() DiskStats {
 		Evictions: s.evictions,
 		Invalid:   s.invalid,
 	}
+}
+
+func (s *DiskStore) stats() CacheStats {
+	d := s.Stats()
+	return CacheStats{Disk: &d}
 }
