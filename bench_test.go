@@ -197,19 +197,12 @@ func BenchmarkAblationStealing(b *testing.B) {
 }
 
 // BenchmarkAblationHeterogeneous models the heterogeneous-CMP direction of
-// the paper's conclusion: half the cores run at 60% speed; the dataflow
-// scheduler absorbs the imbalance without any code change.
+// the paper's conclusion: half the cores (the first 128, one worker class)
+// run at 60% speed; the dataflow scheduler absorbs the imbalance without
+// any code change.
 func BenchmarkAblationHeterogeneous(b *testing.B) {
 	ablationRun(b, func(cfg *tss.Config) {
-		speeds := make([]float64, cfg.Cores)
-		for i := range speeds {
-			if i%2 == 0 {
-				speeds[i] = 1.0
-			} else {
-				speeds[i] = 0.6
-			}
-		}
-		cfg.Backend.CoreSpeed = speeds
+		cfg.Backend.WorkerClasses = []tss.WorkerClass{{Name: "slow", Count: cfg.Cores / 2, Speed: 0.6}}
 	})
 }
 

@@ -89,8 +89,8 @@ func measurePolicies() (map[string]policyPoint, error) {
 		for _, policy := range tss.PolicyNames() {
 			cfg := tss.DefaultConfig().WithCores(64)
 			cfg.Memory = false
-			cfg.Policy = policy
-			cfg.WorkerClasses = m.classes
+			cfg.Backend.Policy = policy
+			cfg.Backend.WorkerClasses = m.classes
 			res, err := tss.RunTasks(build.Tasks, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("policy comparison (%s on %s): %w", policy, m.name, err)

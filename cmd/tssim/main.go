@@ -101,8 +101,8 @@ func main() {
 				os.Exit(2)
 			}
 		})
-		runStreaming(*tasks, *seed, *cores, *numTRS, *numORT, *trsKB, *ortKB, *runtime,
-			*policy, parseClasses(*classes))
+		runStreaming(*tasks, *seed, machine(*runtime, *cores, *numTRS, *numORT, *trsKB, *ortKB, false,
+			*policy, *classes))
 		return
 	}
 
@@ -161,27 +161,7 @@ func main() {
 		return
 	}
 
-	cfg := tss.DefaultConfig().WithCores(*cores)
-	cfg.Memory = *memory
-	cfg.Policy = *policy
-	cfg.WorkerClasses = parseClasses(*classes)
-	cfg.Frontend.NumTRS = *numTRS
-	cfg.Frontend.NumORT = *numORT
-	cfg.Frontend.TRSBytesEach = uint64(*trsKB) << 10
-	cfg.Frontend.ORTBytesEach = uint64(*ortKB) << 10
-	cfg.Frontend.OVTBytesEach = uint64(*ortKB) << 10
-	switch *runtime {
-	case "hardware":
-		cfg.Runtime = tss.HardwarePipeline
-	case "software":
-		cfg.Runtime = tss.SoftwareRuntime
-	case "sequential":
-		cfg.Runtime = tss.Sequential
-	default:
-		fmt.Fprintf(os.Stderr, "tssim: unknown runtime %q\n", *runtime)
-		os.Exit(2)
-	}
-
+	cfg := machine(*runtime, *cores, *numTRS, *numORT, *trsKB, *ortKB, *memory, *policy, *classes)
 	res, err := tss.RunTasks(b.Tasks, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tssim: %v\n", err)
@@ -189,7 +169,7 @@ func main() {
 	}
 	seq := tss.SequentialCycles(b.Tasks)
 	fmt.Printf("runtime:        %s on %d cores\n", cfg.Runtime, res.Cores)
-	printPolicy(cfg, res.Dispatch)
+	printPolicy(res.Dispatch, cfg.Backend.WorkerClasses)
 	fmt.Printf("tasks executed: %d\n", res.Tasks)
 	fmt.Printf("makespan:       %d cycles (%.2f ms at 3.2 GHz)\n",
 		res.Cycles, float64(res.Cycles)/3.2e6)
@@ -217,6 +197,33 @@ func main() {
 	}
 }
 
+// machine builds the simulated machine the flags describe, exiting with
+// usage on bad -classes syntax or an unknown -runtime.
+func machine(runtimeKind string, cores, numTRS, numORT, trsKB, ortKB int, memory bool,
+	policy, classes string) tss.Config {
+	cfg := tss.DefaultConfig().WithCores(cores)
+	cfg.Memory = memory
+	cfg.Backend.Policy = policy
+	cfg.Backend.WorkerClasses = parseClasses(classes)
+	cfg.Frontend.NumTRS = numTRS
+	cfg.Frontend.NumORT = numORT
+	cfg.Frontend.TRSBytesEach = uint64(trsKB) << 10
+	cfg.Frontend.ORTBytesEach = uint64(ortKB) << 10
+	cfg.Frontend.OVTBytesEach = uint64(ortKB) << 10
+	switch runtimeKind {
+	case "hardware":
+		cfg.Runtime = tss.HardwarePipeline
+	case "software":
+		cfg.Runtime = tss.SoftwareRuntime
+	case "sequential":
+		cfg.Runtime = tss.Sequential
+	default:
+		fmt.Fprintf(os.Stderr, "tssim: unknown runtime %q\n", runtimeKind)
+		os.Exit(2)
+	}
+	return cfg
+}
+
 // parseClasses parses the -classes flag, exiting with usage on bad syntax.
 func parseClasses(s string) []tss.WorkerClass {
 	wc, err := tss.ParseWorkerClasses(s)
@@ -227,16 +234,15 @@ func parseClasses(s string) []tss.WorkerClass {
 	return wc
 }
 
-// printPolicy reports the dispatch policy and its counters. The line is
-// printed only for non-default policies, so default runs keep their
-// pre-policy output byte-identical (the committed determinism goldens hash
-// it).
-func printPolicy(cfg tss.Config, ds tss.DispatchStats) {
-	p := cfg.EffectivePolicy()
-	if p == tss.PolicyFIFO && len(cfg.EffectiveWorkerClasses()) == 0 {
+// printPolicy reports the run's resolved dispatch policy, its counters and
+// the worker classes. The lines are printed only for non-default machines,
+// so default runs keep their pre-policy output byte-identical (the
+// committed determinism goldens hash it).
+func printPolicy(ds tss.DispatchStats, classes []tss.WorkerClass) {
+	if ds.Policy == tss.PolicyFIFO && len(classes) == 0 {
 		return
 	}
-	fmt.Printf("policy:         %s (%d dispatches, ready peak %d", p, ds.Dispatches, ds.ReadyPeak)
+	fmt.Printf("policy:         %s (%d dispatches, ready peak %d", ds.Policy, ds.Dispatches, ds.ReadyPeak)
 	if ds.MaxDepth > 0 {
 		fmt.Printf(", max chain depth %d", ds.MaxDepth)
 	}
@@ -247,9 +253,9 @@ func printPolicy(cfg tss.Config, ds tss.DispatchStats) {
 		fmt.Printf(", speculated %d validated %d", ds.SpecDispatches, ds.SpecValidated)
 	}
 	fmt.Println(")")
-	if wc := cfg.EffectiveWorkerClasses(); len(wc) > 0 {
+	if len(classes) > 0 {
 		fmt.Printf("classes:        ")
-		for i, c := range wc {
+		for i, c := range classes {
 			if i > 0 {
 				fmt.Print(", ")
 			}
@@ -344,7 +350,7 @@ func runRemote(base, token, workload string, tasks int, seed int64, runtimeKind 
 	}
 	fmt.Printf("runtime:        %s on %d cores (%s)\n", res.Runtime, res.Cores, source)
 	if res.Dispatch != nil {
-		printPolicy(tss.Config{Policy: policy, WorkerClasses: classes}, *res.Dispatch)
+		printPolicy(*res.Dispatch, classes)
 	}
 	fmt.Printf("tasks executed: %d\n", res.Tasks)
 	fmt.Printf("makespan:       %d cycles (%.2f ms at 3.2 GHz)\n",
@@ -365,33 +371,11 @@ func runRemote(base, token, workload string, tasks int, seed int64, runtimeKind 
 }
 
 // runStreaming drives the lazily generated CPI stream through the
-// streaming frontend path and reports the run with memory statistics.
-func runStreaming(tasks int, seed int64, cores, numTRS, numORT, trsKB, ortKB int, runtimeKind string,
-	policy string, classes []tss.WorkerClass) {
-	cfg := tss.DefaultConfig().WithCores(cores)
-	cfg.Memory = false
-	// Streaming runs cannot precompute chain depths (the stream is lazy),
-	// so critical-path degrades to depth-0 priority; the other policies
-	// work unchanged.
-	cfg.Policy = policy
-	cfg.WorkerClasses = classes
-	cfg.Frontend.NumTRS = numTRS
-	cfg.Frontend.NumORT = numORT
-	cfg.Frontend.TRSBytesEach = uint64(trsKB) << 10
-	cfg.Frontend.ORTBytesEach = uint64(ortKB) << 10
-	cfg.Frontend.OVTBytesEach = uint64(ortKB) << 10
-	switch runtimeKind {
-	case "hardware":
-		cfg.Runtime = tss.HardwarePipeline
-	case "software":
-		cfg.Runtime = tss.SoftwareRuntime
-	case "sequential":
-		cfg.Runtime = tss.Sequential
-	default:
-		fmt.Fprintf(os.Stderr, "tssim: unknown runtime %q\n", runtimeKind)
-		os.Exit(2)
-	}
-
+// streaming frontend path on cfg and reports the run with memory
+// statistics. Streaming runs cannot precompute chain depths (the stream is
+// lazy), so critical-path degrades to depth-0 priority; the other policies
+// work unchanged.
+func runStreaming(tasks int, seed int64, cfg tss.Config) {
 	fmt.Printf("streaming %d STAP-like CPI tasks (seed %d)\n", tasks, seed)
 	start := time.Now()
 	res, err := tss.RunStream(workloads.NewCPIStream(tasks, seed), cfg)
@@ -402,7 +386,7 @@ func runStreaming(tasks int, seed int64, cores, numTRS, numORT, trsKB, ortKB int
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	fmt.Printf("runtime:        %s on %d cores (streamed)\n", cfg.Runtime, res.Cores)
-	printPolicy(cfg, res.Dispatch)
+	printPolicy(res.Dispatch, cfg.Backend.WorkerClasses)
 	fmt.Printf("tasks executed: %d\n", res.Tasks)
 	fmt.Printf("makespan:       %d cycles (%.2f ms at 3.2 GHz)\n",
 		res.Cycles, float64(res.Cycles)/3.2e6)

@@ -206,21 +206,6 @@ func TestMemorySystemEndToEnd(t *testing.T) {
 	}
 }
 
-// TestLineDetailMemoryEndToEnd exercises the line-granular L1 models.
-func TestLineDetailMemoryEndToEnd(t *testing.T) {
-	b := workloads.CholeskyN(6, 42)
-	cfg := tss.DefaultConfig().WithCores(8)
-	cfg.Memory = true
-	cfg.LineDetailMemory = true
-	res, err := tss.RunTasks(b.Tasks, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(res.Tasks) != len(b.Tasks) {
-		t.Fatalf("executed %d of %d", res.Tasks, len(b.Tasks))
-	}
-}
-
 // TestRenamingOffStillCorrect runs the pipeline without renaming and
 // validates against the unrenamed oracle (WaR/WaW edges included).
 func TestRenamingOffStillCorrect(t *testing.T) {

@@ -35,12 +35,6 @@ type Config struct {
 	// system does not — §IV.B.5 — so it defaults off and is an ablation).
 	Stealing bool
 
-	// CoreSpeed optionally scales each core's execution rate (1.0 =
-	// Table II baseline). Values below 1 model slower cores in a
-	// heterogeneous CMP — the management direction the paper's
-	// conclusion points at. Nil means all cores run at full speed.
-	CoreSpeed []float64
-
 	// Policy selects the dispatch policy by name ("" = PolicyFIFO); see
 	// policy.go. The policy is part of the machine and participates in
 	// config canonicalization.
@@ -175,16 +169,11 @@ type gtuCredit struct{ worker int }
 type gtuHint struct{ worker int }   // worker finished executing (spec policy)
 type gtuMove struct{ from, to int } // steal: slot moves between workers
 
-// execCycles scales a task's runtime by the worker core's speed and, when
-// worker classes are configured, by the class's (per-kernel) speed — a
-// machine property that applies under every dispatch policy.
+// execCycles scales a task's runtime, when worker classes are configured,
+// by the worker's class (per-kernel) speed — a machine property that
+// applies under every dispatch policy.
 func (b *Backend) execCycles(w *worker, rt *core.ReadyTask) sim.Cycle {
 	t := rt.Task.Runtime
-	if b.cfg.CoreSpeed != nil && w.idx < len(b.cfg.CoreSpeed) {
-		if sp := b.cfg.CoreSpeed[w.idx]; sp > 0 && sp != 1 {
-			t = uint64(float64(t) / sp)
-		}
-	}
 	if b.classOf != nil {
 		if c := b.classOf[w.idx]; c >= 0 {
 			if sp := b.cfg.WorkerClasses[c].effSpeed(rt.Task.Kernel); sp != 1 {

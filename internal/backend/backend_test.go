@@ -162,9 +162,10 @@ func TestBackendScalarOperandsSkipStaging(t *testing.T) {
 func TestHeterogeneousCoreSpeeds(t *testing.T) {
 	eng := sim.NewEngine()
 	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
-	coreNodes := []noc.NodeID{net.AddCore("fast"), net.AddCore("slow")}
+	coreNodes := []noc.NodeID{net.AddCore("slow"), net.AddCore("fast")}
 	cfg := DefaultConfig(2)
-	cfg.CoreSpeed = []float64{1.0, 0.5}
+	// The class takes the first core; the second is a baseline core.
+	cfg.WorkerClasses = []WorkerClass{{Name: "slow", Count: 1, Speed: 0.5}}
 	b := New(eng, net, coreNodes, cfg, nil)
 	b.SetFinishHandler(&finishRecorder{})
 	net.Build()
@@ -173,8 +174,8 @@ func TestHeterogeneousCoreSpeeds(t *testing.T) {
 	b.TaskReady(mkTask(1, 100_000))
 	eng.Run()
 	start, finish := b.Schedule(2)
-	fast := finish[0] - start[0]
-	slow := finish[1] - start[1]
+	slow := finish[0] - start[0]
+	fast := finish[1] - start[1]
 	if fast != 100_000 {
 		t.Fatalf("fast core ran %d cycles, want 100000", fast)
 	}

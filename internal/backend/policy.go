@@ -107,7 +107,7 @@ type DispatchStats struct {
 	// critical-path policy (0 otherwise).
 	MaxDepth uint32 `json:"max_depth,omitempty"`
 	// WorkCycles is the sum of per-task execution cycles as actually
-	// scheduled — including class/core speed scaling — so policies that
+	// scheduled — including worker-class speed scaling — so policies that
 	// change placement measurably change it.
 	WorkCycles uint64 `json:"work_cycles"`
 	// Steals counts local-queue moves (stealing ablation).

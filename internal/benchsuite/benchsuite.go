@@ -148,7 +148,7 @@ func FrontendDecodeCriticalPath(b *testing.B) {
 	build := workloads.Cholesky(2000, 42)
 	cfg := tss.DefaultConfig().WithCores(256)
 	cfg.Memory = false
-	cfg.Policy = tss.PolicyCriticalPath
+	cfg.Backend.Policy = tss.PolicyCriticalPath
 	b.ReportAllocs()
 	ReportPerTask(b, len(build.Tasks), func() {
 		if _, err := tss.RunTasks(build.Tasks, cfg); err != nil {

@@ -40,12 +40,6 @@ type Config struct {
 	// bounded stash lets unrelated operands flow past an unlucky set.
 	ORTStashLimit int
 
-	// GatewayMaxTasks additionally caps the gateway's incoming window in
-	// tasks (0 = bytes-only, the hardware buffer model). Streaming runs use
-	// it to bound how far the task-generating thread may run ahead of the
-	// pipeline independently of task size.
-	GatewayMaxTasks int
-
 	// RecordChains retains the per-version consumer-chain lengths for the
 	// §IV.B.2 statistics. The record grows with the task count, so
 	// streaming runs disable it to keep memory proportional to the task

@@ -414,9 +414,8 @@ type Generator struct {
 	cur      *taskmodel.Task
 	submitFn func()
 
-	produced   uint64
-	done       bool
-	onFinished []func()
+	produced uint64
+	done     bool
 }
 
 // NewGenerator creates a generator that injects tasks from node (typically
@@ -436,16 +435,10 @@ func (g *Generator) Produced() uint64 { return g.produced }
 // Done reports whether the stream is exhausted.
 func (g *Generator) Done() bool { return g.done }
 
-// OnFinished registers a callback for stream exhaustion.
-func (g *Generator) OnFinished(fn func()) { g.onFinished = append(g.onFinished, fn) }
-
 func (g *Generator) produce() {
 	t := g.stream.Next()
 	if t == nil {
 		g.done = true
-		for _, fn := range g.onFinished {
-			fn()
-		}
 		return
 	}
 	if t.NumOperands() > MaxOperands {

@@ -34,7 +34,6 @@ type gateway struct {
 	freePend *pendingTask // free list of pendingTask records
 	enqSink  sim.Sink     // delivery target for generator task injection
 	bufUsed  uint32
-	inFlight int      // reserved-or-queued tasks (incoming window, in tasks)
 	waiters  []func() // generators blocked on buffer space
 	drain    []func() // scratch for waking waiters without allocating
 	// stalls is a bitset over the frontend's stall sources (2 per ORT/OVT
@@ -85,13 +84,9 @@ func taskBytes(t *taskmodel.Task) uint32 {
 	return 16 + 8*uint32(t.NumOperands())
 }
 
-// RoomFor reports whether the incoming buffer can accept the task: the byte
-// budget of the hardware buffer, plus the optional task-count window cap
-// used by streaming runs.
+// RoomFor reports whether the incoming buffer can accept the task within
+// the byte budget of the hardware buffer.
 func (g *gateway) RoomFor(t *taskmodel.Task) bool {
-	if max := g.fe.cfg.GatewayMaxTasks; max > 0 && g.inFlight >= max {
-		return false
-	}
 	return g.bufUsed+taskBytes(t) <= g.fe.cfg.GatewayBufBytes
 }
 
@@ -99,7 +94,6 @@ func (g *gateway) RoomFor(t *taskmodel.Task) bool {
 // reserves before injecting so in-flight tasks never overflow the buffer).
 func (g *gateway) Reserve(t *taskmodel.Task) {
 	g.bufUsed += taskBytes(t)
-	g.inFlight++
 }
 
 // Enqueue stages an arriving task (called at NoC delivery time); space was
@@ -297,7 +291,6 @@ func (g *gateway) retire(p *pendingTask) {
 	g.queue.Pop()
 	g.allocSent-- // the head is always inside the sent prefix (allocDone)
 	g.bufUsed -= p.bytes
-	g.inFlight--
 	*p = pendingTask{next: g.freePend}
 	g.freePend = p
 	// Wake blocked generators; a still-blocked generator re-registers

@@ -41,14 +41,14 @@ func (b *stalledBackend) TaskReady(rt *ReadyTask) { b.ready++ }
 
 // TestGeneratorBackPressureStalledPipeline checks that a stalled pipeline
 // propagates back-pressure all the way to the task stream: with a tiny TRS
-// and a task-count cap on the gateway window, the generator must stop
+// and a gateway buffer that holds four tasks, the generator must stop
 // pulling after a bounded prefix of an arbitrarily long stream.
 func TestGeneratorBackPressureStalledPipeline(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumTRS = 1
 	cfg.NumORT = 1
-	cfg.TRSBytesEach = 16 * 128 // 16 blocks -> at most 16 single-operand tasks
-	cfg.GatewayMaxTasks = 4
+	cfg.TRSBytesEach = 16 * 128  // 16 blocks -> at most 16 single-operand tasks
+	cfg.GatewayBufBytes = 4 * 24 // four single-operand tasks (taskBytes)
 
 	eng := sim.NewEngine()
 	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
@@ -74,20 +74,7 @@ func TestGeneratorBackPressureStalledPipeline(t *testing.T) {
 	if st.pulled < 5 {
 		t.Fatalf("generator barely progressed: pulled %d tasks", st.pulled)
 	}
-	if fe.gw.inFlight > cfg.GatewayMaxTasks {
-		t.Fatalf("gateway window holds %d tasks, cap is %d", fe.gw.inFlight, cfg.GatewayMaxTasks)
+	if fe.gw.bufUsed > cfg.GatewayBufBytes {
+		t.Fatalf("gateway buffer holds %d bytes, capacity is %d", fe.gw.bufUsed, cfg.GatewayBufBytes)
 	}
-}
-
-// TestGatewayTaskCapZeroMeansBytesOnly checks the default byte-budget
-// behaviour is unchanged when no task cap is configured.
-func TestGatewayTaskCapZeroMeansBytesOnly(t *testing.T) {
-	tasks := []*taskmodel.Task{
-		tk(1000, opOut(0x10000)),
-		tk(1000, opIn(0x10000)),
-	}
-	cfg := DefaultConfig()
-	cfg.GatewayMaxTasks = 0
-	r := buildRig(t, cfg, tasks)
-	r.run(t, 2)
 }

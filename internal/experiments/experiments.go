@@ -41,9 +41,9 @@ type Options struct {
 	// the sweep serially. Results are identical at every width.
 	Workers int
 	// Policy, when non-empty, runs every constituent simulation under the
-	// named backend dispatch policy (tss.Config.Policy). Unlike Workers it
-	// is machine state: it changes results and fingerprints, making it a
-	// sweepable axis rather than an observer.
+	// named backend dispatch policy (tss.Config.Backend.Policy). Unlike
+	// Workers it is machine state: it changes results and fingerprints,
+	// making it a sweepable axis rather than an observer.
 	Policy string
 	// Sink, when non-nil, additionally collects every aggregated sweep
 	// point for machine-readable (JSON) output.
@@ -74,9 +74,6 @@ type SimJob struct {
 	// Config is the simulated machine.
 	Config tss.Config
 }
-
-// DefaultOptions returns full-scale options.
-func DefaultOptions() Options { return Options{Seed: 42, Cores: 256} }
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
@@ -174,11 +171,6 @@ func baseConfig(cores int) tss.Config {
 	return cfg
 }
 
-// runHW executes a build on the hardware pipeline.
-func runHW(b *workloads.Build, cfg tss.Config) (*tss.Result, error) {
-	return tss.RunTasks(b.Tasks, cfg)
-}
-
 // benchRun is one (workload, config) simulation job: it executes the point
 // (locally, or through Options.RunSim when a delegate is installed) and
 // returns the result together with the speedup over the stream's sequential
@@ -187,8 +179,8 @@ func runHW(b *workloads.Build, cfg tss.Config) (*tss.Result, error) {
 // the figure is computable from the result alone and both execution paths
 // produce bit-identical numbers.
 func benchRun(o Options, wl workloads.Info, budget int, seed int64, cfg tss.Config) (*tss.Result, float64, error) {
-	if o.Policy != "" && cfg.Policy == "" {
-		cfg.Policy = o.Policy
+	if o.Policy != "" && cfg.Backend.Policy == "" {
+		cfg.Backend.Policy = o.Policy
 	}
 	job := SimJob{Workload: wl, Tasks: budget, Seed: seed, Config: cfg}
 	var res *tss.Result

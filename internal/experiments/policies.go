@@ -66,8 +66,8 @@ func Policies(w io.Writer, o Options) error {
 		pi := rest / len(coreAxis)
 		ci := rest % len(coreAxis)
 		cfg := baseConfig(coreAxis[ci])
-		cfg.Policy = policies[pi]
-		cfg.WorkerClasses = policyClasses(policies[pi], coreAxis[ci])
+		cfg.Backend.Policy = policies[pi]
+		cfg.Backend.WorkerClasses = policyClasses(policies[pi], coreAxis[ci])
 		res, sp, err := benchRun(o, benches[bi], o.budget(fullBudget(benches[bi].Name))/2, o.Seed, cfg)
 		if err != nil {
 			return fmt.Errorf("%s %s %dp: %w", benches[bi].Name, policies[pi], coreAxis[ci], err)

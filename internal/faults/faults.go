@@ -21,7 +21,6 @@
 package faults
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -306,19 +305,3 @@ func (b *cutBody) Read(p []byte) (int, error) {
 }
 
 func (b *cutBody) Close() error { return b.rc.Close() }
-
-// SleepCtx sleeps for d or until ctx ends, reporting whether the full sleep
-// elapsed. Shared by retry loops that must stay cancellable.
-func SleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}

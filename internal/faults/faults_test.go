@@ -162,14 +162,3 @@ func TestTransportKinds(t *testing.T) {
 		}
 	})
 }
-
-func TestSleepCtx(t *testing.T) {
-	if !SleepCtx(context.Background(), 0) {
-		t.Fatal("zero sleep on live ctx reported cancellation")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if SleepCtx(ctx, time.Hour) {
-		t.Fatal("sleep on dead ctx reported full elapse")
-	}
-}

@@ -7,23 +7,6 @@ import (
 	"tasksuperscalar/internal/sim"
 )
 
-// BenchmarkCacheAccess measures single-line set-associative lookups.
-func BenchmarkCacheAccess(b *testing.B) {
-	c := NewSetAssocCache(L1Config())
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i*64)%(128<<10), i%4 == 0)
-	}
-}
-
-// BenchmarkCacheAccessRange measures bulk (operand-sized) accesses.
-func BenchmarkCacheAccessRange(b *testing.B) {
-	c := NewSetAssocCache(L1Config())
-	b.SetBytes(16 << 10)
-	for i := 0; i < b.N; i++ {
-		c.AccessRange(uint64(i%8)*(16<<10), 16<<10, false)
-	}
-}
-
 // BenchmarkSystemFetch measures object-granular coherent fetches.
 func BenchmarkSystemFetch(b *testing.B) {
 	e := sim.NewEngine()

@@ -9,140 +9,6 @@ import (
 	"tasksuperscalar/internal/sim"
 )
 
-func TestCacheHitAfterMiss(t *testing.T) {
-	c := NewSetAssocCache(CacheConfig{SizeBytes: 1024, LineBytes: 64, Ways: 2, Latency: 3})
-	if r := c.Access(0x100, false); r.Hit {
-		t.Fatal("cold access must miss")
-	}
-	if r := c.Access(0x100, false); !r.Hit {
-		t.Fatal("second access must hit")
-	}
-	if r := c.Access(0x13F, false); !r.Hit {
-		t.Fatal("same line must hit")
-	}
-	if r := c.Access(0x140, false); r.Hit {
-		t.Fatal("next line must miss")
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	// 2-way, 64B lines, 8 sets (1024B). Three lines mapping to set 0:
-	// line addresses are multiples of 64*8=512.
-	c := NewSetAssocCache(CacheConfig{SizeBytes: 1024, LineBytes: 64, Ways: 2, Latency: 3})
-	c.Access(0, false)
-	c.Access(512, false)
-	c.Access(0, false) // touch 0 so 512 is LRU
-	r := c.Access(1024, false)
-	if r.Hit || !r.Evicted {
-		t.Fatalf("expected eviction on conflict miss, got %+v", r)
-	}
-	if r.VictimAddr != 512 {
-		t.Fatalf("evicted %#x, want 512 (LRU)", r.VictimAddr)
-	}
-	if !c.Contains(0) || c.Contains(512) || !c.Contains(1024) {
-		t.Fatal("LRU state wrong after eviction")
-	}
-}
-
-func TestCacheDirtyWriteback(t *testing.T) {
-	c := NewSetAssocCache(CacheConfig{SizeBytes: 1024, LineBytes: 64, Ways: 2, Latency: 3})
-	c.Access(0, true) // dirty
-	c.Access(512, false)
-	c.Access(512, false)
-	c.Access(0, false)
-	r := c.Access(1024, false) // evicts 512 (clean)
-	if r.VictimDirty {
-		t.Fatal("clean victim flagged dirty")
-	}
-	c.Access(2048, false) // now 0 is LRU? touch order: 0 touched recently...
-	_, _, _, wb := c.Stats()
-	_ = wb
-	// Force dirty eviction: fill set with new lines.
-	c2 := NewSetAssocCache(CacheConfig{SizeBytes: 1024, LineBytes: 64, Ways: 2, Latency: 3})
-	c2.Access(0, true)
-	c2.Access(512, true)
-	r = c2.Access(1024, false)
-	if !r.Evicted || !r.VictimDirty {
-		t.Fatalf("expected dirty eviction, got %+v", r)
-	}
-	_, _, _, wb2 := c2.Stats()
-	if wb2 != 1 {
-		t.Fatalf("writebacks = %d, want 1", wb2)
-	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	c := NewSetAssocCache(L1Config())
-	c.Access(0x2000, true)
-	if !c.Invalidate(0x2000) {
-		t.Fatal("invalidate must report dirty")
-	}
-	if c.Contains(0x2000) {
-		t.Fatal("line still present after invalidate")
-	}
-	if c.Invalidate(0x2000) {
-		t.Fatal("second invalidate must report clean/absent")
-	}
-}
-
-func TestCacheAccessRange(t *testing.T) {
-	c := NewSetAssocCache(L1Config())
-	hits, misses, _ := c.AccessRange(0, 64*10, false)
-	if hits != 0 || misses != 10 {
-		t.Fatalf("cold range: hits=%d misses=%d, want 0/10", hits, misses)
-	}
-	hits, misses, _ = c.AccessRange(0, 64*10, false)
-	if hits != 10 || misses != 0 {
-		t.Fatalf("warm range: hits=%d misses=%d, want 10/0", hits, misses)
-	}
-	// Unaligned range spanning two lines.
-	c2 := NewSetAssocCache(L1Config())
-	_, misses, _ = c2.AccessRange(60, 8, false)
-	if misses != 2 {
-		t.Fatalf("unaligned 8B spanning 2 lines: misses=%d, want 2", misses)
-	}
-	if h, m, w := c2.AccessRange(0, 0, false); h+m+w != 0 {
-		t.Fatal("zero-size range must not touch the cache")
-	}
-}
-
-func TestCacheHitRateWorkingSet(t *testing.T) {
-	// A working set equal to the cache size must fully hit on re-access.
-	c := NewSetAssocCache(L1Config())
-	size := uint32(c.Config().SizeBytes)
-	c.AccessRange(0, size, false)
-	hits, misses, _ := c.AccessRange(0, size, false)
-	if misses != 0 {
-		t.Fatalf("re-access of L1-sized set missed %d times (hits %d)", misses, hits)
-	}
-	// Twice the cache size thrashes.
-	c2 := NewSetAssocCache(L1Config())
-	c2.AccessRange(0, 2*size, false)
-	hits, _, _ = c2.AccessRange(0, 2*size, false)
-	if hits != 0 {
-		t.Fatalf("thrashing set hit %d times, want 0 with LRU", hits)
-	}
-}
-
-// Property: hits+misses equals lines touched for arbitrary ranges.
-func TestCacheRangeCountProperty(t *testing.T) {
-	f := func(addr uint32, size uint16) bool {
-		c := NewSetAssocCache(L1Config())
-		a := uint64(addr)
-		s := uint32(size)
-		if s == 0 {
-			return true
-		}
-		h, m, _ := c.AccessRange(a, s, false)
-		lb := uint64(64)
-		lines := (a+uint64(s)-1)/lb - a/lb + 1
-		return h+m == lines
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDRAMChannelSerialization(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDRAM(e, DRAMConfig{Controllers: 1, ChannelsPerMC: 1, Latency: 100, BytesPerCycle: 2})
@@ -170,7 +36,7 @@ func TestDRAMChannelParallelism(t *testing.T) {
 	}
 }
 
-func newTestSystem(t *testing.T, cores int, lineDetail bool) (*sim.Engine, *System) {
+func newTestSystem(t *testing.T, cores int) (*sim.Engine, *System) {
 	t.Helper()
 	e := sim.NewEngine()
 	net := noc.NewNetwork(e, 8, noc.DefaultConfig())
@@ -178,15 +44,13 @@ func newTestSystem(t *testing.T, cores int, lineDetail bool) (*sim.Engine, *Syst
 	for i := 0; i < cores; i++ {
 		coreNodes = append(coreNodes, net.AddCore("core"))
 	}
-	cfg := DefaultSystemConfig(cores)
-	cfg.LineDetail = lineDetail
-	m := NewSystem(e, net, coreNodes, cfg)
+	m := NewSystem(e, net, coreNodes, DefaultSystemConfig(cores))
 	net.Build()
 	return e, m
 }
 
 func TestFetchColdThenWarm(t *testing.T) {
-	e, m := newTestSystem(t, 4, false)
+	e, m := newTestSystem(t, 4)
 	var t1, t2 sim.Cycle
 	m.Fetch(0, 0x10000, 16384, func() { t1 = e.Now() })
 	e.Run()
@@ -208,7 +72,7 @@ func TestFetchColdThenWarm(t *testing.T) {
 }
 
 func TestSecondCoreHitsL2(t *testing.T) {
-	e, m := newTestSystem(t, 4, false)
+	e, m := newTestSystem(t, 4)
 	m.Fetch(0, 0x10000, 16384, nil)
 	e.Run()
 	m.Fetch(1, 0x10000, 16384, nil)
@@ -220,7 +84,7 @@ func TestSecondCoreHitsL2(t *testing.T) {
 }
 
 func TestWriteInvalidatesSharers(t *testing.T) {
-	e, m := newTestSystem(t, 4, false)
+	e, m := newTestSystem(t, 4)
 	m.Fetch(0, 0x10000, 4096, nil)
 	m.Fetch(1, 0x10000, 4096, nil)
 	e.Run()
@@ -240,7 +104,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestDirtyRecallOnFetch(t *testing.T) {
-	e, m := newTestSystem(t, 4, false)
+	e, m := newTestSystem(t, 4)
 	m.AcquireWrite(0, 0x20000, 4096, nil)
 	e.Run()
 	got := false
@@ -256,7 +120,7 @@ func TestDirtyRecallOnFetch(t *testing.T) {
 }
 
 func TestL1CapacityEviction(t *testing.T) {
-	e, m := newTestSystem(t, 2, false)
+	e, m := newTestSystem(t, 2)
 	// Fill the 64KB L1 with five 16KB objects: one must be evicted.
 	for i := 0; i < 5; i++ {
 		m.Fetch(0, uint64(0x100000+i*0x10000), 16384, nil)
@@ -276,7 +140,7 @@ func TestL1CapacityEviction(t *testing.T) {
 }
 
 func TestHugeObjectBypassesL1(t *testing.T) {
-	e, m := newTestSystem(t, 2, false)
+	e, m := newTestSystem(t, 2)
 	m.Fetch(0, 0x800000, 770<<10, nil) // SPECFEM-sized operand
 	e.Run()
 	if m.resident(0, 0x800000) {
@@ -285,7 +149,7 @@ func TestHugeObjectBypassesL1(t *testing.T) {
 }
 
 func TestWritebackMakesDataVisible(t *testing.T) {
-	e, m := newTestSystem(t, 2, false)
+	e, m := newTestSystem(t, 2)
 	m.AcquireWrite(0, 0x30000, 8192, nil)
 	e.Run()
 	fin := false
@@ -301,7 +165,7 @@ func TestWritebackMakesDataVisible(t *testing.T) {
 }
 
 func TestDMACopyInvalidatesDst(t *testing.T) {
-	e, m := newTestSystem(t, 2, false)
+	e, m := newTestSystem(t, 2)
 	m.Fetch(0, 0x40000, 4096, nil)
 	e.Run()
 	done := false
@@ -315,20 +179,6 @@ func TestDMACopyInvalidatesDst(t *testing.T) {
 	}
 	if m.Snapshot().DMACopies != 1 {
 		t.Fatal("DMA copy not counted")
-	}
-}
-
-func TestLineDetailReducesTransfer(t *testing.T) {
-	e, m := newTestSystem(t, 2, true)
-	m.Fetch(0, 0x60000, 4096, nil)
-	e.Run()
-	lc := m.L1LineCache(0)
-	if lc == nil {
-		t.Fatal("line cache missing in line-detail mode")
-	}
-	_, misses, _ := lc.AccessRange(0x60000, 4096, false)
-	if misses != 0 {
-		t.Fatalf("lines not resident after fetch: %d misses", misses)
 	}
 }
 

@@ -1,3 +1,12 @@
+// Package mem models the CMP memory system of Table II: private L1 caches,
+// a banked shared L2 with a directory-based MSI protocol, DDR3 memory
+// controllers, and the DMA engine the OVT uses to copy rename buffers back
+// to their original addresses.
+//
+// The System type tracks coherence at memory-object granularity (an operand
+// is fetched and written back as one DMA-style burst, matching how the
+// paper's Cell-derived runtime stages task operands), which keeps large
+// simulations fast while exercising the same protocol states.
 package mem
 
 import (
@@ -8,14 +17,13 @@ import (
 
 // SystemConfig sizes the object-granular coherent memory system.
 type SystemConfig struct {
-	Cores      int
-	L1Bytes    uint64    // per-core L1 capacity (64 KB)
-	L1Latency  sim.Cycle // 3 cycles
-	L2Banks    int       // 32 banks
-	L2Latency  sim.Cycle // 22 cycles
-	DRAM       DRAMConfig
-	LineDetail bool // additionally drive per-core line-granular L1 models
-	CtrlBytes  uint32
+	Cores     int
+	L1Bytes   uint64    // per-core L1 capacity (64 KB)
+	L1Latency sim.Cycle // 3 cycles
+	L2Banks   int       // 32 banks
+	L2Latency sim.Cycle // 22 cycles
+	DRAM      DRAMConfig
+	CtrlBytes uint32
 }
 
 // DefaultSystemConfig returns the Table II memory system for the given core
@@ -328,8 +336,6 @@ type System struct {
 
 	dir *dirTable
 	l1  []*l1State
-	// Optional line-granular models for validation/ablation.
-	l1Lines []*SetAssocCache
 
 	// freeEv recycles the typed events that drive the multi-stage fetch
 	// and writeback protocols, so burst traffic does not allocate per
@@ -368,12 +374,6 @@ func NewSystem(eng *sim.Engine, net *noc.Network, coreNodes []noc.NodeID, cfg Sy
 	m.l1 = make([]*l1State, cfg.Cores)
 	for i := range m.l1 {
 		m.l1[i] = newL1State()
-	}
-	if cfg.LineDetail {
-		m.l1Lines = make([]*SetAssocCache, cfg.Cores)
-		for i := range m.l1Lines {
-			m.l1Lines[i] = NewSetAssocCache(L1Config())
-		}
 	}
 	return m
 }
@@ -535,10 +535,9 @@ func (ev *memEvent) Fire() {
 		ev.kind = evFetchBurst
 		m.eng.ScheduleEvent(m.cfg.L2Latency, ev)
 	case evFetchBurst:
-		n := m.transferBytes(int(ev.core), ev.base, ev.size)
-		m.bytesMoved += uint64(n)
+		m.bytesMoved += uint64(ev.size)
 		ev.kind = evFetchInstall
-		m.net.SendEvent(m.BankNode(ev.base), m.coreNodes[ev.core], n, ev)
+		m.net.SendEvent(m.BankNode(ev.base), m.coreNodes[ev.core], ev.size, ev)
 	case evFetchInstall:
 		m.install(int(ev.core), ev.base, ev.size, false)
 		then := ev.then
@@ -569,23 +568,6 @@ func (m *System) Fetch(core int, base uint64, size uint32, then func()) {
 	// Request message to the home bank.
 	ev := m.getEvent(evFetchReq, core, base, size, then)
 	m.net.SendEvent(m.coreNodes[core], m.BankNode(base), m.cfg.CtrlBytes, ev)
-}
-
-// transferBytes returns how many bytes must actually move for core to have
-// the object. With line detail enabled, resident lines are not re-fetched.
-func (m *System) transferBytes(core int, base uint64, size uint32) uint32 {
-	if m.l1Lines == nil {
-		return size
-	}
-	_, misses, _ := m.l1Lines[core].AccessRange(base, size, false)
-	b := uint32(misses) * uint32(m.l1Lines[core].Config().LineBytes)
-	if b == 0 {
-		b = uint32(m.l1Lines[core].Config().LineBytes)
-	}
-	if b > size {
-		b = size
-	}
-	return b
 }
 
 // AcquireWrite obtains exclusive ownership of the object for core without
@@ -651,9 +633,6 @@ func (m *System) invalidateOthers(core int, base uint64, e *dirEntry, then func(
 				st.delete(base)
 				st.used -= uint64(size)
 			}
-			if m.l1Lines != nil {
-				m.invalidateLines(int(tgt), base, e.size)
-			}
 			m.net.Send(m.coreNodes[tgt], bank, m.cfg.CtrlBytes, func() {
 				pending--
 				if pending == 0 {
@@ -665,14 +644,6 @@ func (m *System) invalidateOthers(core int, base uint64, e *dirEntry, then func(
 	}
 	if e.owner >= 0 && e.owner != int32(core) {
 		e.owner = -1
-	}
-}
-
-func (m *System) invalidateLines(core int, base uint64, size uint32) {
-	lc := m.l1Lines[core]
-	lb := uint64(lc.Config().LineBytes)
-	for a := base; a < base+uint64(size); a += lb {
-		lc.Invalidate(a)
 	}
 }
 
@@ -743,12 +714,4 @@ func (m *System) Snapshot() Stats {
 		DRAMTransfers: dt,
 		DRAMBytes:     db,
 	}
-}
-
-// L1LineCache exposes the optional line-granular model for tests.
-func (m *System) L1LineCache(core int) *SetAssocCache {
-	if m.l1Lines == nil {
-		return nil
-	}
-	return m.l1Lines[core]
 }

@@ -96,9 +96,6 @@ func NewRing(eng *sim.Engine, name string, stops int, cfg Config) *Ring {
 	return r
 }
 
-// Stops returns the number of stops on the ring.
-func (r *Ring) Stops() int { return r.stops }
-
 // route returns the direction (0 cw, 1 ccw) and hop count for the shortest
 // path from a to b. Stops are in [0, stops), so the cyclic distances reduce
 // to one conditional add — this runs per message, and integer division is

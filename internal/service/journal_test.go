@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -388,6 +389,54 @@ func TestJournalReplayServesStoredResult(t *testing.T) {
 	if st.Sched.Dispatched != 0 || st.DiskHits != 1 || st.Completed != 0 || st.Journal.Live != 0 {
 		t.Fatalf("stored job at replay: dispatched=%d disk_hits=%d completed=%d journal.live=%d, want 0/1/0/0",
 			st.Sched.Dispatched, st.DiskHits, st.Completed, st.Journal.Live)
+	}
+	hs.Close()
+	srv.Close()
+
+	srv2, _, hs2 := journaledServer(t, dir, Config{Workers: 1})
+	t.Cleanup(func() { hs2.Close(); srv2.Close() })
+	if js := srv2.Stats().Journal; js.Replayed != 0 || js.Live != 0 {
+		t.Fatalf("second open replayed %d jobs (%d live), want 0", js.Replayed, js.Live)
+	}
+}
+
+// A journal written under an older key format re-keys at replay: the stale
+// key's entries settle, each job is re-accepted under the current key, the
+// two jobs of one spec share one run, and both end done under their
+// original IDs.
+func TestJournalReplayRekeys(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "journal")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := mustNormalize(t, quickSpec(74))
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := strings.Repeat("0", 64)
+	var old string
+	for _, id := range []string{"job-1", "job-2"} {
+		old += frameLine(fmt.Sprintf(`{"op":"accept","id":%q,"key":%q,"tenant":%q,"spec":%s}`,
+			id, stale, DefaultTenant, b))
+	}
+	if err := os.WriteFile(filepath.Join(jdir, journalFileName), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, cl, hs := journaledServer(t, dir, Config{Workers: 1})
+	for _, id := range []string{"job-1", "job-2"} {
+		fin := waitFor(t, cl, id, func(s *SubmitStatus) bool { return terminalStatus(s.Status) }, "terminal")
+		if fin.Status != StatusDone || fin.Key != spec.Key() {
+			t.Fatalf("replayed job %s ended %s under key %.12s: %s, want done under %.12s",
+				id, fin.Status, fin.Key, fin.Error, spec.Key())
+		}
+	}
+	st := srv.Stats()
+	if st.Completed != 1 || st.Coalesced != 1 || st.Journal.Live != 0 || st.Journal.Appended != 4 {
+		t.Fatalf("re-keyed replay: completed=%d coalesced=%d journal.live=%d journal.appended=%d, want 1/1/0/4",
+			st.Completed, st.Coalesced, st.Journal.Live, st.Journal.Appended)
 	}
 	hs.Close()
 	srv.Close()

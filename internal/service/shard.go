@@ -226,8 +226,8 @@ func pointSpec(pj experiments.SimJob) (*JobSpec, bool) {
 			ORTKB:   int(fe.ORTBytesEach >> 10),
 			OVTKB:   int(fe.OVTBytesEach >> 10),
 			Memory:  c.Memory,
-			Policy:  c.EffectivePolicy(),
-			Classes: c.EffectiveWorkerClasses(),
+			Policy:  c.Backend.Policy,
+			Classes: c.Backend.WorkerClasses,
 		},
 	}}
 	if err := spec.Normalize(); err != nil {

@@ -330,8 +330,8 @@ func TestPointSpecExpressibility(t *testing.T) {
 
 	t.Run("policy laboratory point", func(t *testing.T) {
 		cfg := base()
-		cfg.Policy = tss.PolicyHetero
-		cfg.WorkerClasses = []tss.WorkerClass{{Name: "fast", Count: 64, Speed: 2}}
+		cfg.Backend.Policy = tss.PolicyHetero
+		cfg.Backend.WorkerClasses = []tss.WorkerClass{{Name: "fast", Count: 64, Speed: 2}}
 		spec, ok := pointSpec(experiments.SimJob{Workload: chol, Tasks: 600, Seed: 42, Config: cfg})
 		if !ok {
 			t.Fatal("hetero policy point not expressible")

@@ -292,8 +292,8 @@ func (s *SimSpec) Config() tss.Config {
 	cfg.Frontend.ORTBytesEach = uint64(s.Machine.ORTKB) << 10
 	cfg.Frontend.OVTBytesEach = uint64(s.Machine.OVTKB) << 10
 	cfg.Memory = s.Machine.Memory
-	cfg.Policy = s.Machine.Policy
-	cfg.WorkerClasses = s.Machine.Classes
+	cfg.Backend.Policy = s.Machine.Policy
+	cfg.Backend.WorkerClasses = s.Machine.Classes
 	cfg.Backend.RecordSchedule = false
 	return cfg
 }

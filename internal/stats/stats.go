@@ -24,9 +24,6 @@ func (s *Sample) Add(v float64) {
 	s.sorted = false
 }
 
-// AddN records an integer observation (a common case for cycle counts).
-func (s *Sample) AddN(v uint64) { s.Add(float64(v)) }
-
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.vals) }
 

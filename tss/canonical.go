@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+
+	"tasksuperscalar/internal/backend"
 )
 
 // SimVersion identifies the generation of the simulator's cycle-exact
@@ -27,8 +29,9 @@ const SimVersion = "tss-sim/2"
 // Function-valued fields (OnComplete/OnDispatch hooks), the
 // cancellation-poll granularity (CancelCheckCycles), the SpecValidate
 // replay trace, and the derived per-workload Backend.TaskDepth table are
-// observers or derived inputs, not machine state, and are excluded. The dispatch policy and worker classes ARE
-// machine state and are always included.
+// observers or derived inputs, not machine state, and are excluded, as is
+// Backend.Cores, which every run overrides with Cores. The dispatch policy
+// and worker classes ARE machine state and are always included.
 func (c Config) CanonicalString() string {
 	var b strings.Builder
 	w := func(key string, v any) { fmt.Fprintf(&b, "%s=%v\n", key, v) }
@@ -52,7 +55,6 @@ func (c Config) CanonicalString() string {
 	w("fe.chaining", fe.Chaining)
 	w("fe.ctrl_bytes", fe.CtrlBytes)
 	w("fe.ort_stash_limit", fe.ORTStashLimit)
-	w("fe.gateway_max_tasks", fe.GatewayMaxTasks)
 	w("fe.record_chains", fe.RecordChains)
 
 	sw := c.Software
@@ -63,29 +65,21 @@ func (c Config) CanonicalString() string {
 	w("sw.gen_per_op", sw.GenPerOp)
 
 	be := c.Backend
-	w("be.cores", be.Cores)
 	w("be.local_queue_depth", be.LocalQueueDepth)
 	w("be.dispatch_cycles", be.DispatchCycles)
 	w("be.ctrl_bytes", be.CtrlBytes)
 	w("be.stealing", be.Stealing)
-	if len(be.CoreSpeed) > 0 {
-		var sb strings.Builder
-		for i, s := range be.CoreSpeed {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%g", s)
-		}
-		w("be.core_speed", sb.String())
-	}
 	w("be.record_schedule", be.RecordSchedule)
 	// The dispatch policy and worker-class mix are machine state (they
 	// change which worker runs which task and when), so they always
-	// canonicalize — resolved through EffectivePolicy/-WorkerClasses so
-	// the top-level and Backend spellings yield one fingerprint. The
+	// canonicalize; "" is the fifo default and encodes as such. The
 	// class encoding is injective given the validated name charset.
-	w("be.policy", c.EffectivePolicy())
-	if classes := c.EffectiveWorkerClasses(); len(classes) > 0 {
+	policy := be.Policy
+	if policy == "" {
+		policy = backend.PolicyFIFO
+	}
+	w("be.policy", policy)
+	if classes := be.WorkerClasses; len(classes) > 0 {
 		var sb strings.Builder
 		for i := range classes {
 			wc := &classes[i]
@@ -108,7 +102,6 @@ func (c Config) CanonicalString() string {
 	}
 
 	w("memory", c.Memory)
-	w("line_detail_memory", c.LineDetailMemory)
 	return b.String()
 }
 

@@ -20,19 +20,17 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 
 	mutations := map[string]func(*Config){
-		"runtime":     func(c *Config) { c.Runtime = SoftwareRuntime },
-		"cores":       func(c *Config) { *c = c.WithCores(128) },
-		"ring":        func(c *Config) { c.CoresPerRing = 4 },
-		"trs":         func(c *Config) { c.Frontend.NumTRS = 4 },
-		"trs bytes":   func(c *Config) { c.Frontend.TRSBytesEach = 512 << 10 },
-		"renaming":    func(c *Config) { c.Frontend.Renaming = false },
-		"sw decode":   func(c *Config) { c.Software.DecodeBase = 999 },
-		"stealing":    func(c *Config) { c.Backend.Stealing = true },
-		"core speed":  func(c *Config) { c.Backend.CoreSpeed = []float64{1, 0.5} },
-		"memory":      func(c *Config) { c.Memory = false },
-		"line detail": func(c *Config) { c.LineDetailMemory = true },
-		"chains":      func(c *Config) { c.Frontend.RecordChains = false },
-		"schedule":    func(c *Config) { c.Backend.RecordSchedule = false },
+		"runtime":   func(c *Config) { c.Runtime = SoftwareRuntime },
+		"cores":     func(c *Config) { *c = c.WithCores(128) },
+		"ring":      func(c *Config) { c.CoresPerRing = 4 },
+		"trs":       func(c *Config) { c.Frontend.NumTRS = 4 },
+		"trs bytes": func(c *Config) { c.Frontend.TRSBytesEach = 512 << 10 },
+		"renaming":  func(c *Config) { c.Frontend.Renaming = false },
+		"sw decode": func(c *Config) { c.Software.DecodeBase = 999 },
+		"stealing":  func(c *Config) { c.Backend.Stealing = true },
+		"memory":    func(c *Config) { c.Memory = false },
+		"chains":    func(c *Config) { c.Frontend.RecordChains = false },
+		"schedule":  func(c *Config) { c.Backend.RecordSchedule = false },
 	}
 	seen := map[string]string{base.Fingerprint(): "base"}
 	for name, mutate := range mutations {

@@ -7,7 +7,6 @@ import (
 
 	"tasksuperscalar/internal/backend"
 	"tasksuperscalar/internal/core"
-	"tasksuperscalar/internal/mem"
 	"tasksuperscalar/internal/softrt"
 )
 
@@ -78,32 +77,16 @@ type Config struct {
 	// Software configures the software-runtime baseline.
 	Software softrt.Config
 
-	// Backend sizes the Carbon-like queuing system. Cores is overridden
+	// Backend sizes the Carbon-like queuing system and carries the
+	// dispatch policy (Backend.Policy, "" = "fifo"; see PolicyNames) and
+	// the worker classes (Backend.WorkerClasses). Its Cores is overridden
 	// by the Cores field above.
 	Backend backend.Config
-
-	// Policy selects the backend dispatch policy by name ("" = "fifo";
-	// see backend.PolicyNames). It is machine state — different policies
-	// schedule different (task, worker, cycle) triples — so it
-	// participates in canonicalization, unlike the CancelCheckCycles
-	// observer. A policy set here overrides Backend.Policy; both spellings
-	// canonicalize identically (EffectivePolicy).
-	Policy string
-
-	// WorkerClasses partitions the worker cores into named execution
-	// classes (backend.WorkerClass): the first class takes the first
-	// Count cores, and so on; leftover cores form the baseline. Class
-	// speeds scale execution under every policy; the hetero policy also
-	// places tasks by class affinity. Machine state, canonicalized.
-	// Overrides Backend.WorkerClasses when non-nil.
-	WorkerClasses []WorkerClass
 
 	// Memory enables the coherent memory hierarchy (L1/L2/directory/
 	// DRAM); without it operand staging is free and only decode and
 	// dependency timing are modeled.
 	Memory bool
-	// LineDetailMemory additionally drives line-granular L1 models.
-	LineDetailMemory bool
 
 	// OnComplete, when set, observes every task retirement (sequence
 	// number and completion cycle) as it happens. It is the bounded-memory
@@ -135,29 +118,7 @@ func DefaultConfig() Config {
 // WithCores returns the config resized to n worker cores.
 func (c Config) WithCores(n int) Config {
 	c.Cores = n
-	c.Backend.Cores = n
 	return c
-}
-
-// EffectivePolicy resolves the dispatch policy: the top-level Policy wins,
-// then Backend.Policy, then "fifo". Canonicalization uses the resolved
-// value, so both spellings fingerprint identically.
-func (c Config) EffectivePolicy() string {
-	if c.Policy != "" {
-		return c.Policy
-	}
-	if c.Backend.Policy != "" {
-		return c.Backend.Policy
-	}
-	return backend.PolicyFIFO
-}
-
-// EffectiveWorkerClasses resolves the worker-class mix (top-level wins).
-func (c Config) EffectiveWorkerClasses() []WorkerClass {
-	if c.WorkerClasses != nil {
-		return c.WorkerClasses
-	}
-	return c.Backend.WorkerClasses
 }
 
 // validClassName matches class names that survive canonical encoding
@@ -189,10 +150,10 @@ func (c Config) Validate() error {
 			return fmt.Errorf("tss: hardware pipeline needs >=1 TRS and >=1 ORT")
 		}
 	}
-	if p := c.EffectivePolicy(); !backend.ValidPolicy(p) {
+	if p := c.Backend.Policy; !backend.ValidPolicy(p) {
 		return fmt.Errorf("tss: unknown dispatch policy %q (have %v)", p, backend.PolicyNames())
 	}
-	classes := c.EffectiveWorkerClasses()
+	classes := c.Backend.WorkerClasses
 	if len(classes) > 64 {
 		return fmt.Errorf("tss: at most 64 worker classes, got %d", len(classes))
 	}
@@ -287,11 +248,4 @@ func splitTopLevel(s string) []string {
 		}
 	}
 	return append(out, s[start:])
-}
-
-// memSystemConfig derives the memory-system configuration.
-func (c Config) memSystemConfig() mem.SystemConfig {
-	mc := mem.DefaultSystemConfig(c.Cores)
-	mc.LineDetail = c.LineDetailMemory
-	return mc
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // fuzzConfig builds a validating Config from raw fuzz inputs.
-func fuzzConfig(rt uint8, cores, cpr, trs, ort int, trsb, ortb uint64, memory, lineDetail bool) Config {
+func fuzzConfig(rt uint8, cores, cpr, trs, ort int, trsb, ortb uint64, memory bool) Config {
 	pos := func(v, m, min int) int {
 		v %= m
 		if v < 0 {
@@ -23,7 +23,6 @@ func fuzzConfig(rt uint8, cores, cpr, trs, ort int, trsb, ortb uint64, memory, l
 	cfg.Frontend.ORTBytesEach = ortb%(16<<20) + 1
 	cfg.Frontend.OVTBytesEach = cfg.Frontend.ORTBytesEach
 	cfg.Memory = memory
-	cfg.LineDetailMemory = lineDetail
 	return cfg
 }
 
@@ -33,14 +32,14 @@ func fuzzConfig(rt uint8, cores, cpr, trs, ort int, trsb, ortb uint64, memory, l
 // changes the fingerprint, and the encoding itself stays a well-formed
 // unique-keyed listing.
 func FuzzConfigCanonicalString(f *testing.F) {
-	f.Add(uint8(0), 256, 8, 8, 2, uint64(768<<10), uint64(256<<10), true, false)
-	f.Add(uint8(1), 32, 8, 4, 1, uint64(1<<20), uint64(128<<10), false, false)
-	f.Add(uint8(2), 1, 1, 1, 1, uint64(1), uint64(1), true, true)
-	f.Add(uint8(77), -300, 0, 1000, -5, uint64(1<<60), uint64(0), false, true)
+	f.Add(uint8(0), 256, 8, 8, 2, uint64(768<<10), uint64(256<<10), true)
+	f.Add(uint8(1), 32, 8, 4, 1, uint64(1<<20), uint64(128<<10), false)
+	f.Add(uint8(2), 1, 1, 1, 1, uint64(1), uint64(1), true)
+	f.Add(uint8(77), -300, 0, 1000, -5, uint64(1<<60), uint64(0), false)
 
-	f.Fuzz(func(t *testing.T, rt uint8, cores, cpr, trs, ort int, trsb, ortb uint64, memory, lineDetail bool) {
-		a := fuzzConfig(rt, cores, cpr, trs, ort, trsb, ortb, memory, lineDetail)
-		b := fuzzConfig(rt, cores, cpr, trs, ort, trsb, ortb, memory, lineDetail)
+	f.Fuzz(func(t *testing.T, rt uint8, cores, cpr, trs, ort int, trsb, ortb uint64, memory bool) {
+		a := fuzzConfig(rt, cores, cpr, trs, ort, trsb, ortb, memory)
+		b := fuzzConfig(rt, cores, cpr, trs, ort, trsb, ortb, memory)
 
 		canon := a.CanonicalString()
 		if canon != b.CanonicalString() {
@@ -57,6 +56,12 @@ func FuzzConfigCanonicalString(f *testing.F) {
 		if b.CanonicalString() != canon {
 			t.Fatal("observer fields leaked into CanonicalString")
 		}
+		// Backend.Cores is overridden by Cores on every run, so it is not
+		// machine state either.
+		b.Backend.Cores++
+		if b.CanonicalString() != canon {
+			t.Fatal("Backend.Cores leaked into CanonicalString")
+		}
 
 		// Every semantic mutation moves the fingerprint.
 		mutations := map[string]func(*Config){
@@ -67,7 +72,6 @@ func FuzzConfigCanonicalString(f *testing.F) {
 			"trs_bytes":      func(c *Config) { c.Frontend.TRSBytesEach++ },
 			"ort_bytes":      func(c *Config) { c.Frontend.ORTBytesEach++ },
 			"memory":         func(c *Config) { c.Memory = !c.Memory },
-			"line_detail":    func(c *Config) { c.LineDetailMemory = !c.LineDetailMemory },
 			"runtime": func(c *Config) {
 				if c.Runtime == HardwarePipeline {
 					c.Runtime = SoftwareRuntime
@@ -75,19 +79,17 @@ func FuzzConfigCanonicalString(f *testing.F) {
 					c.Runtime = HardwarePipeline
 				}
 			},
-			"backend_cores": func(c *Config) { c.Backend.Cores++ },
-			// The dispatch-policy axes are machine state: both the
-			// top-level and Backend spellings must move the fingerprint.
-			"policy":         func(c *Config) { c.Policy = "critical-path" },
+			// The dispatch-policy axes are machine state and must move
+			// the fingerprint.
 			"backend_policy": func(c *Config) { c.Backend.Policy = "spec" },
 			"worker_classes": func(c *Config) {
-				c.WorkerClasses = []WorkerClass{{Name: "fast", Count: 1, Speed: 2}}
+				c.Backend.WorkerClasses = []WorkerClass{{Name: "fast", Count: 1, Speed: 2}}
 			},
 			"worker_class_speed": func(c *Config) {
-				c.WorkerClasses = []WorkerClass{{Name: "fast", Count: 1, Speed: 4}}
+				c.Backend.WorkerClasses = []WorkerClass{{Name: "fast", Count: 1, Speed: 4}}
 			},
 			"worker_class_kernels": func(c *Config) {
-				c.WorkerClasses = []WorkerClass{{Name: "fast", Count: 1, Speed: 2, KernelSpeed: []float64{3}}}
+				c.Backend.WorkerClasses = []WorkerClass{{Name: "fast", Count: 1, Speed: 2, KernelSpeed: []float64{3}}}
 			},
 		}
 		for name, mutate := range mutations {
@@ -96,17 +98,6 @@ func FuzzConfigCanonicalString(f *testing.F) {
 			if m.Fingerprint() == a.Fingerprint() {
 				t.Fatalf("mutating %s did not change the fingerprint", name)
 			}
-		}
-
-		// The two spellings of the policy axes resolve to one machine,
-		// so they must canonicalize identically.
-		top, nested := a, a
-		top.Policy = "hetero"
-		top.WorkerClasses = []WorkerClass{{Name: "fast", Count: 1, Speed: 2}}
-		nested.Backend.Policy = "hetero"
-		nested.Backend.WorkerClasses = []WorkerClass{{Name: "fast", Count: 1, Speed: 2}}
-		if top.CanonicalString() != nested.CanonicalString() {
-			t.Fatal("top-level and Backend policy spellings canonicalize differently")
 		}
 
 		// The encoding is a newline-terminated k=v listing with unique

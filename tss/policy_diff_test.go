@@ -27,11 +27,11 @@ import (
 func diffPolicyConfig(policy string) Config {
 	cfg := DefaultConfig().WithCores(16)
 	cfg.Memory = false
-	cfg.Policy = policy
+	cfg.Backend.Policy = policy
 	if policy == backend.PolicyHetero {
 		// A quarter of the machine runs kernel 0 at double speed so
 		// affinity has something to prefer.
-		cfg.WorkerClasses = []WorkerClass{
+		cfg.Backend.WorkerClasses = []WorkerClass{
 			{Name: "fast", Count: 4, Speed: 1, KernelSpeed: []float64{2}},
 		}
 	}
@@ -158,8 +158,8 @@ func TestPolicyChangesSchedule(t *testing.T) {
 	run := func(policy string) *Result {
 		cfg := DefaultConfig().WithCores(16)
 		cfg.Memory = false
-		cfg.Policy = policy
-		cfg.WorkerClasses = []WorkerClass{{Name: "fast", Count: 4, Speed: 2}}
+		cfg.Backend.Policy = policy
+		cfg.Backend.WorkerClasses = []WorkerClass{{Name: "fast", Count: 4, Speed: 2}}
 		r, err := RunTasks(tasks, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)

@@ -131,8 +131,8 @@ func FuzzPolicyConservation(f *testing.F) {
 
 		cfg := DefaultConfig().WithCores(16)
 		cfg.Memory = memory
-		cfg.Policy = policies[int(policySel)%len(policies)]
-		cfg.WorkerClasses = fuzzPolicyClasses(classSel, cfg.Cores)
+		cfg.Backend.Policy = policies[int(policySel)%len(policies)]
+		cfg.Backend.WorkerClasses = fuzzPolicyClasses(classSel, cfg.Cores)
 
 		seen := make([]int, ntasks)
 		cfg.OnComplete = func(seq, cycle uint64) {
@@ -142,31 +142,31 @@ func FuzzPolicyConservation(f *testing.F) {
 		}
 		want, err := RunTasks(tasks, cfg)
 		if err != nil {
-			t.Fatalf("first run (%s): %v", cfg.Policy, err)
+			t.Fatalf("first run (%s): %v", cfg.Backend.Policy, err)
 		}
 		cfg.OnComplete = nil
 		for seq, c := range seen {
 			if c != 1 {
-				t.Fatalf("policy %s: seq %d retired %d times", cfg.Policy, seq, c)
+				t.Fatalf("policy %s: seq %d retired %d times", cfg.Backend.Policy, seq, c)
 			}
 		}
 		if want.Tasks != ntasks {
-			t.Fatalf("policy %s executed %d of %d tasks", cfg.Policy, want.Tasks, ntasks)
+			t.Fatalf("policy %s executed %d of %d tasks", cfg.Backend.Policy, want.Tasks, ntasks)
 		}
 		if want.Dispatch.SpecDispatches != want.Dispatch.SpecValidated {
 			t.Fatalf("policy %s: %d speculative dispatches but %d validated",
-				cfg.Policy, want.Dispatch.SpecDispatches, want.Dispatch.SpecValidated)
+				cfg.Backend.Policy, want.Dispatch.SpecDispatches, want.Dispatch.SpecValidated)
 		}
 
 		got, err := RunTasks(tasks, cfg)
 		if err != nil {
-			t.Fatalf("second run (%s): %v", cfg.Policy, err)
+			t.Fatalf("second run (%s): %v", cfg.Backend.Policy, err)
 		}
 		wb, _ := json.Marshal(want)
 		gb, _ := json.Marshal(got)
 		if string(wb) != string(gb) {
 			t.Fatalf("policy %s (memory %v) diverged between two runs\nfirst:  %s\nsecond: %s",
-				cfg.Policy, memory, wb, gb)
+				cfg.Backend.Policy, memory, wb, gb)
 		}
 	})
 }

@@ -98,7 +98,7 @@ func RunTasksCtx(ctx context.Context, tasks []*taskmodel.Task, cfg Config) (*Res
 	// with the whole task list in hand it is derivable here. Streaming
 	// entry points have no list, so their tasks fall back to depth 0
 	// (arrival order) unless the caller supplies Backend.TaskDepth.
-	if cfg.Backend.TaskDepth == nil && cfg.EffectivePolicy() == backend.PolicyCriticalPath {
+	if cfg.Backend.TaskDepth == nil && cfg.Backend.Policy == backend.PolicyCriticalPath {
 		cfg.Backend.TaskDepth = TaskDepths(tasks, cfg.Frontend.Renaming)
 	}
 	st := newCountingStream(taskmodel.NewSliceStream(tasks), nil)
@@ -156,15 +156,10 @@ func buildMachine(cfg Config) *machine {
 	// The task-generating thread runs on its own core.
 	m.genNode = net.AddCore("generator")
 	if cfg.Memory {
-		m.memory = mem.NewSystem(eng, net, m.coreNodes, cfg.memSystemConfig())
+		m.memory = mem.NewSystem(eng, net, m.coreNodes, mem.DefaultSystemConfig(cfg.Cores))
 	}
 	bcfg := cfg.Backend
 	bcfg.Cores = cfg.Cores
-	// Resolve the sweepable policy axes into the backend config: the
-	// top-level fields win, and the backend always sees the resolved
-	// policy name (never ""), matching what CanonicalString fingerprints.
-	bcfg.Policy = cfg.EffectivePolicy()
-	bcfg.WorkerClasses = cfg.EffectiveWorkerClasses()
 	if cfg.OnComplete != nil {
 		hook := cfg.OnComplete
 		bcfg.OnComplete = func(seq uint64, at sim.Cycle) { hook(seq, uint64(at)) }
