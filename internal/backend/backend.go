@@ -207,8 +207,8 @@ func (b *Backend) trySteal(w *worker) {
 	st := victim.queue.PopBack()
 	st.w = w
 	b.steals++
-	b.net.Send(w.node, victim.node, b.cfg.CtrlBytes, func() {
-		b.net.Send(victim.node, w.node, b.cfg.CtrlBytes, func() {
+	b.net.Send(w.node, victim.node, b.cfg.CtrlBytes, sim.FuncEvent(func() {
+		b.net.Send(victim.node, w.node, b.cfg.CtrlBytes, sim.FuncEvent(func() {
 			// Re-stage on the thief (its L1 must hold the operands).
 			b.stageOperands(w, st.rt, sim.FuncEvent(func() {
 				w.queue.Push(st)
@@ -217,8 +217,8 @@ func (b *Backend) trySteal(w *worker) {
 			}))
 			// The local-queue slot moves with the task.
 			b.gtu.Submit(gtuMove{from: victim.idx, to: w.idx})
-		})
-	})
+		}))
+	}))
 }
 
 // New builds the backend and attaches the global task unit and the worker
@@ -371,7 +371,7 @@ func (b *Backend) dispatch() sim.Cycle {
 			ev.next = nil
 		}
 		ev.w, ev.rt = w, rt
-		b.net.SendEvent(b.node, w.node, size, ev)
+		b.net.Send(b.node, w.node, size, ev)
 		cost += b.cfg.DispatchCycles
 	}
 	return cost
@@ -450,7 +450,7 @@ func (ev *taskEvent) Fire() {
 			// Tell the GTU this worker's credit is now provably in
 			// flight (writeback → completion → credit), enabling one
 			// speculative early dispatch against it.
-			b.net.SendMsg(w.node, b.node, b.cfg.CtrlBytes, b.gtu, w.hint)
+			b.net.Send(w.node, b.node, b.cfg.CtrlBytes, b.eng.Deliver(b.gtu, w.hint))
 		}
 		b.maybeStart(w)
 		ev.phase = phaseWriteDone
@@ -570,7 +570,7 @@ func (b *Backend) completeTask(w *worker, rt *core.ReadyTask) {
 		b.finish.TaskFinished(w.node, rt.ID)
 	}
 	// Return the local-queue slot to the global task unit.
-	b.net.SendMsg(w.node, b.node, b.cfg.CtrlBytes, b.gtu, w.credit)
+	b.net.Send(w.node, b.node, b.cfg.CtrlBytes, b.eng.Deliver(b.gtu, w.credit))
 	// The task is fully retired: hand the dispatch record back to its
 	// issuing frontend's pool (no-op for unpooled producers).
 	rt.Release()

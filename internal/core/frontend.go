@@ -154,27 +154,27 @@ func (fe *Frontend) trsGen(id TaskID) uint32 {
 
 // --- message transport (asynchronous point-to-point over the NoC) ---
 //
-// Messages are pooled structs passed as pointers; the NoC delivers them to
-// the destination module's server through typed events, so no closure and
-// no boxing happens per message.
+// Messages are pooled structs passed as pointers; each send completes with
+// the engine's pooled Deliver event into the destination module's server,
+// so no closure and no boxing happens per message.
 
 func (fe *Frontend) sendToTRS(fromNode, trsIdx int, m any) {
 	t := fe.trs[trsIdx]
-	fe.net.SendMsg(noc.NodeID(fromNode), noc.NodeID(t.node), fe.cfg.CtrlBytes, t.srv, m)
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(t.node), fe.cfg.CtrlBytes, fe.eng.Deliver(t.srv, m))
 }
 
 func (fe *Frontend) sendToORT(fromNode, ortIdx int, m any) {
 	o := fe.ort[ortIdx]
-	fe.net.SendMsg(noc.NodeID(fromNode), noc.NodeID(o.node), fe.cfg.CtrlBytes, o.srv, m)
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(o.node), fe.cfg.CtrlBytes, fe.eng.Deliver(o.srv, m))
 }
 
 func (fe *Frontend) sendToOVT(fromNode, ovtIdx int, m any) {
 	o := fe.ovt[ovtIdx]
-	fe.net.SendMsg(noc.NodeID(fromNode), noc.NodeID(o.node), fe.cfg.CtrlBytes, o.srv, m)
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(o.node), fe.cfg.CtrlBytes, fe.eng.Deliver(o.srv, m))
 }
 
 func (fe *Frontend) sendToGW(fromNode int, m any) {
-	fe.net.SendMsg(noc.NodeID(fromNode), noc.NodeID(fe.gw.node), fe.cfg.CtrlBytes, fe.gw.srv, m)
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(fe.gw.node), fe.cfg.CtrlBytes, fe.eng.Deliver(fe.gw.srv, m))
 }
 
 func (fe *Frontend) sendToTRSFromGW(m any, trsIdx int) {
@@ -241,7 +241,7 @@ func (fe *Frontend) dispatchReady(fromNode int, rt *ReadyTask) {
 		ev.next = nil
 	}
 	ev.rt = rt
-	fe.net.SendEvent(noc.NodeID(fromNode), fe.dispatcher.Node(), size, ev)
+	fe.net.Send(noc.NodeID(fromNode), fe.dispatcher.Node(), size, ev)
 }
 
 // TaskFinished is called by the backend (from the worker's node) when a task
@@ -251,7 +251,7 @@ func (fe *Frontend) TaskFinished(fromNode noc.NodeID, id TaskID) {
 	t := fe.trs[id.TRS]
 	fm := fe.pools.finished.get()
 	*fm = trsTaskFinishedMsg{id: id}
-	fe.net.SendMsg(fromNode, noc.NodeID(t.node), fe.cfg.CtrlBytes, t.srv, fm)
+	fe.net.Send(fromNode, noc.NodeID(t.node), fe.cfg.CtrlBytes, fe.eng.Deliver(t.srv, fm))
 }
 
 // --- bookkeeping ---
@@ -459,6 +459,6 @@ func (g *Generator) trySubmit() {
 	gw.Reserve(t)
 	g.produced++
 	g.cur = nil
-	g.fe.net.SendMsg(g.node, g.fe.GatewayNode(), taskBytes(t), gw.enqSink, t)
+	g.fe.net.Send(g.node, g.fe.GatewayNode(), taskBytes(t), g.fe.eng.Deliver(gw.enqSink, t))
 	g.produce()
 }

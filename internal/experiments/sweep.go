@@ -15,9 +15,9 @@ import (
 // slots — so the printed output (and any recorded points) are byte-for-byte
 // identical whatever the worker count or completion order.
 
-// Pool is a bounded worker pool for independent simulation jobs. It is the
-// execution primitive shared by the experiment sweeps and by the tssd
-// service daemon (internal/service), which runs whole submitted jobs on one.
+// Pool is a bounded worker pool for independent simulation jobs: the points
+// of one experiment sweep, Options.Workers wide. The tssd daemon runs whole
+// jobs on its own run slots; only a sweep job's points run on a Pool.
 type Pool struct {
 	workers int
 	ctx     context.Context // optional; cancels between jobs
@@ -41,9 +41,6 @@ func (p Pool) WithContext(ctx context.Context) *Pool {
 	p.ctx = ctx
 	return &p
 }
-
-// Workers reports the pool's width.
-func (p *Pool) Workers() int { return p.workers }
 
 // Do runs job(0..n-1) across the pool and returns the lowest-index error
 // (deterministic regardless of scheduling). Every job is attempted unless

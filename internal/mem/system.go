@@ -513,13 +513,13 @@ func (ev *memEvent) Fire() {
 			m.writebacks++
 			bank := m.BankNode(ev.base)
 			base := ev.base
-			m.net.Send(bank, m.coreNodes[owner], m.cfg.CtrlBytes, func() {
+			m.net.Send(bank, m.coreNodes[owner], m.cfg.CtrlBytes, sim.FuncEvent(func() {
 				if o := m.l1[owner].get(base); o != nil {
 					o.dirty = false
 				}
 				ev.kind = evFetchData
-				m.net.SendEvent(m.coreNodes[owner], bank, ev.size, ev)
-			})
+				m.net.Send(m.coreNodes[owner], bank, ev.size, ev)
+			}))
 		case e.inL2:
 			ev.kind = evFetchData
 			ev.Fire()
@@ -537,7 +537,7 @@ func (ev *memEvent) Fire() {
 	case evFetchBurst:
 		m.bytesMoved += uint64(ev.size)
 		ev.kind = evFetchInstall
-		m.net.SendEvent(m.BankNode(ev.base), m.coreNodes[ev.core], ev.size, ev)
+		m.net.Send(m.BankNode(ev.base), m.coreNodes[ev.core], ev.size, ev)
 	case evFetchInstall:
 		m.install(int(ev.core), ev.base, ev.size, false)
 		then := ev.then
@@ -567,7 +567,7 @@ func (m *System) Fetch(core int, base uint64, size uint32, then func()) {
 	}
 	// Request message to the home bank.
 	ev := m.getEvent(evFetchReq, core, base, size, then)
-	m.net.SendEvent(m.coreNodes[core], m.BankNode(base), m.cfg.CtrlBytes, ev)
+	m.net.Send(m.coreNodes[core], m.BankNode(base), m.cfg.CtrlBytes, ev)
 }
 
 // AcquireWrite obtains exclusive ownership of the object for core without
@@ -581,13 +581,13 @@ func (m *System) AcquireWrite(core int, base uint64, size uint32, then func()) {
 	e := m.entry(base, size)
 	bank := m.BankNode(base)
 	coreNode := m.coreNodes[core]
-	m.net.Send(coreNode, bank, m.cfg.CtrlBytes, func() {
+	m.net.Send(coreNode, bank, m.cfg.CtrlBytes, sim.FuncEvent(func() {
 		m.invalidateOthers(core, base, e, func() {
 			m.install(core, base, size, true)
 			e.owner = int32(core)
 			m.eng.Schedule(m.cfg.L1Latency, then)
 		})
-	})
+	}))
 }
 
 // FetchExclusive acquires a writable copy including current data (inout
@@ -626,20 +626,20 @@ func (m *System) invalidateOthers(core int, base uint64, e *dirEntry, then func(
 	for _, tgt := range targets {
 		tgt := tgt
 		m.invalidations++
-		m.net.Send(bank, m.coreNodes[tgt], m.cfg.CtrlBytes, func() {
+		m.net.Send(bank, m.coreNodes[tgt], m.cfg.CtrlBytes, sim.FuncEvent(func() {
 			st := m.l1[tgt]
 			if o := st.get(base); o != nil {
 				size := o.size
 				st.delete(base)
 				st.used -= uint64(size)
 			}
-			m.net.Send(m.coreNodes[tgt], bank, m.cfg.CtrlBytes, func() {
+			m.net.Send(m.coreNodes[tgt], bank, m.cfg.CtrlBytes, sim.FuncEvent(func() {
 				pending--
 				if pending == 0 {
 					then()
 				}
-			})
-		})
+			}))
+		}))
 		e.dropSharer(tgt)
 	}
 	if e.owner >= 0 && e.owner != int32(core) {
@@ -666,7 +666,7 @@ func (m *System) Writeback(core int, base uint64, size uint32, then func()) {
 	m.writebacks++
 	m.bytesMoved += uint64(size)
 	ev := m.getEvent(evWriteback, core, base, size, then)
-	m.net.SendEvent(m.coreNodes[core], m.BankNode(base), size, ev)
+	m.net.Send(m.coreNodes[core], m.BankNode(base), size, ev)
 }
 
 // Copy performs a DMA copy between two objects (rename-buffer copy-back):
@@ -677,16 +677,16 @@ func (m *System) Copy(src, dst uint64, size uint32, done sim.Event) {
 	m.dmaCopies++
 	m.bytesMoved += uint64(size)
 	e := m.entry(dst, size)
-	m.net.Send(m.dmaNode, m.BankNode(src), m.cfg.CtrlBytes, func() {
-		m.net.Send(m.BankNode(src), m.BankNode(dst), size, func() {
+	m.net.Send(m.dmaNode, m.BankNode(src), m.cfg.CtrlBytes, sim.FuncEvent(func() {
+		m.net.Send(m.BankNode(src), m.BankNode(dst), size, sim.FuncEvent(func() {
 			m.invalidateOthers(-1, dst, e, func() {
 				e.inL2 = true
 				if done != nil {
 					done.Fire()
 				}
 			})
-		})
-	})
+		}))
+	}))
 }
 
 // Stats reports cumulative memory-system activity.

@@ -125,7 +125,7 @@ func (n *Network) bridgeLocalStop() int { return n.coresPerRing }
 // hopEvent relays one message across the ring hops of a bridged route. One
 // pooled instance carries the whole journey: each Fire reserves the next
 // hop and reschedules itself at that hop's arrival; the final Fire records
-// latency, recycles the event, and performs the completion action.
+// latency, recycles the event, and fires the send's completion.
 type hopEvent struct {
 	net    *Network
 	bytes  uint32
@@ -135,12 +135,7 @@ type hopEvent struct {
 	rings  [3]*Ring
 	froms  [3]int
 	tos    [3]int
-
-	// Completion action: exactly one of sink (+m), ev, fn is set.
-	sink sim.Sink
-	m    any
-	ev   sim.Event
-	fn   func()
+	ev     sim.Event // the send's completion; nil for none
 
 	next *hopEvent
 }
@@ -149,22 +144,17 @@ func (h *hopEvent) Fire() {
 	if h.stage < h.stages {
 		i := h.stage
 		h.stage++
-		h.rings[i].TransferEvent(h.froms[i], h.tos[i], h.bytes, h)
+		h.rings[i].Transfer(h.froms[i], h.tos[i], h.bytes, h)
 		return
 	}
 	net := h.net
 	net.totalLatency += net.eng.Now() - h.sent
-	sink, m, ev, fn := h.sink, h.m, h.ev, h.fn
-	h.sink, h.m, h.ev, h.fn = nil, nil, nil, nil
+	ev := h.ev
+	h.ev = nil
 	h.next = net.freeHop
 	net.freeHop = h
-	switch {
-	case sink != nil:
-		sink.Submit(m)
-	case ev != nil:
+	if ev != nil {
 		ev.Fire()
-	case fn != nil:
-		fn()
 	}
 }
 
@@ -190,39 +180,28 @@ func (h *hopEvent) addHop(r *Ring, from, to int) {
 	h.stages++
 }
 
-// send is the shared transport core behind Send, SendEvent and SendMsg.
-// Exactly one completion action (sink+m, ev, or fn) may be set; all are
-// performed at tail arrival. Ring-resident routes complete through the
-// engine's allocation-free scheduling paths; bridged routes relay through a
-// pooled hopEvent. The returned arrival cycle is 0 for bridged routes,
-// where it is only known once the last hop is reserved.
-func (n *Network) send(from, to NodeID, bytes uint32, sink sim.Sink, m any, ev sim.Event, fn func()) sim.Cycle {
+// Send moves a message of the given size from one node to another and
+// fires ev when its tail arrives; a nil ev still books the route but
+// completes nothing. Ring-resident routes reserve their ring now and
+// schedule ev directly; bridged routes relay through a pooled hopEvent.
+// The returned arrival cycle is for observability, and is 0 on bridged
+// routes, where it is only known once the last hop is reserved.
+func (n *Network) Send(from, to NodeID, bytes uint32, ev sim.Event) sim.Cycle {
 	if !n.built {
 		panic("noc: Send before Build")
 	}
 	nf, nt := &n.nodes[from], &n.nodes[to]
 	n.messages++
-	sent := n.eng.Now()
 
-	// Single-ring routes: reserve now, schedule the completion directly.
 	if single := n.singleRing(nf, nt); single != nil {
 		sf, st := n.ringStops(nf, nt)
-		var arrival sim.Cycle
-		switch {
-		case sink != nil:
-			arrival = single.TransferDeliver(sf, st, bytes, sink, m)
-		case ev != nil:
-			arrival = single.TransferEvent(sf, st, bytes, ev)
-		default:
-			arrival = single.Transfer(sf, st, bytes, fn)
-		}
-		n.totalLatency += arrival - sent
+		arrival := single.Transfer(sf, st, bytes, ev)
+		n.totalLatency += arrival - n.eng.Now()
 		return arrival
 	}
 
-	// Bridged routes: relay via a pooled hop event.
 	h := n.getHop(bytes)
-	h.sink, h.m, h.ev, h.fn = sink, m, ev, fn
+	h.ev = ev
 	if nf.kind == kindCore {
 		h.addHop(n.locals[nf.localRing], nf.localStop, n.bridgeLocalStop())
 	}
@@ -230,7 +209,7 @@ func (n *Network) send(from, to NodeID, bytes uint32, sink sim.Sink, m any, ev s
 	if nt.kind == kindCore {
 		h.addHop(n.locals[nt.localRing], n.bridgeLocalStop(), nt.localStop)
 	}
-	h.Fire() // reserves hop 0 immediately, as the closure chain used to
+	h.Fire() // reserves hop 0 immediately
 	return 0
 }
 
@@ -252,26 +231,6 @@ func (n *Network) ringStops(nf, nt *node) (from, to int) {
 		return nf.localStop, nt.localStop
 	}
 	return nf.globalStop, nt.globalStop
-}
-
-// Send moves a message of the given size from one node to another and
-// schedules then at arrival. It returns the arrival cycle for observability
-// (0 on bridged routes, where arrival is known only via the callback).
-func (n *Network) Send(from, to NodeID, bytes uint32, then func()) sim.Cycle {
-	return n.send(from, to, bytes, nil, nil, nil, then)
-}
-
-// SendEvent is Send with a typed completion event: ev fires at arrival with
-// no per-message allocation.
-func (n *Network) SendEvent(from, to NodeID, bytes uint32, ev sim.Event) sim.Cycle {
-	return n.send(from, to, bytes, nil, nil, ev, nil)
-}
-
-// SendMsg delivers m to sink when the message arrives. With a pooled or
-// pointer-typed m this is the zero-allocation transport used by all
-// frontend and backend protocol traffic.
-func (n *Network) SendMsg(from, to NodeID, bytes uint32, sink sim.Sink, m any) sim.Cycle {
-	return n.send(from, to, bytes, sink, m, nil, nil)
 }
 
 // Messages returns the number of Send calls completed or in flight.

@@ -94,7 +94,7 @@ func TestRingCallbackFires(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewRing(e, "r", 4, DefaultConfig())
 	var at sim.Cycle
-	want := r.Transfer(0, 2, 32, func() { at = e.Now() })
+	want := r.Transfer(0, 2, 32, sim.FuncEvent(func() { at = e.Now() }))
 	e.Run()
 	if at != want {
 		t.Fatalf("callback at %d, want %d", at, want)
@@ -127,7 +127,7 @@ func buildNet(t *testing.T, cores int) (*sim.Engine, *Network, []NodeID, []NodeI
 func TestNetworkSameLocalRing(t *testing.T) {
 	e, n, cores, _ := buildNet(t, 16)
 	done := false
-	n.Send(cores[0], cores[1], 16, func() { done = true })
+	n.Send(cores[0], cores[1], 16, sim.FuncEvent(func() { done = true }))
 	e.Run()
 	if !done {
 		t.Fatal("same-ring message not delivered")
@@ -137,7 +137,7 @@ func TestNetworkSameLocalRing(t *testing.T) {
 func TestNetworkCrossRing(t *testing.T) {
 	e, n, cores, _ := buildNet(t, 16)
 	var arrival sim.Cycle
-	n.Send(cores[0], cores[9], 16, func() { arrival = e.Now() })
+	n.Send(cores[0], cores[9], 16, sim.FuncEvent(func() { arrival = e.Now() }))
 	e.Run()
 	if arrival == 0 {
 		t.Fatal("cross-ring message not delivered")
@@ -145,7 +145,7 @@ func TestNetworkCrossRing(t *testing.T) {
 	// Must traverse local + global + local: strictly slower than same-ring.
 	var sameRing sim.Cycle
 	e2, n2, cores2, _ := buildNet(t, 16)
-	n2.Send(cores2[0], cores2[1], 16, func() { sameRing = e2.Now() })
+	n2.Send(cores2[0], cores2[1], 16, sim.FuncEvent(func() { sameRing = e2.Now() }))
 	e2.Run()
 	if arrival <= sameRing {
 		t.Fatalf("cross-ring latency %d not greater than same-ring %d", arrival, sameRing)
@@ -155,9 +155,9 @@ func TestNetworkCrossRing(t *testing.T) {
 func TestNetworkCoreToGlobal(t *testing.T) {
 	e, n, cores, globals := buildNet(t, 16)
 	var up, down sim.Cycle
-	n.Send(cores[3], globals[0], 64, func() { up = e.Now() })
+	n.Send(cores[3], globals[0], 64, sim.FuncEvent(func() { up = e.Now() }))
 	e.Run()
-	n.Send(globals[0], cores[3], 64, func() { down = e.Now() })
+	n.Send(globals[0], cores[3], 64, sim.FuncEvent(func() { down = e.Now() }))
 	e.Run()
 	if up == 0 || down == 0 {
 		t.Fatal("core<->global messages not delivered")
@@ -173,10 +173,43 @@ func TestNetworkCoreToGlobal(t *testing.T) {
 func TestNetworkGlobalToGlobal(t *testing.T) {
 	e, n, _, globals := buildNet(t, 8)
 	delivered := false
-	n.Send(globals[0], globals[3], 64, func() { delivered = true })
+	n.Send(globals[0], globals[3], 64, sim.FuncEvent(func() { delivered = true }))
 	e.Run()
 	if !delivered {
 		t.Fatal("global-global message not delivered")
+	}
+}
+
+// A bridged send without a completion still books every ring on its route:
+// the memory system's eviction writebacks are such sends, and traffic
+// behind them must wait exactly as it would behind any other message.
+func TestNetworkNilEventSendOccupiesRoute(t *testing.T) {
+	// second returns when a 640-byte core 3 -> global 0 message arrives,
+	// sent after first (or alone when first is false), and the network's
+	// message count.
+	second := func(first bool, firstEv sim.Event) (sim.Cycle, uint64) {
+		e, n, cores, globals := buildNet(t, 16)
+		if first {
+			n.Send(cores[3], globals[0], 640, firstEv)
+		}
+		var at sim.Cycle
+		n.Send(cores[3], globals[0], 640, sim.FuncEvent(func() { at = e.Now() }))
+		e.Run()
+		return at, n.Messages()
+	}
+	alone, _ := second(false, nil)
+	behindEvent, _ := second(true, sim.FuncEvent(func() {}))
+	behindNil, msgs := second(true, nil)
+	if behindNil != behindEvent {
+		t.Fatalf("behind a nil-event send the message arrives at %d, behind a send with an event at %d",
+			behindNil, behindEvent)
+	}
+	if behindNil <= alone {
+		t.Fatalf("behind a nil-event send the message arrives at %d, no later than alone (%d)",
+			behindNil, alone)
+	}
+	if msgs != 2 {
+		t.Fatalf("Messages() = %d, want 2", msgs)
 	}
 }
 

@@ -131,30 +131,15 @@ func (r *Ring) serCycles(bytes uint32) sim.Cycle {
 	return c
 }
 
-// Transfer moves bytes from stop `from` to stop `to` and calls then when the
-// tail arrives. It returns the scheduled arrival cycle. Same-stop transfers
-// only pay the router overhead.
-func (r *Ring) Transfer(from, to int, bytes uint32, then func()) sim.Cycle {
+// Transfer moves bytes from stop `from` to stop `to` and fires ev when the
+// tail arrives (a nil ev books the segments and schedules nothing). It
+// returns the arrival cycle. Same-stop transfers only pay the router
+// overhead.
+func (r *Ring) Transfer(from, to int, bytes uint32, ev sim.Event) sim.Cycle {
 	arrival := r.Reserve(from, to, bytes)
-	if then != nil {
-		r.eng.ScheduleAt(arrival, then)
+	if ev != nil {
+		r.eng.ScheduleEventAt(arrival, ev)
 	}
-	return arrival
-}
-
-// TransferEvent is Transfer with a typed completion event: ev fires at
-// arrival through the engine's allocation-free event path.
-func (r *Ring) TransferEvent(from, to int, bytes uint32, ev sim.Event) sim.Cycle {
-	arrival := r.Reserve(from, to, bytes)
-	r.eng.ScheduleEventAt(arrival, ev)
-	return arrival
-}
-
-// TransferDeliver is Transfer that hands m to sink at arrival through the
-// engine's pooled delivery events.
-func (r *Ring) TransferDeliver(from, to int, bytes uint32, sink sim.Sink, m any) sim.Cycle {
-	arrival := r.Reserve(from, to, bytes)
-	r.eng.ScheduleDeliverAt(arrival, sink, m)
 	return arrival
 }
 

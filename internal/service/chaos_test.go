@@ -56,10 +56,14 @@ type chaosFleet struct {
 
 func (cf *chaosFleet) dispatcherConfig() Config {
 	return Config{
-		Fleet:             true,
-		JournalDir:        filepath.Join(cf.dir, "journal"),
-		CacheDir:          filepath.Join(cf.dir, "cache"),
-		DispatchRetry:     RetryPolicy{Attempts: 9, Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
+		Fleet:      true,
+		JournalDir: filepath.Join(cf.dir, "journal"),
+		CacheDir:   filepath.Join(cf.dir, "cache"),
+		// chaosPlan fails about half of all worker attempts by design
+		// (p ≈ 0.49–0.50 per attempt), so a 9-attempt budget ran out for
+		// about one job in 600 (0.49^9 ≈ 1.7e-3); 24 attempts make that
+		// 0.49^24 ≈ 4e-8.
+		DispatchRetry:     RetryPolicy{Attempts: 24, Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
 		NoWorkerWait:      20 * time.Second,
 		BreakerCooldown:   100 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond,

@@ -46,9 +46,6 @@ type Config struct {
 	// 1024 entries, 64 MiB), which a daemon uses only without CacheDir.
 	CacheEntries int
 	CacheBytes   int64
-	// MaxLogLines bounds the per-job log retained for SSE replay
-	// (default 4096; older lines are dropped, newest kept).
-	MaxLogLines int
 	// MaxJobs bounds the job registry (default 4096): beyond it the
 	// oldest *terminal* job records — including their pinned result
 	// bytes — are evicted and subsequently 404. Results stay available
@@ -285,9 +282,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
-	}
-	if cfg.MaxLogLines <= 0 {
-		cfg.MaxLogLines = 4096
 	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 4096
@@ -527,12 +521,16 @@ func (s *Server) deadlineErr(e *execution, err error) error {
 	return err
 }
 
+// maxLogLines bounds the per-job log retained for SSE replay; older lines
+// are dropped, newest kept.
+const maxLogLines = 4096
+
 // appendLog appends one log line to an execution, trimming to the retention
 // bound and waking the SSE watchers.
 func (s *Server) appendLog(e *execution, line string) {
 	e.set(func() {
 		e.logs = append(e.logs, line)
-		if over := len(e.logs) - s.cfg.MaxLogLines; over > 0 {
+		if over := len(e.logs) - maxLogLines; over > 0 {
 			e.logs = e.logs[over:]
 			e.logBase += over
 		}

@@ -7,11 +7,11 @@
 // of the simulated 3.2 GHz CMP (see Table II of the paper).
 //
 // Every pending event is one Event stored in a 32-byte calendar-queue cell.
-// Schedule/ScheduleAt take a closure and store it as a FuncEvent (a func
-// value is pointer-shaped, so the conversion does not allocate);
-// ScheduleEvent takes any Event, which is how hot paths schedule pooled or
+// Schedule takes a closure and stores it as a FuncEvent (a func value is
+// pointer-shaped, so the conversion does not allocate); ScheduleEvent and
+// ScheduleEventAt take any Event, which is how hot paths schedule pooled or
 // self-firing objects — Server is the Event for its own dispatch, and
-// ScheduleDeliver recycles delivery events through an engine free list.
+// Deliver hands out delivery events recycled through an engine free list.
 // Scheduling a prebuilt closure or an Event therefore performs no
 // allocation at all — see docs/ARCHITECTURE.md for the invariants hot
 // senders rely on.
@@ -30,15 +30,16 @@ type Event interface {
 }
 
 // Sink consumes simulation messages at delivery time. Server[any]
-// implements it, which lets the NoC hand a message straight to a module's
-// input queue through a pooled delivery event instead of a fresh closure.
+// implements it, which lets a Deliver event hand a message straight to a
+// module's input queue instead of through a fresh closure.
 type Sink interface {
 	Submit(m any)
 }
 
-// FuncEvent adapts a closure to Event. Schedule and ScheduleAt store their
-// closures this way; converting a func value to FuncEvent and on to Event
-// does not allocate, so a prebuilt closure schedules for free.
+// FuncEvent adapts a closure to Event. Schedule stores its closure this
+// way; converting a func value to FuncEvent and on to Event does not
+// allocate, so a prebuilt closure schedules (or completes a NoC send) for
+// free.
 type FuncEvent func()
 
 // Fire implements Event.
@@ -53,7 +54,7 @@ type Engine struct {
 
 	// freeDeliver is the engine-owned free list (deliberately not a
 	// sync.Pool: engines are single-threaded and pool hits must be
-	// allocation- and lock-free) backing ScheduleDeliver.
+	// allocation- and lock-free) backing Deliver.
 	freeDeliver *deliverEvent
 }
 
@@ -77,17 +78,6 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 	e.q.schedule(cell{at: e.now + delay, seq: e.seq, ev: FuncEvent(fn)})
 }
 
-// ScheduleAt arranges for fn to run at the given absolute cycle. Scheduling
-// in the past is an error in the caller; the event fires immediately (at the
-// current cycle) instead of time-travelling.
-func (e *Engine) ScheduleAt(at Cycle, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.q.schedule(cell{at: at, seq: e.seq, ev: FuncEvent(fn)})
-}
-
 // ScheduleEvent arranges for ev.Fire to run delay cycles from now, without
 // allocating: the event reference is stored directly in the queue cell.
 func (e *Engine) ScheduleEvent(delay Cycle, ev Event) {
@@ -95,8 +85,9 @@ func (e *Engine) ScheduleEvent(delay Cycle, ev Event) {
 	e.q.schedule(cell{at: e.now + delay, seq: e.seq, ev: ev})
 }
 
-// ScheduleEventAt is ScheduleEvent with an absolute cycle, clamped to the
-// present like ScheduleAt.
+// ScheduleEventAt is ScheduleEvent with an absolute cycle. Scheduling in
+// the past is an error in the caller; the event fires immediately (at the
+// current cycle) instead of time-travelling.
 func (e *Engine) ScheduleEventAt(at Cycle, ev Event) {
 	if at < e.now {
 		at = e.now
@@ -125,7 +116,12 @@ func (d *deliverEvent) Fire() {
 	sink.Submit(m)
 }
 
-func (e *Engine) getDeliver(sink Sink, m any) *deliverEvent {
+// Deliver returns an event that submits m to sink when it fires. The event
+// comes from the engine's free list and returns to it on firing, so a
+// steady-state delivery neither allocates nor builds a closure; the caller
+// must schedule it (ScheduleEvent, or as a NoC send's completion) exactly
+// once.
+func (e *Engine) Deliver(sink Sink, m any) Event {
 	d := e.freeDeliver
 	if d == nil {
 		d = &deliverEvent{eng: e}
@@ -136,17 +132,6 @@ func (e *Engine) getDeliver(sink Sink, m any) *deliverEvent {
 	d.sink = sink
 	d.m = m
 	return d
-}
-
-// ScheduleDeliver submits m to sink delay cycles from now through a pooled
-// delivery event (no closure, no allocation in steady state).
-func (e *Engine) ScheduleDeliver(delay Cycle, sink Sink, m any) {
-	e.ScheduleEvent(delay, e.getDeliver(sink, m))
-}
-
-// ScheduleDeliverAt is ScheduleDeliver with an absolute cycle.
-func (e *Engine) ScheduleDeliverAt(at Cycle, sink Sink, m any) {
-	e.ScheduleEventAt(at, e.getDeliver(sink, m))
 }
 
 // Step fires the next event, advancing the clock to its timestamp.

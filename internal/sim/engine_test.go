@@ -115,11 +115,11 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 func TestScheduleAtPastClamps(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(20, func() {
-		e.ScheduleAt(5, func() {
+		e.ScheduleEventAt(5, FuncEvent(func() {
 			if e.Now() != 20 {
 				t.Errorf("past event fired at %d, want clamped to 20", e.Now())
 			}
-		})
+		}))
 	})
 	e.Run()
 }
@@ -184,20 +184,6 @@ func TestServerSerializesWork(t *testing.T) {
 		t.Fatalf("BusyCycles() = %d, want 30", srv2.BusyCycles())
 	}
 	_ = srv
-}
-
-func TestServerSubmitAfter(t *testing.T) {
-	e := NewEngine()
-	var at Cycle
-	srv := NewServer(e, "u", func(m string) Cycle {
-		at = e.Now()
-		return 5
-	})
-	srv.SubmitAfter(17, "x")
-	e.Run()
-	if at != 17 {
-		t.Fatalf("message serviced at %d, want 17", at)
-	}
 }
 
 func TestServerQueueStats(t *testing.T) {
@@ -295,34 +281,17 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 2*int(calWindow); i++ {
 		e.Schedule(Cycle(i), fn)
 		if i%16 == 0 {
-			e.ScheduleDeliver(Cycle(i), sink, 7)
+			e.ScheduleEvent(Cycle(i), e.Deliver(sink, 7))
 		}
 	}
 	e.Run()
 	if avg := testing.AllocsPerRun(500, func() {
 		e.Schedule(3, fn)
 		e.Schedule(250, fn)
-		e.ScheduleDeliver(17, sink, 7)
+		e.ScheduleEvent(17, e.Deliver(sink, 7))
 		e.Run()
 	}); avg != 0 {
 		t.Fatalf("steady-state schedule/pop allocated %.1f times per run, want 0", avg)
-	}
-}
-
-// SubmitAfter recycles its carrier events, so repeated deferred submits do
-// not allocate either.
-func TestServerSubmitAfterZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	srv := NewServer(e, "u", func(int) Cycle { return 2 })
-	for i := 0; i < 2*int(calWindow); i++ {
-		srv.SubmitAfter(Cycle(i), 1)
-	}
-	e.Run()
-	if avg := testing.AllocsPerRun(500, func() {
-		srv.SubmitAfter(9, 1)
-		e.Run()
-	}); avg != 0 {
-		t.Fatalf("SubmitAfter allocated %.1f times per run, want 0", avg)
 	}
 }
 

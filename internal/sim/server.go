@@ -24,8 +24,6 @@ type Server[M any] struct {
 	busy  bool
 	queue FIFO[M]
 
-	freeSub *submitEvent[M] // free list backing SubmitAfter
-
 	// Stats.
 	served    uint64
 	busyUntil Cycle
@@ -53,36 +51,6 @@ func (s *Server[M]) Submit(m M) {
 		s.busy = true
 		s.eng.ScheduleEvent(0, s)
 	}
-}
-
-// submitEvent defers one message across a transit delay; instances recycle
-// through the owning server's free list.
-type submitEvent[M any] struct {
-	s    *Server[M]
-	m    M
-	next *submitEvent[M]
-}
-
-func (ev *submitEvent[M]) Fire() {
-	s, m := ev.s, ev.m
-	var zero M
-	ev.m = zero
-	ev.next = s.freeSub
-	s.freeSub = ev
-	s.Submit(m)
-}
-
-// SubmitAfter enqueues a message after a transit delay (e.g. NoC latency).
-func (s *Server[M]) SubmitAfter(delay Cycle, m M) {
-	ev := s.freeSub
-	if ev == nil {
-		ev = &submitEvent[M]{s: s}
-	} else {
-		s.freeSub = ev.next
-		ev.next = nil
-	}
-	ev.m = m
-	s.eng.ScheduleEvent(delay, ev)
 }
 
 // Fire implements Event: it is the server's dispatch step, scheduled by

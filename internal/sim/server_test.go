@@ -106,16 +106,15 @@ func (s *refServer) dispatch() {
 	s.r.schedule(s.h(m), s.dispatch)
 }
 
-// mixedAPI abstracts the five ways a model schedules work, so one random
+// mixedAPI abstracts the four ways a model schedules work, so one random
 // scenario can drive both the real engine and the reference.
 type mixedAPI struct {
-	now         func() Cycle
-	closure     func(d Cycle, fn func())
-	event       func(d Cycle, fn func())
-	deliver     func(d Cycle, m int)
-	submit      func(m int)
-	submitAfter func(d Cycle, m int)
-	serve       func(m int) Cycle // the server's handler, set by the scenario
+	now     func() Cycle
+	closure func(d Cycle, fn func())
+	event   func(d Cycle, fn func())
+	deliver func(d Cycle, m int)
+	submit  func(m int)
+	serve   func(m int) Cycle // the server's handler, set by the scenario
 }
 
 // testEvent is a typed (non-closure) Event for the mixed-order test.
@@ -151,7 +150,7 @@ func mixedScenario(api *mixedAPI, seed int64, count int) []firing {
 		myID := id
 		id++
 		d := delays[rng.Intn(len(delays))]
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0:
 			api.closure(d, body(myID, depth))
 		case 1:
@@ -160,8 +159,6 @@ func mixedScenario(api *mixedAPI, seed int64, count int) []firing {
 			api.deliver(d, myID)
 		case 3:
 			api.submit(myID)
-		case 4:
-			api.submitAfter(d, myID)
 		}
 	}
 	api.serve = func(m int) Cycle {
@@ -177,11 +174,11 @@ func mixedScenario(api *mixedAPI, seed int64, count int) []firing {
 	return trace
 }
 
-// Closures, typed events, pooled deliveries, SubmitAfter transits and
-// Server self-dispatch all share one cell representation and one sequence
-// counter. Property: an arbitrary interleaving of them fires in exactly the
-// (cycle, seq) order of the reference engine — same steps, same cycles, same
-// total event count (server idle-outs included) and same final clock.
+// Closures, typed events, pooled deliveries and Server self-dispatch all
+// share one cell representation and one sequence counter. Property: an
+// arbitrary interleaving of them fires in exactly the (cycle, seq) order of
+// the reference engine — same steps, same cycles, same total event count
+// (server idle-outs included) and same final clock.
 func TestMixedEventKindsFireInReferenceOrder(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		count := int(n%64) + 4
@@ -190,12 +187,11 @@ func TestMixedEventKindsFireInReferenceOrder(t *testing.T) {
 		var api mixedAPI
 		srv := NewServer[any](e, "srv", func(m any) Cycle { return api.serve(m.(int)) })
 		api = mixedAPI{
-			now:         e.Now,
-			closure:     e.Schedule,
-			event:       func(d Cycle, fn func()) { e.ScheduleEvent(d, &testEvent{fn}) },
-			deliver:     func(d Cycle, m int) { e.ScheduleDeliver(d, srv, m) },
-			submit:      func(m int) { srv.Submit(m) },
-			submitAfter: func(d Cycle, m int) { srv.SubmitAfter(d, m) },
+			now:     e.Now,
+			closure: e.Schedule,
+			event:   func(d Cycle, fn func()) { e.ScheduleEvent(d, &testEvent{fn}) },
+			deliver: func(d Cycle, m int) { e.ScheduleEvent(d, e.Deliver(srv, m)) },
+			submit:  func(m int) { srv.Submit(m) },
 		}
 		got := mixedScenario(&api, seed, count)
 		end := e.Run()
@@ -204,12 +200,11 @@ func TestMixedEventKindsFireInReferenceOrder(t *testing.T) {
 		var rapi mixedAPI
 		rsrv := &refServer{r: r, h: func(m any) Cycle { return rapi.serve(m.(int)) }}
 		rapi = mixedAPI{
-			now:         func() Cycle { return r.now },
-			closure:     r.schedule,
-			event:       r.schedule,
-			deliver:     func(d Cycle, m int) { r.schedule(d, func() { rsrv.submit(m) }) },
-			submit:      func(m int) { rsrv.submit(m) },
-			submitAfter: func(d Cycle, m int) { r.schedule(d, func() { rsrv.submit(m) }) },
+			now:     func() Cycle { return r.now },
+			closure: r.schedule,
+			event:   r.schedule,
+			deliver: func(d Cycle, m int) { r.schedule(d, func() { rsrv.submit(m) }) },
+			submit:  func(m int) { rsrv.submit(m) },
 		}
 		want := mixedScenario(&rapi, seed, count)
 		r.run()

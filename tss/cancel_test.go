@@ -25,7 +25,6 @@ func TestRunCtxUncancelledMatchesRun(t *testing.T) {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		b2 := wl.Gen(600, 7)
-		cfg.CancelCheckCycles = 1000 // aggressive polling must not perturb anything
 		got, err := RunTasksCtx(ctx, b2.Tasks, cfg)
 		cancel()
 		if err != nil {
@@ -65,7 +64,6 @@ func TestRunTasksCtxCancelMidRun(t *testing.T) {
 	b := wl.Gen(2000, 7)
 	cfg := DefaultConfig().WithCores(16)
 	cfg.Memory = false
-	cfg.CancelCheckCycles = 4096
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var cancelAt uint64
@@ -97,19 +95,5 @@ func TestRunStreamCtxCancelled(t *testing.T) {
 	_, err := RunStreamCtx(ctx, workloads.NewCPIStream(5000, 42), cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want wrap of context.Canceled", err)
-	}
-}
-
-// CancelCheckCycles is an observer knob: it must not enter the canonical
-// config encoding, or identical machines would stop sharing cache keys.
-func TestCancelCheckCyclesNotInFingerprint(t *testing.T) {
-	a := DefaultConfig()
-	b := DefaultConfig()
-	b.CancelCheckCycles = 12345
-	if a.CanonicalString() != b.CanonicalString() {
-		t.Fatal("CancelCheckCycles leaked into CanonicalString")
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("CancelCheckCycles leaked into Fingerprint")
 	}
 }

@@ -26,8 +26,7 @@ const SimVersion = "tss-sim/2"
 // (and the Fingerprint derived from it) is the cache key used by the tssd
 // daemon's result cache.
 //
-// Function-valued fields (OnComplete/OnDispatch hooks), the
-// cancellation-poll granularity (CancelCheckCycles), the SpecValidate
+// Function-valued fields (OnComplete/OnDispatch hooks), the SpecValidate
 // replay trace, and the derived per-workload Backend.TaskDepth table are
 // observers or derived inputs, not machine state, and are excluded, as is
 // Backend.Cores, which every run overrides with Cores. The dispatch policy

@@ -92,13 +92,6 @@ type Config struct {
 	// number and completion cycle) as it happens. It is the bounded-memory
 	// alternative to Result.Start/Finish for streamed runs.
 	OnComplete func(seq, cycle uint64)
-
-	// CancelCheckCycles is the simulated-cycle granularity at which the
-	// context-taking entry points (RunCtx, RunTasksCtx, RunStreamCtx) poll
-	// for cancellation (0: sim.DefaultCancelCheckCycles). Like OnComplete
-	// it is an observer, not machine state: it never alters event order,
-	// so it is excluded from CanonicalString and cannot change a result.
-	CancelCheckCycles uint64
 }
 
 // DefaultConfig returns the paper's operating point: 256 cores, 8 TRS,

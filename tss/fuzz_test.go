@@ -52,7 +52,6 @@ func FuzzConfigCanonicalString(f *testing.F) {
 		// Observers are not machine state: attaching them must not move
 		// the content address.
 		b.OnComplete = func(seq, cycle uint64) {}
-		b.CancelCheckCycles = 99999
 		if b.CanonicalString() != canon {
 			t.Fatal("observer fields leaked into CanonicalString")
 		}

@@ -54,7 +54,7 @@ func RunPartitioned(partitions []*Program, cfg Config) (*Result, error) {
 	for i, ts := range streams {
 		counting[i] = newCountingStream(&rawStream{tasks: ts}, nil)
 	}
-	return runHardwareMulti(context.Background(), counting, cfg, true)
+	return runHardwareMulti(context.Background(), counting, cfg)
 }
 
 // checkDisjoint rejects partitions that touch the same memory object.

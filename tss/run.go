@@ -73,9 +73,9 @@ func Run(p *Program, cfg Config) (*Result, error) {
 }
 
 // RunCtx is Run with cooperative cancellation: the simulation loop polls ctx
-// every Config.CancelCheckCycles simulated cycles (a pure observation — an
-// uncancelled RunCtx is cycle-exact identical to Run) and, once cancelled,
-// abandons the machine and returns an error wrapping ctx.Err().
+// every sim.DefaultCancelCheckCycles simulated cycles (a pure observation —
+// an uncancelled RunCtx is cycle-exact identical to Run) and, once
+// cancelled, abandons the machine and returns an error wrapping ctx.Err().
 func RunCtx(ctx context.Context, p *Program, cfg Config) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -102,30 +102,29 @@ func RunTasksCtx(ctx context.Context, tasks []*taskmodel.Task, cfg Config) (*Res
 		cfg.Backend.TaskDepth = TaskDepths(tasks, cfg.Frontend.Renaming)
 	}
 	st := newCountingStream(taskmodel.NewSliceStream(tasks), nil)
-	return dispatchRun(ctx, st, cfg, true)
+	return dispatchRun(ctx, st, cfg)
 }
 
-// dispatchRun executes one task stream on the selected runtime. record
-// retains the per-task schedule (O(tasks) memory; pre-recorded runs only).
-func dispatchRun(ctx context.Context, st *countingStream, cfg Config, record bool) (*Result, error) {
+// dispatchRun executes one task stream on the selected runtime.
+func dispatchRun(ctx context.Context, st *countingStream, cfg Config) (*Result, error) {
 	switch cfg.Runtime {
 	case Sequential:
-		return runSequential(ctx, st, cfg, record)
+		return runSequential(ctx, st, cfg)
 	case HardwarePipeline:
-		return runHardwareMulti(ctx, []*countingStream{st}, cfg, record)
+		return runHardwareMulti(ctx, []*countingStream{st}, cfg)
 	case SoftwareRuntime:
-		return runSoftware(ctx, st, cfg, record)
+		return runSoftware(ctx, st, cfg)
 	default:
 		return nil, fmt.Errorf("tss: unknown runtime kind %d", cfg.Runtime)
 	}
 }
 
-// runEngine drives the machine's event loop to completion, polling ctx at
-// the config's cancellation granularity. A cancelled run is abandoned
+// runEngine drives the machine's event loop to completion, polling ctx
+// every sim.DefaultCancelCheckCycles cycles. A cancelled run is abandoned
 // mid-flight: the error wraps ctx.Err() (so errors.Is(err, context.Canceled)
 // holds) and the partial machine state is discarded by the caller.
-func runEngine(ctx context.Context, m *machine, cfg Config) error {
-	if _, err := m.eng.RunContext(ctx, cfg.CancelCheckCycles); err != nil {
+func runEngine(ctx context.Context, m *machine) error {
+	if _, err := m.eng.RunContext(ctx, sim.DefaultCancelCheckCycles); err != nil {
 		return fmt.Errorf("tss: run cancelled at cycle %d: %w", m.eng.Now(), err)
 	}
 	return nil
@@ -169,17 +168,15 @@ func buildMachine(cfg Config) *machine {
 }
 
 // finish fills the common result fields. n and work are the stream's task
-// count and total runtime; record additionally extracts the per-task
-// schedule from the backend.
-func (m *machine) finish(res *Result, n, work uint64, record bool) {
+// count and total runtime; the per-task schedule is filled in when the
+// backend recorded one (Backend.RecordSchedule).
+func (m *machine) finish(res *Result, n, work uint64) {
 	res.Cycles = uint64(m.eng.Now())
 	res.Tasks = m.back.Executed()
 	res.TotalWorkCycles = work
 	res.Dispatch = m.back.Dispatch()
 	res.Utilization = m.back.Utilization(m.eng.Now()) / float64(res.Cores)
-	if record {
-		res.Start, res.Finish = m.back.Schedule(int(n))
-	}
+	res.Start, res.Finish = m.back.Schedule(int(n))
 	if m.memory != nil {
 		res.Mem = m.memory.Snapshot()
 	}
@@ -188,7 +185,7 @@ func (m *machine) finish(res *Result, n, work uint64, record bool) {
 // runHardwareMulti drives the hardware pipeline from one or more
 // task-generating threads, each pulling lazily from its own stream with the
 // gateway's buffer as back-pressure.
-func runHardwareMulti(ctx context.Context, streams []*countingStream, cfg Config, record bool) (*Result, error) {
+func runHardwareMulti(ctx context.Context, streams []*countingStream, cfg Config) (*Result, error) {
 	m := buildMachine(cfg)
 	var copyEng core.CopyEngine
 	if m.memory != nil {
@@ -217,7 +214,7 @@ func runHardwareMulti(ctx context.Context, streams []*countingStream, cfg Config
 	for _, g := range gens {
 		g.Start()
 	}
-	if err := runEngine(ctx, m, cfg); err != nil {
+	if err := runEngine(ctx, m); err != nil {
 		return nil, err
 	}
 
@@ -231,7 +228,7 @@ func runHardwareMulti(ctx context.Context, streams []*countingStream, cfg Config
 		}
 	}
 	res := &Result{Kind: HardwarePipeline, Cores: cfg.Cores}
-	m.finish(res, n, work, record)
+	m.finish(res, n, work)
 	res.Frontend = fe.Stats(m.eng.Now())
 	res.DecodeRateCycles = res.Frontend.DecodeRate
 	res.WindowMax = res.Frontend.WindowMax
@@ -245,19 +242,19 @@ func runHardwareMulti(ctx context.Context, streams []*countingStream, cfg Config
 	return res, nil
 }
 
-func runSoftware(ctx context.Context, st *countingStream, cfg Config, record bool) (*Result, error) {
+func runSoftware(ctx context.Context, st *countingStream, cfg Config) (*Result, error) {
 	m := buildMachine(cfg)
 	rt := softrt.New(m.eng, cfg.Software, st, m.back, m.genNode)
 	m.back.SetFinishHandler(rt)
 	m.net.Build()
 
 	rt.Start()
-	if err := runEngine(ctx, m, cfg); err != nil {
+	if err := runEngine(ctx, m); err != nil {
 		return nil, err
 	}
 
 	res := &Result{Kind: SoftwareRuntime, Cores: cfg.Cores}
-	m.finish(res, st.n, st.work, record)
+	m.finish(res, st.n, st.work)
 	res.Software = rt.Snapshot()
 	res.DecodeRateCycles = res.Software.DecodeRate
 	res.WindowMax = res.Software.WindowMax
@@ -278,7 +275,7 @@ type seqFinisher struct {
 
 func (s *seqFinisher) TaskFinished(from noc.NodeID, id core.TaskID) { s.feed() }
 
-func runSequential(ctx context.Context, st *countingStream, cfg Config, record bool) (*Result, error) {
+func runSequential(ctx context.Context, st *countingStream, cfg Config) (*Result, error) {
 	cfg = cfg.WithCores(1)
 	m := buildMachine(cfg)
 	m.net.Build()
@@ -303,12 +300,12 @@ func runSequential(ctx context.Context, st *countingStream, cfg Config, record b
 	}
 	m.back.SetFinishHandler(&seqFinisher{feed: feed})
 	feed()
-	if err := runEngine(ctx, m, cfg); err != nil {
+	if err := runEngine(ctx, m); err != nil {
 		return nil, err
 	}
 
 	res := &Result{Kind: Sequential, Cores: 1}
-	m.finish(res, st.n, st.work, record)
+	m.finish(res, st.n, st.work)
 	if st.err != nil {
 		return res, st.err
 	}

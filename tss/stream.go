@@ -156,8 +156,8 @@ func RunStream(g Generator, cfg Config) (*Result, error) {
 }
 
 // RunStreamCtx is RunStream with cooperative cancellation: the engine loop
-// polls ctx every Config.CancelCheckCycles simulated cycles (see RunCtx) and
-// a cancelled stream is abandoned with an error wrapping ctx.Err().
+// polls ctx every sim.DefaultCancelCheckCycles simulated cycles (see RunCtx)
+// and a cancelled stream is abandoned with an error wrapping ctx.Err().
 func RunStreamCtx(ctx context.Context, g Generator, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -165,7 +165,7 @@ func RunStreamCtx(ctx context.Context, g Generator, cfg Config) (*Result, error)
 	cfg.Backend.RecordSchedule = false
 	cfg.Frontend.RecordChains = false
 	st := newCountingStream(generatorStream{g}, &seqCounter{})
-	return dispatchRun(ctx, st, cfg, false)
+	return dispatchRun(ctx, st, cfg)
 }
 
 // RunStreamPartitioned executes several lazily generated streams, one
@@ -197,5 +197,5 @@ func RunStreamPartitionedCtx(ctx context.Context, gens []Generator, cfg Config) 
 	for i, g := range gens {
 		streams[i] = newCountingStream(generatorStream{g}, seqs)
 	}
-	return runHardwareMulti(ctx, streams, cfg, false)
+	return runHardwareMulti(ctx, streams, cfg)
 }
