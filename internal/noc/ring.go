@@ -39,8 +39,8 @@ type Ring struct {
 	// segBusy holds, for every (direction, segment, connection) triple,
 	// the cycle at which that connection slot frees, flattened into one
 	// contiguous array: slot c of segment s in direction d lives at
-	// ((d*stops)+s)*SegConns + c. The reservation scan walks this on
-	// every transfer, so locality matters. dir 0 = clockwise, 1 = ccw.
+	// ((d*stops)+s)*SegConns + c. Every transfer walks this, so locality
+	// matters. dir 0 = clockwise, 1 = ccw.
 	segBusy []sim.Cycle
 
 	// lastArrival enforces point-to-point FIFO delivery per (from,to)
@@ -50,10 +50,14 @@ type Ring struct {
 	// rather than a map — it sits on the per-message hot path.
 	lastArrival []sim.Cycle
 
-	// slotScratch/prevScratch record, per hop of the in-flight
-	// reservation, the flat segBusy index booked and the value it
-	// overwrote (for rollback on a contention restart); reused across
-	// transfers.
+	// cursor holds, per (direction, segment), the connection slot the
+	// idle-route pass tries next: the one after the slot it booked last.
+	// Indexed like segBusy without the connection: d*stops + s.
+	cursor []int
+
+	// slotScratch/prevScratch record, per hop of reserveScan, the flat
+	// segBusy index booked and the value it overwrote (for rollback on a
+	// contention restart); reused across transfers.
 	slotScratch []int
 	prevScratch []sim.Cycle
 
@@ -82,6 +86,7 @@ func NewRing(eng *sim.Engine, name string, stops int, cfg Config) *Ring {
 	r := &Ring{eng: eng, name: name, stops: stops, cfg: cfg,
 		lastArrival: make([]sim.Cycle, stops*stops),
 		segBusy:     make([]sim.Cycle, 2*stops*cfg.SegConns),
+		cursor:      make([]int, 2*stops),
 		slotScratch: make([]int, stops),
 		prevScratch: make([]sim.Cycle, stops),
 	}
@@ -146,32 +151,34 @@ func (r *Ring) Transfer(from, to int, bytes uint32, ev sim.Event) sim.Cycle {
 // Reserve books the segment occupancy for one message and returns its
 // arrival cycle without scheduling anything; the caller decides how the
 // arrival is acted upon. Same-stop transfers only pay the router overhead.
+//
+// The message enters hop i's segment at start + i*hop and holds one of its
+// connection slots for ser cycles (wormhole). The reference booking takes,
+// at every hop, the slot that frees first, and pushes the whole message
+// later when that slot is still busy at entry (reserveScan). Most routes
+// are idle, and for them a cheaper booking gives the same arrivals: call a
+// slot dead when it frees at or before now + RouterOver. Every hop of this
+// and of any later message enters at or after that cycle (the clock never
+// goes back), so a dead slot never delays anyone, and overwriting any dead
+// slot instead of the earliest-free one moves no arrival. The idle-route
+// pass books the cursor slot of each hop while it is dead; at the first
+// live one it undoes its bookings and falls back to the scan.
 func (r *Ring) Reserve(from, to int, bytes uint32) sim.Cycle {
 	if from < 0 || from >= r.stops || to < 0 || to >= r.stops {
 		panic(fmt.Sprintf("noc: %s: transfer %d->%d outside [0,%d)", r.name, from, to, r.stops))
 	}
-	now := r.eng.Now()
-	ser := r.serCycles(bytes)
-	dir, hops := r.route(from, to)
+	r.transfers++
+	r.bytes += uint64(bytes)
 	fifoKey := from*r.stops + to
+	start := r.eng.Now() + r.cfg.RouterOver
+	dir, hops := r.route(from, to)
 	if hops == 0 {
-		arrival := r.clampFIFO(fifoKey, now+r.cfg.RouterOver)
-		r.transfers++
-		r.bytes += uint64(bytes)
-		return arrival
+		return r.clampFIFO(fifoKey, start)
 	}
-	// Wormhole reservation: the message enters segment i at
-	// start + i*hop and holds it for ser cycles. Find the earliest start
-	// such that every traversed segment has a free connection slot.
-	// Segment indices walk the ring incrementally (cw up from `from`,
-	// ccw down from `from-1`), wrapping by compare — no divisions and no
+	ser := r.serCycles(bytes)
+	// Segment indices walk the ring incrementally (cw up from `from`, ccw
+	// down from `from-1`), wrapping by compare: no divisions and no
 	// materialized route on this per-message path.
-	//
-	// The pass is optimistic: each hop books its slot immediately (the
-	// measured restart rate is ~zero). If a later segment is busy, the
-	// bookings made so far are rolled back bit-exact and the scan
-	// restarts at the pushed-back start time — the final segBusy state is
-	// identical to a separate scan-then-book pair.
 	firstSeg := from // cw: hop i crosses segment from+i
 	if dir == 1 {    // ccw: hop i crosses segment from-1-i
 		firstSeg = from - 1
@@ -179,20 +186,59 @@ func (r *Ring) Reserve(from, to int, bytes uint32) sim.Cycle {
 			firstSeg += r.stops
 		}
 	}
-	start := now + r.cfg.RouterOver
+	conns := r.cfg.SegConns
+	i, s := 0, firstSeg
+	for ; i < hops; i++ {
+		seg := dir*r.stops + s
+		c := r.cursor[seg]
+		idx := seg*conns + c
+		if r.segBusy[idx] > start {
+			break
+		}
+		r.segBusy[idx] = start + sim.Cycle(i)*r.cfg.HopCycles + ser
+		if c++; c == conns {
+			c = 0
+		}
+		r.cursor[seg] = c
+		s = r.nextSeg(dir, s)
+	}
+	if i < hops {
+		// A route crosses each segment at most once, so stepping a cursor
+		// back finds the slot this pass booked there. 0 is dead too, so
+		// the scan decides as it would have on the overwritten value.
+		s = firstSeg
+		for k := 0; k < i; k++ {
+			seg := dir*r.stops + s
+			c := r.cursor[seg]
+			if c == 0 {
+				c = conns
+			}
+			c--
+			r.cursor[seg] = c
+			r.segBusy[seg*conns+c] = 0
+			s = r.nextSeg(dir, s)
+		}
+		start = r.reserveScan(dir, firstSeg, hops, start, ser)
+	}
+	return r.clampFIFO(fifoKey, start+sim.Cycle(hops)*r.cfg.HopCycles+ser)
+}
+
+// reserveScan is the reference booking: find the earliest start at or
+// after `start` such that every traversed segment has a free connection
+// slot, book the earliest-free slot of each, and return that start. The
+// pass is optimistic: each hop books its slot immediately. If a later
+// segment is busy, the bookings made so far are rolled back bit-exact and
+// the scan restarts at the pushed-back start time, so the final segBusy
+// state is identical to a separate scan-then-book pair.
+func (r *Ring) reserveScan(dir, firstSeg, hops int, start, ser sim.Cycle) sim.Cycle {
+	origin := start
 	booked := r.slotScratch // flat segBusy index of each booked slot
 	saved := r.prevScratch  // the value each booking overwrote
 	conns := r.cfg.SegConns
 	for i, s := 0, firstSeg; i < hops; i++ {
 		enter := start + sim.Cycle(i)*r.cfg.HopCycles
 		segBase := (dir*r.stops + s) * conns
-		var slot int
-		var free sim.Cycle
-		if conns == 4 { // default geometry: unrolled, inlinable scan
-			slot, free = earliestSlot4(r.segBusy[segBase : segBase+4 : segBase+4])
-		} else {
-			slot, free = earliestSlotN(r.segBusy[segBase : segBase+conns : segBase+conns])
-		}
+		slot, free := earliestSlot(r.segBusy[segBase : segBase+conns])
 		if free > enter {
 			// Roll back this attempt's bookings, push the whole message
 			// start later, and restart: earlier segments must be
@@ -209,11 +255,8 @@ func (r *Ring) Reserve(from, to int, bytes uint32) sim.Cycle {
 		r.segBusy[idx] = enter + ser
 		s = r.nextSeg(dir, s)
 	}
-	arrival := r.clampFIFO(fifoKey, start+sim.Cycle(hops)*r.cfg.HopCycles+ser)
-	r.waitTotal += start - (now + r.cfg.RouterOver)
-	r.transfers++
-	r.bytes += uint64(bytes)
-	return arrival
+	r.waitTotal += start - origin
+	return start
 }
 
 // clampFIFO enforces in-order delivery per (from,to) route. The table's
@@ -242,25 +285,9 @@ func (r *Ring) nextSeg(dir, s int) int {
 	return s
 }
 
-// earliestSlot4 returns the connection slot of a 4-wide segment that frees
-// first, and the cycle at which it frees; small enough to inline into the
-// reservation loop. Ties resolve to the lowest slot, like earliestSlotN.
-func earliestSlot4(busy []sim.Cycle) (int, sim.Cycle) {
-	slot, free := 0, busy[0]
-	if busy[1] < free {
-		slot, free = 1, busy[1]
-	}
-	if busy[2] < free {
-		slot, free = 2, busy[2]
-	}
-	if busy[3] < free {
-		slot, free = 3, busy[3]
-	}
-	return slot, free
-}
-
-// earliestSlotN is the general-geometry scan.
-func earliestSlotN(busy []sim.Cycle) (slot int, free sim.Cycle) {
+// earliestSlot returns the connection slot of a segment that frees first,
+// and the cycle at which it frees. Ties resolve to the lowest slot.
+func earliestSlot(busy []sim.Cycle) (slot int, free sim.Cycle) {
 	slot = 0
 	free = busy[0]
 	for i := 1; i < len(busy); i++ {

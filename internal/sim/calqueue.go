@@ -8,17 +8,18 @@ import "math/bits"
 //
 // Near-future events live in a ring of per-cycle buckets covering a window
 // of calWindow cycles starting at winStart; each bucket is an append-only
-// FIFO, so same-cycle events keep their schedule (seq) order for free.
-// Events beyond the window go to a plain binary min-heap of cells ("far"),
-// which is migrated into the window whenever the window advances. The far
-// heap is also the fallback for events scheduled below the window (possible
-// after a peek jumped the window forward and the clock was then rewound by
-// RunUntil): pop compares the far minimum against the window head, so the
-// global (at, seq) order holds unconditionally.
+// FIFO of bare Events, so same-cycle events keep their schedule order for
+// free and a bucket entry needs neither its cycle (the bucket and scan give
+// it) nor a sequence number. Events outside the window go to a plain binary
+// min-heap of cells ("far"), each stamped with its cycle and a far-heap
+// sequence number, and are migrated into the window whenever the window
+// moves. Only rebase moves the window, and it migrates every far cell the
+// new window covers, so a far cell never shares a cycle with an in-window
+// event: pop orders the two by cycle alone.
 //
 // Scheduling and popping are O(1) amortized for in-window events — an
-// append and a slice read, with no interface boxing and no allocation once
-// the bucket storage is warm — and O(log n) for the rare far events.
+// append and a slice read, with no allocation once the bucket storage is
+// warm — and O(log n) for the rare far events.
 type calQueue struct {
 	buckets  []bucket // len calWindow; bucket i holds cycles c with c&calMask == i
 	winStart Cycle    // first cycle covered by the bucket window (calMask-aligned)
@@ -54,17 +55,15 @@ const (
 	farSeedCap = 256
 )
 
-// cell is one scheduled event: 32 bytes, one representation. Closures
-// arrive as FuncEvent (a func value is pointer-shaped, so boxing it in the
-// interface does not allocate), typed and pooled events as themselves, and
-// firing is a single interface call with no branch on the kind.
+// cell is one far-heap event: 32 bytes, ordered by cycle and then by
+// seq, the order in which the far heap received it.
 type cell struct {
 	at  Cycle
 	seq uint64
 	ev  Event
 }
 
-// cellBefore is the engine's total event order: time, then schedule order.
+// cellBefore is the far heap's order: time, then schedule order.
 func cellBefore(a, b *cell) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -72,8 +71,12 @@ func cellBefore(a, b *cell) bool {
 	return a.seq < b.seq
 }
 
+// bucket is the FIFO of one in-window cycle. An entry is the Event alone,
+// 16 bytes: closures arrive as FuncEvent (a func value is pointer-shaped,
+// so boxing it in the interface does not allocate), typed and pooled
+// events as themselves, and firing is a single interface call.
 type bucket struct {
-	events []cell
+	events []Event
 	head   int
 }
 
@@ -82,7 +85,7 @@ func (q *calQueue) len() int { return q.n }
 func (q *calQueue) init() {
 	if q.buckets == nil {
 		q.buckets = make([]bucket, calWindow)
-		seed := make([]cell, int(calWindow)*bucketSeedCap)
+		seed := make([]Event, int(calWindow)*bucketSeedCap)
 		for i := range q.buckets {
 			q.buckets[i].events = seed[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
 		}
@@ -90,43 +93,41 @@ func (q *calQueue) init() {
 	}
 }
 
-// schedule inserts a cell. Cells with at below the window (only possible
-// after the clock was rewound below winStart) go to the far heap, where pop
-// finds them via the head comparison.
-func (q *calQueue) schedule(c cell) {
+// schedule inserts ev at cycle at. Events outside the window, below it
+// included, go to the far heap.
+func (q *calQueue) schedule(at Cycle, ev Event) {
 	q.init()
 	q.n++
-	if c.at-q.winStart < calWindow { // unsigned: below-window wraps huge
-		b := &q.buckets[c.at&calMask]
-		if len(b.events) == b.head {
-			q.setOcc(uint32(c.at & calMask))
-		}
-		b.events = append(b.events, c)
-		q.inWin++
-		if c.at < q.scan {
-			q.scan = c.at
-		}
+	if at-q.winStart < calWindow { // unsigned: below-window wraps huge
+		q.append(at, ev)
 		return
 	}
-	q.far.push(c)
+	q.far.push(at, ev)
+}
+
+// append adds ev to the bucket of in-window cycle at.
+func (q *calQueue) append(at Cycle, ev Event) {
+	b := &q.buckets[at&calMask]
+	if len(b.events) == b.head {
+		q.setOcc(uint32(at & calMask))
+	}
+	b.events = append(b.events, ev)
+	q.inWin++
+	if at < q.scan {
+		q.scan = at
+	}
 }
 
 // rebase moves the bucket window so that cycle t is covered, then migrates
-// far events that now fall inside it. Only called when the window is empty.
+// far events that now fall inside it, in (at, seq) order. Only called when
+// the window is empty, so every migrated event precedes, in its bucket, any
+// event scheduled there later.
 func (q *calQueue) rebase(t Cycle) {
 	q.winStart = t &^ calMask
 	q.scan = t
 	for len(q.far.h) > 0 && q.far.h[0].at-q.winStart < calWindow {
 		c := q.far.pop()
-		b := &q.buckets[c.at&calMask]
-		if len(b.events) == b.head {
-			q.setOcc(uint32(c.at & calMask))
-		}
-		b.events = append(b.events, c)
-		q.inWin++
-		if c.at < q.scan {
-			q.scan = c.at
-		}
+		q.append(c.at, c.ev)
 	}
 }
 
@@ -159,25 +160,23 @@ func (q *calQueue) seek() *bucket {
 	panic("sim: calendar queue window accounting corrupted")
 }
 
-// pop removes and returns the earliest cell in (at, seq) order.
-func (q *calQueue) pop() (cell, bool) {
-	if q.n == 0 {
-		return cell{}, false
-	}
-	q.init()
+// pop removes the earliest pending event in (at, schedule) order and
+// returns it with its cycle. The caller must ensure the queue is not empty.
+func (q *calQueue) pop() (Cycle, Event) {
 	if q.inWin == 0 {
 		q.rebase(q.far.h[0].at) // guaranteed to move the far minimum in-window
 	}
 	b := q.seek()
-	c := &b.events[b.head]
-	// The far heap may hold an earlier event only when it has entries below
+	// The far heap holds an earlier event only when it has entries below
 	// the window; one comparison keeps the order exact in that rare case.
-	if len(q.far.h) > 0 && cellBefore(&q.far.h[0], c) {
+	// It never holds one at the same cycle.
+	if len(q.far.h) > 0 && q.far.h[0].at < q.scan {
 		q.n--
-		return q.far.pop(), true
+		c := q.far.pop()
+		return c.at, c.ev
 	}
-	out := *c
-	*c = cell{} // release the event reference
+	ev := b.events[b.head]
+	b.events[b.head] = nil // release the event reference
 	b.head++
 	if b.head == len(b.events) {
 		b.events = b.events[:0]
@@ -186,35 +185,45 @@ func (q *calQueue) pop() (cell, bool) {
 	}
 	q.inWin--
 	q.n--
-	return out, true
+	return q.scan, ev
 }
 
-// peekAt returns the timestamp of the earliest pending cell without
+// peekAt returns the timestamp of the earliest pending event without
 // removing it.
 func (q *calQueue) peekAt() (Cycle, bool) {
 	if q.n == 0 {
 		return 0, false
 	}
-	q.init()
 	if q.inWin == 0 {
 		return q.far.h[0].at, true
 	}
-	b := q.seek()
-	at := b.events[b.head].at
+	q.seek()
+	at := q.scan
 	if len(q.far.h) > 0 && q.far.h[0].at < at {
 		at = q.far.h[0].at
 	}
 	return at, true
 }
 
-// farHeap is a hand-rolled binary min-heap of cells ordered by (at, seq).
-// container/heap would box every cell into an interface; this does not.
-type farHeap struct {
-	h []cell
+// idleAt reports whether no event is pending at cycle t: its bucket is
+// empty and no far cell sits at t.
+func (q *calQueue) idleAt(t Cycle) bool {
+	b := &q.buckets[t&calMask]
+	return b.head == len(b.events) && (len(q.far.h) == 0 || q.far.h[0].at != t)
 }
 
-func (f *farHeap) push(c cell) {
-	f.h = append(f.h, c)
+// farHeap is a hand-rolled binary min-heap of cells ordered by (at, seq),
+// where seq counts the heap's pushes: far events at one cycle pop in the
+// order they were scheduled. container/heap would box every cell into an
+// interface; this does not.
+type farHeap struct {
+	h   []cell
+	seq uint64
+}
+
+func (f *farHeap) push(at Cycle, ev Event) {
+	f.seq++
+	f.h = append(f.h, cell{at: at, seq: f.seq, ev: ev})
 	i := len(f.h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -6,15 +6,15 @@
 // scheduled. All timing in the repository is expressed in core clock cycles
 // of the simulated 3.2 GHz CMP (see Table II of the paper).
 //
-// Every pending event is one Event stored in a 32-byte calendar-queue cell.
-// Schedule takes a closure and stores it as a FuncEvent (a func value is
-// pointer-shaped, so the conversion does not allocate); ScheduleEvent and
-// ScheduleEventAt take any Event, which is how hot paths schedule pooled or
-// self-firing objects — Server is the Event for its own dispatch, and
-// Deliver hands out delivery events recycled through an engine free list.
-// Scheduling a prebuilt closure or an Event therefore performs no
-// allocation at all — see docs/ARCHITECTURE.md for the invariants hot
-// senders rely on.
+// Every pending event is one Event: a 16-byte calendar-bucket entry, or a
+// far-heap cell that adds its cycle and a sequence number. Schedule takes a
+// closure and stores it as a FuncEvent (a func value is pointer-shaped, so
+// the conversion does not allocate); ScheduleEvent and ScheduleEventAt take
+// any Event, which is how hot paths schedule pooled or self-firing objects
+// — Server is the Event for its own dispatch, and Deliver hands out
+// delivery events recycled through an engine free list. Scheduling a
+// prebuilt closure or an Event therefore performs no allocation at all —
+// see docs/ARCHITECTURE.md for the invariants hot senders rely on.
 package sim
 
 import "context"
@@ -49,7 +49,6 @@ func (f FuncEvent) Fire() { f() }
 type Engine struct {
 	q    calQueue
 	now  Cycle
-	seq  uint64
 	fire uint64 // events fired, for diagnostics
 
 	// freeDeliver is the engine-owned free list (deliberately not a
@@ -74,15 +73,13 @@ func (e *Engine) Pending() int { return e.q.len() }
 // fn later in the current cycle, after all previously scheduled work for
 // this cycle.
 func (e *Engine) Schedule(delay Cycle, fn func()) {
-	e.seq++
-	e.q.schedule(cell{at: e.now + delay, seq: e.seq, ev: FuncEvent(fn)})
+	e.q.schedule(e.now+delay, FuncEvent(fn))
 }
 
 // ScheduleEvent arranges for ev.Fire to run delay cycles from now, without
-// allocating: the event reference is stored directly in the queue cell.
+// allocating: the event reference is stored directly in the queue.
 func (e *Engine) ScheduleEvent(delay Cycle, ev Event) {
-	e.seq++
-	e.q.schedule(cell{at: e.now + delay, seq: e.seq, ev: ev})
+	e.q.schedule(e.now+delay, ev)
 }
 
 // ScheduleEventAt is ScheduleEvent with an absolute cycle. Scheduling in
@@ -92,8 +89,7 @@ func (e *Engine) ScheduleEventAt(at Cycle, ev Event) {
 	if at < e.now {
 		at = e.now
 	}
-	e.seq++
-	e.q.schedule(cell{at: at, seq: e.seq, ev: ev})
+	e.q.schedule(at, ev)
 }
 
 // deliverEvent carries one message to a sink; instances are recycled
@@ -108,11 +104,28 @@ type deliverEvent struct {
 
 // Fire recycles the event before submitting, so the sink's handler may
 // immediately schedule further deliveries through the same free list.
+//
+// A delivery that wakes an idle Server[any] runs the server's dispatch
+// step in place when nothing else is pending at this cycle. Submit would
+// schedule that step at delay 0. A delivery fires as an event of its own
+// or as the last action of the NoC hop event that carried it, and Submit
+// is the last thing it does, so the step would be the very next event to
+// fire: running it here moves nothing, and Fired counts it as the event it
+// would have been. A Submit from inside a handler keeps scheduling,
+// because the handler's code after the call must run before the woken
+// server's.
 func (d *deliverEvent) Fire() {
-	sink, m := d.sink, d.m
+	e, sink, m := d.eng, d.sink, d.m
 	d.sink, d.m = nil, nil
-	d.next = d.eng.freeDeliver
-	d.eng.freeDeliver = d
+	d.next = e.freeDeliver
+	e.freeDeliver = d
+	if srv, ok := sink.(*Server[any]); ok && e.q.idleAt(e.now) {
+		if srv.enqueue(m) {
+			e.fire++
+			srv.Fire()
+		}
+		return
+	}
 	sink.Submit(m)
 }
 
@@ -137,13 +150,13 @@ func (e *Engine) Deliver(sink Sink, m any) Event {
 // Step fires the next event, advancing the clock to its timestamp.
 // It reports whether an event was fired.
 func (e *Engine) Step() bool {
-	c, ok := e.q.pop()
-	if !ok {
+	if e.q.len() == 0 {
 		return false
 	}
-	e.now = c.at
+	at, ev := e.q.pop()
+	e.now = at
 	e.fire++
-	c.ev.Fire()
+	ev.Fire()
 	return true
 }
 
@@ -161,16 +174,19 @@ func (e *Engine) Run() Cycle {
 const DefaultCancelCheckCycles Cycle = 1 << 16
 
 // RunContext fires events until none remain or ctx is cancelled, polling
-// ctx.Err at a bounded simulated-cycle granularity: once on entry, then
-// after the first event fired at or beyond each checkEvery-cycle boundary
-// (zero means DefaultCancelCheckCycles). Cancellation is cooperative and
-// strictly observational: the poll never reorders, drops, or injects
-// events, so a run that is not cancelled is cycle-exact identical to Run —
-// and because the poll piggybacks on the clock Step already advanced, the
-// event loop pays one integer compare per event, never an extra queue
-// inspection. On cancellation the clock stays at the last fired event and
-// ctx.Err() is returned; the pending events are left in the queue (the
-// caller abandons the simulation).
+// ctx.Err once on entry, then after the first event fired at or beyond each
+// checkEvery-cycle boundary (zero means DefaultCancelCheckCycles). So after
+// a cancel the engine stops after the first event at or beyond the first
+// poll boundary that follows it; when that event lies far past the
+// boundary (a long task runtime), so does the returned clock. A dispatch
+// step that a delivery runs in place fires within the delivery's Step.
+// Cancellation is cooperative and strictly observational: the poll never
+// reorders, drops, or injects events, so a run that is not cancelled is
+// cycle-exact identical to Run — and because the poll piggybacks on the
+// clock Step already advanced, the event loop pays one integer compare per
+// event, never an extra queue inspection. On cancellation the clock stays
+// at the last fired event and ctx.Err() is returned; the pending events are
+// left in the queue (the caller abandons the simulation).
 //
 // A ctx that can never be cancelled (nil, or Done() == nil like
 // context.Background()) skips the polling entirely and is exactly Run.

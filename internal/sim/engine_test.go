@@ -385,8 +385,9 @@ func TestRunContextUncancelledIsDeterministic(t *testing.T) {
 	}
 }
 
-// Cancellation stops the loop within one poll interval of simulated time and
-// returns the context's error with the clock parked at the last fired event.
+// With an event every poll interval, cancellation stops the loop within one
+// interval of simulated time and returns the context's error with the clock
+// parked at the last fired event.
 func TestRunContextCancelStopsWithinInterval(t *testing.T) {
 	e := NewEngine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -415,6 +416,36 @@ func TestRunContextCancelStopsWithinInterval(t *testing.T) {
 	}
 	if got := fired[len(fired)-1]; Cycle(end) != got {
 		t.Fatalf("clock %d not parked at last fired event %d", end, got)
+	}
+}
+
+// RunContext's contract: after a cancel, the engine stops after the first
+// event at or beyond the first poll boundary that follows it, however far
+// past the boundary that event lies. Here the cancel lands at 10,000 just
+// after the poll there, so the next boundary is 11,000; the next event is
+// at 50,000, so it fires and the run returns there, with the event at
+// 60,000 still pending.
+func TestRunContextCancelStopsAtFirstEventPastBoundary(t *testing.T) {
+	e := NewEngine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var fired []Cycle
+	tick := func() { fired = append(fired, e.Now()) }
+	for at := Cycle(1000); at <= 10_000; at += 1000 {
+		e.Schedule(at, tick)
+	}
+	e.Schedule(10_000, cancel)
+	e.Schedule(50_000, tick)
+	e.Schedule(60_000, tick)
+	end, err := e.RunContext(ctx, 1000)
+	if err != context.Canceled {
+		t.Fatalf("RunContext error = %v, want context.Canceled", err)
+	}
+	if end != 50_000 || fired[len(fired)-1] != 50_000 {
+		t.Fatalf("run stopped at %d after firing %v, want 50000 with the event there fired", end, fired)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending() = %d, want the event at 60000 left", e.Pending())
 	}
 }
 

@@ -43,14 +43,23 @@ func (s *Server[M]) Name() string { return s.name }
 // Submit enqueues a message for processing. Messages are processed in FIFO
 // order; the handler for a message runs when the unit becomes free.
 func (s *Server[M]) Submit(m M) {
+	if s.enqueue(m) {
+		s.eng.ScheduleEvent(0, s)
+	}
+}
+
+// enqueue queues m and reports whether that woke the server from idle, in
+// which case the caller owes it a dispatch step at the current cycle.
+func (s *Server[M]) enqueue(m M) bool {
 	s.queue.Push(m)
 	if n := s.queue.Len(); n > s.maxQueue {
 		s.maxQueue = n
 	}
-	if !s.busy {
-		s.busy = true
-		s.eng.ScheduleEvent(0, s)
+	if s.busy {
+		return false
 	}
+	s.busy = true
+	return true
 }
 
 // Fire implements Event: it is the server's dispatch step, scheduled by

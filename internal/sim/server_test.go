@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -225,4 +226,50 @@ func TestMixedEventKindsFireInReferenceOrder(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A delivery that wakes an idle server with nothing else pending at its
+// cycle runs the server's dispatch in the same Step, and Fired counts the
+// dispatch as its own event. With another event pending at that cycle the
+// dispatch is scheduled as usual and runs after it, and so does a dispatch
+// woken by a Submit from inside a handler, after the rest of that handler.
+func TestDeliverToIdleServerRunsInPlace(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	note := func(s string) { log = append(log, fmt.Sprintf("%s@%d", s, e.Now())) }
+	srv := NewServer[any](e, "srv", func(m any) Cycle {
+		note("serve " + m.(string))
+		return 5
+	})
+	expect := func(step string, fired uint64, want ...string) {
+		t.Helper()
+		if e.Fired() != fired || fmt.Sprint(log) != fmt.Sprint(want) {
+			t.Fatalf("%s: fired %d, log %v; want fired %d, log %v", step, e.Fired(), log, fired, want)
+		}
+	}
+
+	e.ScheduleEvent(10, e.Deliver(srv, "a"))
+	e.Step()
+	expect("alone at its cycle", 2, "serve a@10")
+	e.Run() // the service ends at 15 and the server idles out
+	expect("drained", 3, "serve a@10")
+
+	log = nil
+	e.ScheduleEvent(10, e.Deliver(srv, "b"))
+	e.Schedule(10, func() { note("other") })
+	e.Step()
+	expect("another event pending", 4)
+	e.Step()
+	expect("the pending event", 5, "other@25")
+	e.Step()
+	expect("the scheduled dispatch", 6, "other@25", "serve b@25")
+	e.Run()
+
+	log = nil
+	e.Schedule(10, func() {
+		srv.Submit("c")
+		note("after submit")
+	})
+	e.Run()
+	expect("submit from a handler", 10, "after submit@40", "serve c@40")
 }

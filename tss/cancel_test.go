@@ -56,9 +56,11 @@ func TestRunTasksCtxPreCancelled(t *testing.T) {
 }
 
 // Cancelling mid-run (from the OnComplete observer, so the cancel lands at a
-// known point of simulated time) stops the engine promptly: with a poll
-// interval of k cycles, no more than k cycles of simulated time may elapse
-// after the cancellation.
+// known point of simulated time) aborts the run with an error wrapping
+// context.Canceled. The engine stops after the first event at or beyond the
+// first poll boundary after the cancel, and that event can lie well past the
+// boundary; TestRunContextCancelStopsAtFirstEventPastBoundary in
+// internal/sim pins that contract.
 func TestRunTasksCtxCancelMidRun(t *testing.T) {
 	wl, _ := workloads.ByName("cholesky")
 	b := wl.Gen(2000, 7)
