@@ -83,13 +83,12 @@ func DefaultConfig(cores int) Config {
 
 // stagedTask is a local-queue entry whose operands may still be in flight.
 // It doubles as the staging-complete event and recycles through the
-// backend's free list.
+// backend's pool.
 type stagedTask struct {
 	rt     *core.ReadyTask
 	staged bool
 	b      *Backend
 	w      *worker
-	next   *stagedTask
 }
 
 // Fire marks the operands arrived and pokes the owning core.
@@ -136,11 +135,11 @@ type Backend struct {
 	specHint  []bool // worker finished executing; credit in flight
 	specDebt  []int8 // outstanding speculative dispatches (0 or 1)
 
-	// Free lists for the per-task event objects (delivery, staging,
-	// execution lifecycle), so steady-state execution does not allocate.
-	freeStaged  *stagedTask
-	freeTask    *taskEvent
-	freeDeliver *deliverTaskEvent
+	// Pools for the per-task event objects (delivery, staging, execution
+	// lifecycle), so steady-state execution does not allocate.
+	staged     sim.Pool[stagedTask]
+	taskEvents sim.Pool[taskEvent]
+	deliveries sim.Pool[deliverTaskEvent]
 
 	// Observability: per-task start/finish cycles, indexed directly by
 	// task sequence number (grown on demand; nil unless RecordSchedule).
@@ -330,17 +329,15 @@ func (b *Backend) handleGTU(m any) sim.Cycle {
 // deliverTaskEvent carries one dispatched task from the global task unit to
 // a worker's local queue; pooled on the backend.
 type deliverTaskEvent struct {
-	b    *Backend
-	w    *worker
-	rt   *core.ReadyTask
-	next *deliverTaskEvent
+	b  *Backend
+	w  *worker
+	rt *core.ReadyTask
 }
 
 func (ev *deliverTaskEvent) Fire() {
 	b, w, rt := ev.b, ev.w, ev.rt
 	ev.rt = nil
-	ev.next = b.freeDeliver
-	b.freeDeliver = ev
+	b.deliveries.Put(ev)
 	b.deliver(w, rt)
 }
 
@@ -363,14 +360,8 @@ func (b *Backend) dispatch() sim.Cycle {
 		}
 		w := b.workers[wi]
 		size := b.cfg.CtrlBytes + 16*uint32(len(rt.Operands))
-		ev := b.freeDeliver
-		if ev == nil {
-			ev = &deliverTaskEvent{b: b}
-		} else {
-			b.freeDeliver = ev.next
-			ev.next = nil
-		}
-		ev.w, ev.rt = w, rt
+		ev := b.deliveries.Get()
+		ev.b, ev.w, ev.rt = b, w, rt
 		b.net.Send(b.node, w.node, size, ev)
 		cost += b.cfg.DispatchCycles
 	}
@@ -411,14 +402,8 @@ func (b *Backend) checkDispatch(rt *core.ReadyTask, w int, spec bool) {
 // deliver places a task in a worker's local queue and begins staging its
 // operands immediately, overlapping any current execution.
 func (b *Backend) deliver(w *worker, rt *core.ReadyTask) {
-	st := b.freeStaged
-	if st == nil {
-		st = &stagedTask{b: b}
-	} else {
-		b.freeStaged = st.next
-		st.next = nil
-	}
-	st.rt, st.w, st.staged = rt, w, false
+	st := b.staged.Get()
+	st.b, st.rt, st.w, st.staged = b, rt, w, false
 	w.queue.Push(st)
 	b.stageOperands(w, rt, st)
 }
@@ -430,7 +415,6 @@ type taskEvent struct {
 	w     *worker
 	rt    *core.ReadyTask
 	phase uint8
-	next  *taskEvent
 }
 
 const (
@@ -457,8 +441,7 @@ func (ev *taskEvent) Fire() {
 		b.writeOutputs(w, rt, ev)
 	case phaseWriteDone:
 		ev.rt = nil
-		ev.next = b.freeTask
-		b.freeTask = ev
+		b.taskEvents.Put(ev)
 		b.completeTask(w, rt)
 	}
 }
@@ -479,20 +462,13 @@ func (b *Backend) maybeStart(w *worker) {
 	w.running = true
 	rt := st.rt
 	st.rt, st.w = nil, nil
-	st.next = b.freeStaged
-	b.freeStaged = st
+	b.staged.Put(st)
 	b.busy.Inc(b.eng.Now(), +1)
 	if b.recSched {
 		b.startAt = record(b.startAt, rt.Task.Seq, b.eng.Now())
 	}
-	ev := b.freeTask
-	if ev == nil {
-		ev = &taskEvent{b: b}
-	} else {
-		b.freeTask = ev.next
-		ev.next = nil
-	}
-	ev.w, ev.rt, ev.phase = w, rt, phaseExecDone
+	ev := b.taskEvents.Get()
+	ev.b, ev.w, ev.rt, ev.phase = b, w, rt, phaseExecDone
 	c := b.execCycles(w, rt)
 	b.workCycles += uint64(c)
 	b.eng.ScheduleEvent(c, ev)

@@ -9,9 +9,9 @@ import (
 )
 
 // TestVersionIDWraparound drives the version-number allocator across the
-// uint32 wrap boundary. The OVT's open-addressed table is keyed by the raw
-// version number (including 0, which the allocator produces right after the
-// wrap), so creation, lookup, and release must all survive the rollover.
+// uint32 wrap boundary. The OVT's sim.Table is keyed by the raw version
+// number (including 0, which the allocator produces right after the wrap),
+// so creation, lookup, and release must all survive the rollover.
 func TestVersionIDWraparound(t *testing.T) {
 	var tasks []*taskmodel.Task
 	for i := 0; i < 120; i++ {

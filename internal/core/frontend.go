@@ -30,12 +30,12 @@ type Frontend struct {
 	// pools recycles protocol message structs; together with the NoC's
 	// typed delivery events this keeps the steady-state message path
 	// allocation-free (see docs/ARCHITECTURE.md).
-	pools     msgPools
-	freeReady *readyEvent
-	// freeRT recycles ReadyTask records (and their resolved-operand
+	pools       msgPools
+	readyEvents sim.Pool[readyEvent]
+	// readyTasks recycles ReadyTask records (and their resolved-operand
 	// slices) once the backend releases them, so dispatch allocates
 	// nothing in steady state.
-	freeRT *ReadyTask
+	readyTasks sim.Pool[ReadyTask]
 
 	stallState []bool
 
@@ -111,15 +111,10 @@ func (n *NullCopyEngine) Copy(src, dst uint64, size uint32, done sim.Event) {
 
 // --- ReadyTask recycling ---
 
-// getReadyTask takes a dispatch record from the frontend's free list.
+// getReadyTask takes a dispatch record from the frontend's pool.
 func (fe *Frontend) getReadyTask() *ReadyTask {
-	rt := fe.freeRT
-	if rt == nil {
-		rt = &ReadyTask{owner: fe}
-	} else {
-		fe.freeRT = rt.nextFree
-		rt.nextFree = nil
-	}
+	rt := fe.readyTasks.Get()
+	rt.owner = fe
 	return rt
 }
 
@@ -129,8 +124,7 @@ func (fe *Frontend) PutReadyTask(rt *ReadyTask) {
 	rt.Task = nil
 	rt.Operands = rt.Operands[:0]
 	rt.Depth = 0
-	rt.nextFree = fe.freeRT
-	fe.freeRT = rt
+	fe.readyTasks.Put(rt)
 }
 
 // --- routing helpers ---
@@ -203,7 +197,7 @@ func (fe *Frontend) setStall(src int, on bool) {
 	} else {
 		fromNode = fe.ovt[src/2].node
 	}
-	sm := fe.pools.stall.get()
+	sm := fe.pools.stall.Get()
 	*sm = gwStallMsg{src: src, stalled: on}
 	fe.sendToGW(fromNode, sm)
 }
@@ -211,16 +205,14 @@ func (fe *Frontend) setStall(src int, on bool) {
 // readyEvent carries one decoded-and-ready task to the dispatcher; pooled
 // so the per-task dispatch costs no allocation.
 type readyEvent struct {
-	fe   *Frontend
-	rt   *ReadyTask
-	next *readyEvent
+	fe *Frontend
+	rt *ReadyTask
 }
 
 func (ev *readyEvent) Fire() {
 	fe, rt := ev.fe, ev.rt
 	ev.rt = nil
-	ev.next = fe.freeReady
-	fe.freeReady = ev
+	fe.readyEvents.Put(ev)
 	fe.dispatcher.TaskReady(rt)
 }
 
@@ -233,14 +225,8 @@ func (fe *Frontend) dispatchReady(fromNode int, rt *ReadyTask) {
 	if lag > fe.readyLagMax {
 		fe.readyLagMax = lag
 	}
-	ev := fe.freeReady
-	if ev == nil {
-		ev = &readyEvent{fe: fe}
-	} else {
-		fe.freeReady = ev.next
-		ev.next = nil
-	}
-	ev.rt = rt
+	ev := fe.readyEvents.Get()
+	ev.fe, ev.rt = fe, rt
 	fe.net.Send(noc.NodeID(fromNode), fe.dispatcher.Node(), size, ev)
 }
 
@@ -249,7 +235,7 @@ func (fe *Frontend) dispatchReady(fromNode int, rt *ReadyTask) {
 // the task's storage.
 func (fe *Frontend) TaskFinished(fromNode noc.NodeID, id TaskID) {
 	t := fe.trs[id.TRS]
-	fm := fe.pools.finished.get()
+	fm := fe.pools.finished.Get()
 	*fm = trsTaskFinishedMsg{id: id}
 	fe.net.Send(fromNode, noc.NodeID(t.node), fe.cfg.CtrlBytes, fe.eng.Deliver(t.srv, fm))
 }

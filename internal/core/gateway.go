@@ -6,8 +6,8 @@ import (
 )
 
 // pendingTask is a task staged in the gateway's incoming buffer. Records
-// recycle through the gateway's free list (one allocation per
-// window-occupancy high-water mark, not per task).
+// recycle through the gateway's pool (one allocation per window-occupancy
+// high-water mark, not per task).
 type pendingTask struct {
 	task  *taskmodel.Task
 	bytes uint32
@@ -17,8 +17,6 @@ type pendingTask struct {
 	id         TaskID
 	nextIssue  int // next operand index to distribute
 	issuesDone bool
-
-	next *pendingTask // free-list link
 }
 
 // gateway is the pipeline entry point: it buffers incoming tasks (1 KB),
@@ -30,12 +28,12 @@ type gateway struct {
 	node int
 	srv  *sim.Server[any]
 
-	queue    sim.FIFO[*pendingTask]
-	freePend *pendingTask // free list of pendingTask records
-	enqSink  sim.Sink     // delivery target for generator task injection
-	bufUsed  uint32
-	waiters  []func() // generators blocked on buffer space
-	drain    []func() // scratch for waking waiters without allocating
+	queue   sim.FIFO[*pendingTask]
+	pending sim.Pool[pendingTask]
+	enqSink sim.Sink // delivery target for generator task injection
+	bufUsed uint32
+	waiters []func() // generators blocked on buffer space
+	drain   []func() // scratch for waking waiters without allocating
 	// stalls is a bitset over the frontend's stall sources (2 per ORT/OVT
 	// pair — small dense indices, so a word array beats a map).
 	stalls   []uint64
@@ -99,12 +97,7 @@ func (g *gateway) Reserve(t *taskmodel.Task) {
 // Enqueue stages an arriving task (called at NoC delivery time); space was
 // already reserved by Reserve.
 func (g *gateway) Enqueue(t *taskmodel.Task) {
-	p := g.freePend
-	if p == nil {
-		p = &pendingTask{}
-	} else {
-		g.freePend = p.next
-	}
+	p := g.pending.Get()
 	*p = pendingTask{task: t, bytes: taskBytes(t)}
 	g.queue.Push(p)
 	g.admitted++
@@ -123,18 +116,18 @@ func (g *gateway) handle(m any) sim.Cycle {
 		return g.step()
 	case *gwAllocReplyMsg:
 		v := *msg
-		g.fe.pools.allocReply.put(msg)
+		g.fe.pools.allocReply.Put(msg)
 		return g.handleAllocReply(v)
 	case *gwSpaceFreedMsg:
 		trs := msg.trs
-		g.fe.pools.spaceFreed.put(msg)
+		g.fe.pools.spaceFreed.Put(msg)
 		g.freeTRS[trs] = true
 		g.anyFree = true
 		g.srv.Submit(gwKickMsg{})
 		return g.fe.cfg.ProcCycles
 	case *gwStallMsg:
 		v := *msg
-		g.fe.pools.stall.put(msg)
+		g.fe.pools.stall.Put(msg)
 		return g.handleStall(v)
 	default:
 		panic("gateway: unknown message")
@@ -181,7 +174,7 @@ func (g *gateway) step() sim.Cycle {
 			p := *g.queue.At(g.allocSent)
 			p.allocSent = true
 			g.allocSent++
-			am := g.fe.pools.alloc.get()
+			am := g.fe.pools.alloc.Get()
 			*am = trsAllocMsg{task: p.task, gwRef: g.refOf(p)}
 			g.fe.sendToTRSFromGW(am, trs)
 			cost += g.fe.cfg.ProcCycles
@@ -264,12 +257,12 @@ func (g *gateway) issueOne(p *pendingTask) sim.Cycle {
 	op := ops[i]
 	oid := OperandID{Task: p.id, Index: uint8(i)}
 	if op.Dir == taskmodel.Scalar {
-		sm := g.fe.pools.scalar.get()
+		sm := g.fe.pools.scalar.Get()
 		*sm = trsScalarMsg{op: oid}
 		g.fe.sendToTRSFromGW(sm, int(p.id.TRS))
 	} else {
 		ort := g.fe.ortFor(uint64(op.Base))
-		dm := g.fe.pools.decode.get()
+		dm := g.fe.pools.decode.Get()
 		*dm = ortDecodeMsg{
 			op:   oid,
 			base: uint64(op.Base),
@@ -291,8 +284,8 @@ func (g *gateway) retire(p *pendingTask) {
 	g.queue.Pop()
 	g.allocSent-- // the head is always inside the sent prefix (allocDone)
 	g.bufUsed -= p.bytes
-	*p = pendingTask{next: g.freePend}
-	g.freePend = p
+	*p = pendingTask{}
+	g.pending.Put(p)
 	// Wake blocked generators; a still-blocked generator re-registers
 	// itself, so drain a snapshot rather than the live list (the two
 	// slices swap roles so neither wake path allocates).

@@ -172,8 +172,7 @@ type ReadyTask struct {
 	// priority hint, never machine state — producers leave it zero.
 	Depth uint32
 
-	owner    ReadyTaskPool // pool owner; nil for unpooled records
-	nextFree *ReadyTask
+	owner ReadyTaskPool // pool owner; nil for unpooled records
 }
 
 // ReadyTaskPool recycles retired dispatch records. The hardware frontend is

@@ -73,11 +73,11 @@ func (o *ortModule) handle(m any) sim.Cycle {
 	switch msg := m.(type) {
 	case *ortDecodeMsg:
 		v := *msg
-		o.fe.pools.decode.put(msg)
+		o.fe.pools.decode.Put(msg)
 		return o.handleDecode(v, false)
 	case *ortReleaseMsg:
 		v := *msg
-		o.fe.pools.ortRelease.put(msg)
+		o.fe.pools.ortRelease.Put(msg)
 		return o.handleRelease(v)
 	default:
 		panic("ort: unknown message")
@@ -176,11 +176,11 @@ func (o *ortModule) decodeMiss(m ortDecodeMsg, w *ortEntry) sim.Cycle {
 	if o.occupied > o.maxOccupied {
 		o.maxOccupied = o.occupied
 	}
-	info := o.fe.pools.opInfo.get()
+	info := o.fe.pools.opInfo.Get()
 	*info = trsOperandInfoMsg{
 		op: m.op, base: m.base, size: m.size, dir: m.dir, version: v,
 	}
-	nv := o.fe.pools.newVersion.get()
+	nv := o.fe.pools.newVersion.Get()
 	*nv = ovtNewVersionMsg{v: v, base: m.base, size: m.size, initialUse: 1}
 	switch m.dir {
 	case taskmodel.In:
@@ -213,7 +213,7 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 	prevGen := e.lastUserGen
 	prevVer := e.latestVer
 
-	info := o.fe.pools.opInfo.get()
+	info := o.fe.pools.opInfo.Get()
 	*info = trsOperandInfoMsg{op: m.op, base: m.base, size: m.size, dir: m.dir}
 	switch m.dir {
 	case taskmodel.In:
@@ -222,7 +222,7 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 		info.hasProducer = true
 		info.producer = prevUser
 		info.prodGen = prevGen
-		au := o.fe.pools.addUse.get()
+		au := o.fe.pools.addUse.Get()
 		*au = ovtAddUseMsg{v: prevVer}
 		o.fe.sendToOVT(o.node, o.index, au)
 		e.uses++
@@ -233,7 +233,7 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 	case taskmodel.Out:
 		v := o.newVersion()
 		info.version = v
-		nv := o.fe.pools.newVersion.get()
+		nv := o.fe.pools.newVersion.Get()
 		*nv = ovtNewVersionMsg{
 			v: v, base: m.base, size: m.size,
 			hasProducer: true, producer: m.op,
@@ -255,7 +255,7 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 		info.hasProducer = true
 		info.producer = prevUser
 		info.prodGen = prevGen
-		nv := o.fe.pools.newVersion.get()
+		nv := o.fe.pools.newVersion.Get()
 		*nv = ovtNewVersionMsg{
 			v: v, base: m.base, size: m.size,
 			hasProducer: true, producer: m.op,
@@ -288,7 +288,7 @@ func (o *ortModule) handleRelease(m ortReleaseMsg) sim.Cycle {
 		o.releases++
 		freed = true
 	}
-	ra := o.fe.pools.releaseAck.get()
+	ra := o.fe.pools.releaseAck.Get()
 	*ra = ovtReleaseAckMsg{v: m.version, freed: freed}
 	o.fe.sendToOVT(o.node, o.index, ra)
 	// Replay stashed decodes for this set, in order.

@@ -9,7 +9,7 @@ import (
 // The OVT is the physical-register-file analogue — it holds only meta-data;
 // buffers live in an OS-assigned memory region (§IV.B.4).
 //
-// Records live in a slab indexed by the open-addressed version table below,
+// Records live in a sim.Arena indexed by a sim.Table of version numbers,
 // mirroring the paper's fixed-capacity set-associative eDRAM array: steady
 // state allocates nothing, a full table stalls the gateway. A record whose
 // creation is stashed behind a full table exists in the "pending" state,
@@ -63,11 +63,6 @@ const (
 	maxBucketLog2 = 32
 )
 
-// ovtSlabChunk sizes the verRec slab's chunks. Chunked growth keeps record
-// addresses stable for the lifetime of the module (handlers hold *verRec
-// across nested stash replays), while staying index-addressed.
-const ovtSlabChunk = 512
-
 // ovtModule is one object versioning table. It tracks live versions,
 // breaks anti- and output-dependencies by renaming output operands into
 // buffers drawn from power-of-2 buckets, and unblocks chained inout
@@ -80,19 +75,13 @@ type ovtModule struct {
 
 	capacity int
 
-	// Open-addressed index: version number → slab slot. Linear probing
-	// with backward-shift deletion; sized at construction for the table
-	// capacity at ≤½ load and regrown only if overload (pending records)
-	// ever pushes past that.
-	tabMask uint32
-	tabKeys []uint32
-	tabSlot []int32 // slab index, -1 = empty
-	tabUsed int
-
-	slab     [][]verRec // chunked slab; index i → slab[i/chunk][i%chunk]
-	slabLen  int
-	freeSlab []int32 // free slot stack
-	nlive    int     // records in the live (non-pending) state
+	// byNum maps a version number to its record's slot in recs (an arena,
+	// so handlers may hold a *verRec across nested stash replays). It is
+	// sized at construction for the table capacity at half load, and grows
+	// only if overload (pending records) ever pushes past that.
+	byNum sim.Table[uint32, uint32]
+	recs  sim.Arena[verRec]
+	nlive int // records in the live (non-pending) state
 
 	stashed sim.FIFO[ovtNewVersionMsg] // deferred creations while full
 
@@ -103,7 +92,7 @@ type ovtModule struct {
 
 	qFree []([]OperandID) // recycled pending-query slices
 
-	freeCopyDone *ovtCopyDoneEvent
+	copyEvents sim.Pool[ovtCopyDoneEvent]
 
 	// Stats.
 	created, released  uint64
@@ -125,131 +114,34 @@ func newOVT(fe *Frontend, index int) *ovtModule {
 		// Rename buffers live in a private high region per OVT.
 		nextBuf: (uint64(1) << 44) + uint64(index)<<40,
 	}
-	// Size the index for capacity live records at ≤½ load.
-	size := uint32(16)
-	for size < uint32(2*o.capacity) {
-		size <<= 1
-	}
-	o.tabInit(size)
-	o.slab = append(o.slab, make([]verRec, ovtSlabChunk))
+	o.byNum.Init(o.capacity)
 	o.srv = sim.NewServer[any](fe.eng, "ovt", o.handle)
 	return o
 }
 
-// --- version index (open addressing) ---
-
-const verHashMul = 0x9E3779B1 // 2^32 / φ, Fibonacci hashing
-
-func (o *ovtModule) tabInit(size uint32) {
-	o.tabMask = size - 1
-	o.tabKeys = make([]uint32, size)
-	o.tabSlot = make([]int32, size)
-	for i := range o.tabSlot {
-		o.tabSlot[i] = -1
-	}
-	o.tabUsed = 0
-}
-
-func (o *ovtModule) tabHome(num uint32) uint32 {
-	return (num * verHashMul) & o.tabMask
-}
+// --- version index ---
 
 // rec returns the record (live or pending) for a version number, or nil.
 func (o *ovtModule) rec(num uint32) *verRec {
-	i := o.tabHome(num)
-	for {
-		s := o.tabSlot[i]
-		if s < 0 {
-			return nil
-		}
-		if o.tabKeys[i] == num {
-			return o.slabAt(s)
-		}
-		i = (i + 1) & o.tabMask
+	if slot := o.byNum.Get(num); slot != nil {
+		return o.recs.At(*slot)
 	}
+	return nil
 }
 
-func (o *ovtModule) slabAt(i int32) *verRec {
-	return &o.slab[i/ovtSlabChunk][i%ovtSlabChunk]
-}
-
-// insert binds num to a fresh slab slot and returns the record, zeroed
-// except for its recycled queries capacity. Version numbers are unique
-// among live+pending records, so no duplicate check is needed.
+// insert binds num to a fresh record, zeroed except for its recycled
+// queries capacity. Version numbers are unique among live+pending records.
 func (o *ovtModule) insert(num uint32) *verRec {
-	if uint32(o.tabUsed)*2 >= uint32(len(o.tabKeys)) {
-		o.tabGrow()
-	}
-	var slot int32
-	if n := len(o.freeSlab); n > 0 {
-		slot = o.freeSlab[n-1]
-		o.freeSlab = o.freeSlab[:n-1]
-	} else {
-		if o.slabLen == len(o.slab)*ovtSlabChunk {
-			o.slab = append(o.slab, make([]verRec, ovtSlabChunk))
-		}
-		slot = int32(o.slabLen)
-		o.slabLen++
-	}
-	i := o.tabHome(num)
-	for o.tabSlot[i] >= 0 {
-		i = (i + 1) & o.tabMask
-	}
-	o.tabKeys[i] = num
-	o.tabSlot[i] = slot
-	o.tabUsed++
-	rec := o.slabAt(slot)
-	q := rec.queries[:0]
-	*rec = verRec{queries: q}
+	slot, rec := o.recs.Alloc()
+	o.byNum.Put(num, slot)
+	*rec = verRec{queries: rec.queries[:0]}
 	return rec
 }
 
-// remove deletes num from the index and returns its slab slot to the free
-// stack (backward-shift deletion keeps probe chains intact).
+// remove unbinds num and frees its record's slot.
 func (o *ovtModule) remove(num uint32) {
-	i := o.tabHome(num)
-	for o.tabKeys[i] != num || o.tabSlot[i] < 0 {
-		i = (i + 1) & o.tabMask
-	}
-	o.freeSlab = append(o.freeSlab, o.tabSlot[i])
-	mask := o.tabMask
-	j := i
-	for {
-		o.tabSlot[i] = -1
-		for {
-			j = (j + 1) & mask
-			if o.tabSlot[j] < 0 {
-				o.tabUsed--
-				return
-			}
-			home := o.tabHome(o.tabKeys[j])
-			if (j-home)&mask >= (j-i)&mask {
-				break
-			}
-		}
-		o.tabKeys[i] = o.tabKeys[j]
-		o.tabSlot[i] = o.tabSlot[j]
-		i = j
-	}
-}
-
-// tabGrow doubles the index (overload only: the construction size already
-// covers the full live capacity at ½ load).
-func (o *ovtModule) tabGrow() {
-	oldKeys, oldSlot := o.tabKeys, o.tabSlot
-	o.tabInit(uint32(len(oldKeys)) * 2)
-	for i, s := range oldSlot {
-		if s < 0 {
-			continue
-		}
-		j := o.tabHome(oldKeys[i])
-		for o.tabSlot[j] >= 0 {
-			j = (j + 1) & o.tabMask
-		}
-		o.tabKeys[j] = oldKeys[i]
-		o.tabSlot[j] = s
-		o.tabUsed++
-	}
+	o.recs.Free(*o.byNum.Get(num))
+	o.byNum.Delete(num)
 }
 
 // pendingRec returns the pending record for num, creating it if absent.
@@ -264,7 +156,7 @@ func (o *ovtModule) pendingRec(num uint32) *verRec {
 
 // pendingCount returns the number of pending (stash-shadow) records; used
 // by tests and leak checks.
-func (o *ovtModule) pendingCount() int { return o.tabUsed - o.nlive }
+func (o *ovtModule) pendingCount() int { return o.byNum.Len() - o.nlive }
 
 // --- message handling ---
 
@@ -272,27 +164,27 @@ func (o *ovtModule) handle(m any) sim.Cycle {
 	switch msg := m.(type) {
 	case *ovtNewVersionMsg:
 		v := *msg
-		o.fe.pools.newVersion.put(msg)
+		o.fe.pools.newVersion.Put(msg)
 		return o.handleNewVersion(v, false)
 	case *ovtAddUseMsg:
 		v := *msg
-		o.fe.pools.addUse.put(msg)
+		o.fe.pools.addUse.Put(msg)
 		return o.handleAddUse(v)
 	case *ovtDecUseMsg:
 		v := *msg
-		o.fe.pools.decUse.put(msg)
+		o.fe.pools.decUse.Put(msg)
 		return o.handleDecUse(v)
 	case *ovtQueryBufMsg:
 		v := *msg
-		o.fe.pools.query.put(msg)
+		o.fe.pools.query.Put(msg)
 		return o.handleQuery(v)
 	case *ovtReleaseAckMsg:
 		v := *msg
-		o.fe.pools.releaseAck.put(msg)
+		o.fe.pools.releaseAck.Put(msg)
 		return o.handleReleaseAck(v)
 	case *ovtCopyDoneMsg:
 		v := *msg
-		o.fe.pools.copyDone.put(msg)
+		o.fe.pools.copyDone.Put(msg)
 		return o.handleCopyDone(v)
 	default:
 		panic("ovt: unknown message")
@@ -390,7 +282,7 @@ func (o *ovtModule) handleNewVersion(m ovtNewVersionMsg, replay bool) sim.Cycle 
 	// createVersion runs the Figure 7–9 flows and returns the buffer the
 	// version resolved to; parked queries are answered last, preserving
 	// the message order of the pre-arena implementation (the record may
-	// die and its slab slot be reused during nested stash replays, so the
+	// die and its arena slot be reused during nested stash replays, so the
 	// buffer value is captured rather than re-read).
 	buf := o.createVersion(m, rec)
 	for _, c := range queries {
@@ -457,7 +349,7 @@ func (o *ovtModule) createVersion(m ovtNewVersionMsg, rec *verRec) uint64 {
 // maybeReleaseByNum advances the new version's lifecycle only if it is
 // still live. maybeRelease(prev) above can cascade into nested stash
 // replays that supersede and retire the version being created (its netted
-// use count may already be zero under overload) — its slab slot is then
+// use count may already be zero under overload) — its arena slot is then
 // recycled, so the held pointer must not be touched again. The pre-arena
 // code reached the same outcome through the dead-record guard on a stable
 // heap record; re-resolving by version number is the arena equivalent.
@@ -469,7 +361,7 @@ func (o *ovtModule) maybeReleaseByNum(num uint32) {
 
 // sendDataReady ships one pooled readiness notification to an operand's TRS.
 func (o *ovtModule) sendDataReady(op OperandID, buf uint64, output bool) {
-	dm := o.fe.pools.dataReady.get()
+	dm := o.fe.pools.dataReady.Get()
 	*dm = trsDataReadyMsg{op: op, buf: buf, output: output}
 	o.fe.sendToTRS(o.node, int(op.Task.TRS), dm)
 }
@@ -545,20 +437,14 @@ func (o *ovtModule) maybeRelease(rec *verRec) {
 		// the original object address with the external DMA engine.
 		rec.copyInFlight = true
 		o.copyBacks++
-		ev := o.freeCopyDone
-		if ev == nil {
-			ev = &ovtCopyDoneEvent{o: o}
-		} else {
-			o.freeCopyDone = ev.next
-			ev.next = nil
-		}
-		ev.v = rec.id
+		ev := o.copyEvents.Get()
+		ev.o, ev.v = o, rec.id
 		o.fe.copyEngine.Copy(rec.buf, rec.base, rec.size, ev)
 		return
 	}
 	if !rec.releasePending {
 		rec.releasePending = true
-		rm := o.fe.pools.ortRelease.get()
+		rm := o.fe.pools.ortRelease.Get()
 		*rm = ortReleaseMsg{base: rec.base, version: rec.id, granted: rec.granted}
 		o.fe.sendToORT(o.node, o.index, rm)
 	}
@@ -568,21 +454,19 @@ func (o *ovtModule) maybeRelease(rec *verRec) {
 type ovtCopyDoneMsg struct{ v VersionID }
 
 // ovtCopyDoneEvent adapts a DMA completion to the module's message queue;
-// instances recycle through the module's free list so copy-backs do not
+// instances recycle through the module's pool so copy-backs do not
 // allocate.
 type ovtCopyDoneEvent struct {
-	o    *ovtModule
-	v    VersionID
-	next *ovtCopyDoneEvent
+	o *ovtModule
+	v VersionID
 }
 
 // Fire implements sim.Event: it recycles itself, then submits the pooled
 // copy-done message.
 func (ev *ovtCopyDoneEvent) Fire() {
 	o, v := ev.o, ev.v
-	ev.next = o.freeCopyDone
-	o.freeCopyDone = ev
-	cm := o.fe.pools.copyDone.get()
+	o.copyEvents.Put(ev)
+	cm := o.fe.pools.copyDone.Get()
 	*cm = ovtCopyDoneMsg{v: v}
 	o.srv.Submit(cm)
 }

@@ -1,54 +1,37 @@
 package core
 
-// pool is a simple free list of message structs. Protocol messages travel
-// as *T inside an `any`: storing a pointer in an interface does not
+import "tasksuperscalar/internal/sim"
+
+// msgPools holds one sim.Pool per protocol message type. Protocol messages
+// travel as *T inside an `any`: storing a pointer in an interface does not
 // allocate, so a pooled message makes the whole send-transport-handle path
 // allocation-free. Pools are owned by one Frontend and therefore by one
 // engine goroutine — no locking.
 //
-// Convention: a message is taken with get, fully overwritten by the sender
-// (whole-struct assignment, never field patching), and returned to the pool
-// by the receiving module's handle method after it has copied the value
-// out. Pooled messages must never be retained by reference across handler
-// boundaries.
-type pool[T any] struct {
-	free []*T
-}
-
-func (p *pool[T]) get() *T {
-	if n := len(p.free); n > 0 {
-		x := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return x
-	}
-	return new(T)
-}
-
-func (p *pool[T]) put(x *T) {
-	p.free = append(p.free, x)
-}
-
-// msgPools holds one free list per protocol message type.
+// Convention: a message is taken with Get, fully overwritten by the sender
+// (whole-struct assignment, never field patching, since Get returns the
+// record's old contents), and returned with Put by the receiving module's
+// handle method after it has copied the value out. Pooled messages must
+// never be retained by reference across handler boundaries.
 type msgPools struct {
-	alloc       pool[trsAllocMsg]
-	opInfo      pool[trsOperandInfoMsg]
-	scalar      pool[trsScalarMsg]
-	regConsumer pool[trsRegisterConsumerMsg]
-	dataReady   pool[trsDataReadyMsg]
-	finished    pool[trsTaskFinishedMsg]
+	alloc       sim.Pool[trsAllocMsg]
+	opInfo      sim.Pool[trsOperandInfoMsg]
+	scalar      sim.Pool[trsScalarMsg]
+	regConsumer sim.Pool[trsRegisterConsumerMsg]
+	dataReady   sim.Pool[trsDataReadyMsg]
+	finished    sim.Pool[trsTaskFinishedMsg]
 
-	decode     pool[ortDecodeMsg]
-	ortRelease pool[ortReleaseMsg]
+	decode     sim.Pool[ortDecodeMsg]
+	ortRelease sim.Pool[ortReleaseMsg]
 
-	newVersion pool[ovtNewVersionMsg]
-	addUse     pool[ovtAddUseMsg]
-	decUse     pool[ovtDecUseMsg]
-	query      pool[ovtQueryBufMsg]
-	releaseAck pool[ovtReleaseAckMsg]
-	copyDone   pool[ovtCopyDoneMsg]
+	newVersion sim.Pool[ovtNewVersionMsg]
+	addUse     sim.Pool[ovtAddUseMsg]
+	decUse     sim.Pool[ovtDecUseMsg]
+	query      sim.Pool[ovtQueryBufMsg]
+	releaseAck sim.Pool[ovtReleaseAckMsg]
+	copyDone   sim.Pool[ovtCopyDoneMsg]
 
-	allocReply pool[gwAllocReplyMsg]
-	spaceFreed pool[gwSpaceFreedMsg]
-	stall      pool[gwStallMsg]
+	allocReply sim.Pool[gwAllocReplyMsg]
+	spaceFreed sim.Pool[gwSpaceFreedMsg]
+	stall      sim.Pool[gwStallMsg]
 }

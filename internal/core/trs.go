@@ -31,7 +31,7 @@ func (op *opRec) reset() {
 }
 
 // taskRec is the in-flight task meta-data held by a TRS (main block plus
-// indirect blocks). Records live in the station's slot arena: the first
+// indirect blocks). Records live in the station's sim.Arena: the first
 // mainBlockOperands operands are embedded inline (the paper's main block),
 // the rest spill to a per-slot slice whose capacity is reused when the slot
 // recycles (the indirect blocks).
@@ -62,15 +62,11 @@ func (r *taskRec) op(i int) *opRec {
 	return &r.spill[i-mainBlockOperands]
 }
 
-// trsSlabChunk sizes the slot arena's chunks; chunked growth keeps record
-// addresses stable across allocations (handlers hold *taskRec while serving
-// deferred allocation queues).
-const trsSlabChunk = 512
-
 // trsModule is one task reservation station: an eDRAM block store whose
 // controller serializes protocol messages. Task records live in a
-// preallocated, slot-indexed arena (generation-checked) rather than on the
-// heap, so steady-state task turnover does not allocate.
+// slot-indexed arena (generation-checked) rather than on the heap, so
+// steady-state task turnover does not allocate, and a *taskRec stays valid
+// while handlers serve deferred allocation queues.
 type trsModule struct {
 	fe    *Frontend
 	index int
@@ -81,9 +77,7 @@ type trsModule struct {
 	freeBlocks  int
 	sramHeads   int // block addresses staged in the SRAM buffer
 
-	slab      [][]taskRec // chunked slot arena; slot s → slab[s/chunk][s%chunk]
-	slabLen   int
-	freeSlots []uint32
+	tasks sim.Arena[taskRec] // a TaskID's Slot indexes it
 
 	deferred     sim.FIFO[trsAllocMsg] // allocation requests awaiting free blocks
 	reportedFull bool
@@ -104,14 +98,8 @@ func newTRS(fe *Frontend, index int) *trsModule {
 	}
 	t.freeBlocks = t.totalBlocks
 	t.sramHeads = sramFreeListHeads
-	t.slab = append(t.slab, make([]taskRec, trsSlabChunk))
 	t.srv = sim.NewServer[any](fe.eng, "trs", t.handle)
 	return t
-}
-
-// slot returns the arena record at a slot index.
-func (t *trsModule) slot(s uint32) *taskRec {
-	return &t.slab[s/trsSlabChunk][s%trsSlabChunk]
 }
 
 // handle copies each pooled message out and recycles it before dispatching,
@@ -120,27 +108,27 @@ func (t *trsModule) handle(m any) sim.Cycle {
 	switch msg := m.(type) {
 	case *trsDataReadyMsg:
 		v := *msg
-		t.fe.pools.dataReady.put(msg)
+		t.fe.pools.dataReady.Put(msg)
 		return t.handleDataReady(v)
 	case *trsOperandInfoMsg:
 		v := *msg
-		t.fe.pools.opInfo.put(msg)
+		t.fe.pools.opInfo.Put(msg)
 		return t.handleOperandInfo(v)
 	case *trsRegisterConsumerMsg:
 		v := *msg
-		t.fe.pools.regConsumer.put(msg)
+		t.fe.pools.regConsumer.Put(msg)
 		return t.handleRegisterConsumer(v)
 	case *trsScalarMsg:
 		v := *msg
-		t.fe.pools.scalar.put(msg)
+		t.fe.pools.scalar.Put(msg)
 		return t.handleScalar(v)
 	case *trsAllocMsg:
 		v := *msg
-		t.fe.pools.alloc.put(msg)
+		t.fe.pools.alloc.Put(msg)
 		return t.handleAlloc(v)
 	case *trsTaskFinishedMsg:
 		v := *msg
-		t.fe.pools.finished.put(msg)
+		t.fe.pools.finished.Put(msg)
 		return t.handleFinished(v)
 	default:
 		panic("trs: unknown message")
@@ -181,18 +169,7 @@ func (t *trsModule) handleAlloc(m trsAllocMsg) sim.Cycle {
 func (t *trsModule) allocate(m trsAllocMsg, blocks int) sim.Cycle {
 	nops := m.task.NumOperands()
 	t.freeBlocks -= blocks
-	var slot uint32
-	if n := len(t.freeSlots); n > 0 {
-		slot = t.freeSlots[n-1]
-		t.freeSlots = t.freeSlots[:n-1]
-	} else {
-		if t.slabLen == len(t.slab)*trsSlabChunk {
-			t.slab = append(t.slab, make([]taskRec, trsSlabChunk))
-		}
-		slot = uint32(t.slabLen)
-		t.slabLen++
-	}
-	rec := t.slot(slot)
+	slot, rec := t.tasks.Alloc()
 	rec.gen++
 	rec.live = true
 	rec.id = TaskID{TRS: uint16(t.index), Slot: slot}
@@ -221,7 +198,7 @@ func (t *trsModule) allocate(m trsAllocMsg, blocks int) sim.Cycle {
 	t.fe.noteWindowDelta(+1)
 
 	// Reply to the gateway with the slot number.
-	rm := t.fe.pools.allocReply.get()
+	rm := t.fe.pools.allocReply.Get()
 	*rm = gwAllocReplyMsg{
 		gwRef:     m.gwRef,
 		id:        rec.id,
@@ -247,10 +224,10 @@ func (t *trsModule) allocate(m trsAllocMsg, blocks int) sim.Cycle {
 // rec returns the live record for id, or nil when the slot was freed or
 // reused.
 func (t *trsModule) rec(id TaskID, gen uint32, checkGen bool) *taskRec {
-	if int(id.Slot) >= t.slabLen {
+	if int(id.Slot) >= t.tasks.Len() {
 		return nil
 	}
-	r := t.slot(id.Slot)
+	r := t.tasks.At(id.Slot)
 	if !r.live {
 		return nil
 	}
@@ -263,10 +240,10 @@ func (t *trsModule) rec(id TaskID, gen uint32, checkGen bool) *taskRec {
 // gen returns the slot's current generation (it survives frees, so the ORT
 // can stamp last-user references that may outlive the task).
 func (t *trsModule) slotGen(slot uint32) uint32 {
-	if int(slot) >= t.slabLen {
+	if int(slot) >= t.tasks.Len() {
 		return 0
 	}
-	return t.slot(slot).gen
+	return t.tasks.At(slot).gen
 }
 
 func (t *trsModule) handleOperandInfo(m trsOperandInfoMsg) sim.Cycle {
@@ -296,7 +273,7 @@ func (t *trsModule) handleOperandInfo(m trsOperandInfoMsg) sim.Cycle {
 	cost := t.fe.cfg.ProcCycles + t.fe.cfg.EDRAMCycles
 	if m.hasProducer {
 		// Register with the previous user of the version for input data.
-		rc := t.fe.pools.regConsumer.get()
+		rc := t.fe.pools.regConsumer.Get()
 		*rc = trsRegisterConsumerMsg{
 			producer:     m.producer,
 			prodGen:      m.prodGen,
@@ -345,7 +322,7 @@ func (t *trsModule) handleRegisterConsumer(m trsRegisterConsumerMsg) sim.Cycle {
 	if r == nil {
 		// The user already retired; its data was produced and written
 		// back. Resolve the buffer through the version record.
-		qm := t.fe.pools.query.get()
+		qm := t.fe.pools.query.Get()
 		*qm = ovtQueryBufMsg{
 			v:        m.queryVersion,
 			consumer: m.consumer,
@@ -405,7 +382,7 @@ func (t *trsModule) handleDataReady(m trsDataReadyMsg) sim.Cycle {
 
 // sendDataReady ships one pooled readiness notification to a consumer TRS.
 func (t *trsModule) sendDataReady(trsIdx int, op OperandID, buf uint64, output bool) {
-	dm := t.fe.pools.dataReady.get()
+	dm := t.fe.pools.dataReady.Get()
 	*dm = trsDataReadyMsg{op: op, buf: buf, output: output}
 	t.fe.sendToTRS(t.node, trsIdx, dm)
 }
@@ -480,7 +457,7 @@ func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
 			op.dataDone = true
 			t.forward(op, op.buf)
 		}
-		du := t.fe.pools.decUse.get()
+		du := t.fe.pools.decUse.Get()
 		*du = ovtDecUseMsg{v: op.version}
 		t.fe.sendToOVT(t.node, int(op.version.OVT), du)
 	}
@@ -488,7 +465,7 @@ func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
 	blocks := r.blocks
 	r.live = false
 	r.task = nil
-	t.freeSlots = append(t.freeSlots, m.id.Slot)
+	t.tasks.Free(m.id.Slot)
 	t.freeBlocks += blocks
 	t.freed++
 	t.fe.noteWindowDelta(-1)
@@ -506,7 +483,7 @@ func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
 	}
 	if t.reportedFull && t.deferred.Len() == 0 && t.freeBlocks >= blocksForOperands(MaxOperands) {
 		t.reportedFull = false
-		sf := t.fe.pools.spaceFreed.get()
+		sf := t.fe.pools.spaceFreed.Get()
 		*sf = gwSpaceFreedMsg{trs: t.index}
 		t.fe.sendToGW(t.node, sf)
 	}

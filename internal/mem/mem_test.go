@@ -130,8 +130,8 @@ func TestL1CapacityEviction(t *testing.T) {
 	if st.used > m.cfg.L1Bytes {
 		t.Fatalf("L1 over capacity: %d > %d", st.used, m.cfg.L1Bytes)
 	}
-	if st.n != 4 {
-		t.Fatalf("expected 4 resident objects, got %d", st.n)
+	if st.objs.Len() != 4 {
+		t.Fatalf("expected 4 resident objects, got %d", st.objs.Len())
 	}
 	// The first-fetched object must be the evicted one (LRU).
 	if m.resident(0, 0x100000) {
@@ -158,7 +158,7 @@ func TestWritebackMakesDataVisible(t *testing.T) {
 	if !fin {
 		t.Fatal("writeback never completed")
 	}
-	ent := m.dir.get(0x30000)
+	ent := m.dirRecs.At(*m.dir.Get(0x30000))
 	if ent.owner != -1 || !ent.inL2 {
 		t.Fatalf("directory after writeback: owner=%d inL2=%v", ent.owner, ent.inL2)
 	}
@@ -217,20 +217,20 @@ func TestCoherenceInvariantProperty(t *testing.T) {
 				return false
 			}
 			var sum uint64
-			m.l1[c].forEach(func(_ uint64, o *l1Obj) {
+			for _, o := range m.l1[c].objs.All() {
 				sum += uint64(o.size)
-			})
+			}
 			if sum != m.l1[c].used {
 				return false
 			}
 		}
 		// Every owner in the directory must actually hold the object.
 		ok := true
-		m.dir.forEach(func(base uint64, ent *dirEntry) {
-			if ent.owner >= 0 && m.l1[ent.owner].get(base) == nil {
+		for base, slot := range m.dir.All() {
+			if ent := m.dirRecs.At(*slot); ent.owner >= 0 && m.l1[ent.owner].objs.Get(base) == nil {
 				ok = false
 			}
-		})
+		}
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

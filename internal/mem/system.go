@@ -69,109 +69,6 @@ func (d *dirEntry) dropSharer(c int32) {
 	}
 }
 
-// dirTable is the directory: an open-addressed index from object base
-// address to a chunked slab of dirEntry records. Entries are never removed
-// (the directory's working set is the program's object set), and the slab's
-// chunked growth keeps *dirEntry pointers stable for the protocol closures
-// that hold them across multi-hop message chains.
-type dirTable struct {
-	mask   uint64
-	keys   []uint64
-	idx    []int32 // slab index, -1 = empty
-	n      int
-	chunks [][]dirEntry
-}
-
-const (
-	dirInitSize = 1024 // initial hash slots (power of 2)
-	dirChunk    = 512  // dirEntry records per slab chunk
-)
-
-func newDirTable() *dirTable {
-	t := &dirTable{}
-	t.init(dirInitSize)
-	t.chunks = append(t.chunks, make([]dirEntry, 0, dirChunk))
-	return t
-}
-
-func (t *dirTable) init(size uint64) {
-	t.mask = size - 1
-	t.keys = make([]uint64, size)
-	t.idx = make([]int32, size)
-	for i := range t.idx {
-		t.idx[i] = -1
-	}
-	t.n = 0
-}
-
-func (t *dirTable) at(i int32) *dirEntry {
-	return &t.chunks[i/dirChunk][i%dirChunk]
-}
-
-// get returns the entry for base, or nil. Pointers are stable for the
-// lifetime of the table.
-func (t *dirTable) get(base uint64) *dirEntry {
-	i := l1Hash(base) & t.mask
-	for {
-		s := t.idx[i]
-		if s < 0 {
-			return nil
-		}
-		if t.keys[i] == base {
-			return t.at(s)
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// insert adds a fresh entry for base (the caller has checked absence).
-func (t *dirTable) insert(base uint64, e dirEntry) *dirEntry {
-	if uint64(t.n)*2 >= uint64(len(t.keys)) {
-		t.regrow()
-	}
-	last := len(t.chunks) - 1
-	if len(t.chunks[last]) == dirChunk {
-		t.chunks = append(t.chunks, make([]dirEntry, 0, dirChunk))
-		last++
-	}
-	t.chunks[last] = append(t.chunks[last], e)
-	slab := int32(last*dirChunk + len(t.chunks[last]) - 1)
-	i := l1Hash(base) & t.mask
-	for t.idx[i] >= 0 {
-		i = (i + 1) & t.mask
-	}
-	t.keys[i] = base
-	t.idx[i] = slab
-	t.n++
-	return t.at(slab)
-}
-
-// forEach visits every directory entry (observability/tests).
-func (t *dirTable) forEach(fn func(base uint64, e *dirEntry)) {
-	for i, s := range t.idx {
-		if s >= 0 {
-			fn(t.keys[i], t.at(s))
-		}
-	}
-}
-
-func (t *dirTable) regrow() {
-	oldKeys, oldIdx := t.keys, t.idx
-	t.init(uint64(len(oldKeys)) * 2)
-	for i, s := range oldIdx {
-		if s < 0 {
-			continue
-		}
-		j := l1Hash(oldKeys[i]) & t.mask
-		for t.idx[j] >= 0 {
-			j = (j + 1) & t.mask
-		}
-		t.keys[j] = oldKeys[i]
-		t.idx[j] = s
-		t.n++
-	}
-}
-
 // l1Obj tracks one object resident in a core's L1.
 type l1Obj struct {
 	size  uint32
@@ -179,139 +76,24 @@ type l1Obj struct {
 	used  uint64 // LRU stamp (strictly increasing per core, so unique)
 }
 
-// l1State is one core's L1 content: an open-addressed hash table from
-// object base address to l1Obj, stored inline (linear probing with
-// backward-shift deletion). The table replaces a map[uint64]*l1Obj: object
-// staging touches it on every fetch, and inline storage means residency
-// churn allocates nothing once the table reaches its working-set size.
+// l1State is one core's L1 content: a table from object base address to
+// l1Obj, stored inline, so residency churn allocates nothing once the
+// table reaches its working-set size.
 type l1State struct {
-	mask  uint64
-	keys  []uint64
-	objs  []l1Obj
-	state []uint8 // 0 = empty, 1 = occupied
-	n     int
+	objs sim.Table[uint64, l1Obj]
 
 	used uint64
 	tick uint64
 }
 
-const l1InitSize = 64 // initial hash slots per core (power of 2)
-
-func newL1State() *l1State {
-	st := &l1State{}
-	st.grow(l1InitSize)
-	return st
-}
-
-func (st *l1State) grow(size uint64) {
-	oldKeys, oldObjs, oldState := st.keys, st.objs, st.state
-	st.mask = size - 1
-	st.keys = make([]uint64, size)
-	st.objs = make([]l1Obj, size)
-	st.state = make([]uint8, size)
-	st.n = 0
-	for i, s := range oldState {
-		if s != 0 {
-			st.put(oldKeys[i], oldObjs[i])
-		}
-	}
-}
-
-func l1Hash(base uint64) uint64 {
-	h := base >> 6
-	h *= 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	return h
-}
-
-// get returns the resident object record, or nil. The pointer is transient:
-// it is invalidated by the next put or delete.
-func (st *l1State) get(base uint64) *l1Obj {
-	i := l1Hash(base) & st.mask
-	for {
-		if st.state[i] == 0 {
-			return nil
-		}
-		if st.keys[i] == base {
-			return &st.objs[i]
-		}
-		i = (i + 1) & st.mask
-	}
-}
-
-// put inserts or overwrites the record for base.
-func (st *l1State) put(base uint64, o l1Obj) {
-	if uint64(st.n)*2 >= uint64(len(st.keys)) {
-		st.grow(uint64(len(st.keys)) * 2)
-	}
-	i := l1Hash(base) & st.mask
-	for st.state[i] != 0 {
-		if st.keys[i] == base {
-			st.objs[i] = o
-			return
-		}
-		i = (i + 1) & st.mask
-	}
-	st.keys[i] = base
-	st.objs[i] = o
-	st.state[i] = 1
-	st.n++
-}
-
-// delete removes base if present (backward-shift deletion keeps probe
-// chains intact).
-func (st *l1State) delete(base uint64) {
-	mask := st.mask
-	i := l1Hash(base) & mask
-	for {
-		if st.state[i] == 0 {
-			return
-		}
-		if st.keys[i] == base {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		st.state[i] = 0
-		for {
-			j = (j + 1) & mask
-			if st.state[j] == 0 {
-				st.n--
-				return
-			}
-			home := l1Hash(st.keys[j]) & mask
-			if (j-home)&mask >= (j-i)&mask {
-				break
-			}
-		}
-		st.keys[i] = st.keys[j]
-		st.objs[i] = st.objs[j]
-		st.state[i] = 1
-		i = j
-	}
-}
-
-// forEach visits every resident object (observability/tests; iteration
-// order is the table's slot order).
-func (st *l1State) forEach(fn func(base uint64, o *l1Obj)) {
-	for i, s := range st.state {
-		if s != 0 {
-			fn(st.keys[i], &st.objs[i])
-		}
-	}
-}
-
 // lruVictim returns the base of the least-recently-used object. LRU stamps
-// are unique, so the scan is deterministic regardless of table layout.
+// are unique, so the victim does not depend on table layout.
 func (st *l1State) lruVictim() uint64 {
 	var victim uint64
 	best := ^uint64(0)
-	for i, s := range st.state {
-		if s != 0 && st.objs[i].used < best {
-			best = st.objs[i].used
-			victim = st.keys[i]
+	for base, o := range st.objs.All() {
+		if o.used < best {
+			best, victim = o.used, base
 		}
 	}
 	return victim
@@ -334,13 +116,18 @@ type System struct {
 	// instead of mod on the per-access home-bank path), else -1.
 	bankMask int
 
-	dir *dirTable
-	l1  []*l1State
+	// dir is the directory: object base address → slot in dirRecs.
+	// Entries are never removed (the directory's working set is the
+	// program's object set), and the arena keeps a *dirEntry valid for
+	// the protocol closures that hold one across multi-hop message chains.
+	dir     sim.Table[uint64, uint32]
+	dirRecs sim.Arena[dirEntry]
+	l1      []*l1State
 
-	// freeEv recycles the typed events that drive the multi-stage fetch
+	// events recycles the typed events that drive the multi-stage fetch
 	// and writeback protocols, so burst traffic does not allocate per
 	// protocol step.
-	freeEv *memEvent
+	events sim.Pool[memEvent]
 
 	// Stats.
 	fetches       uint64
@@ -361,8 +148,8 @@ func NewSystem(eng *sim.Engine, net *noc.Network, coreNodes []noc.NodeID, cfg Sy
 		cfg:       cfg,
 		dram:      NewDRAM(eng, cfg.DRAM),
 		coreNodes: coreNodes,
-		dir:       newDirTable(),
 	}
+	m.dir.Init(512)
 	for i := 0; i < cfg.L2Banks; i++ {
 		m.bankNodes = append(m.bankNodes, net.AddGlobalNode("l2bank"))
 	}
@@ -373,7 +160,8 @@ func NewSystem(eng *sim.Engine, net *noc.Network, coreNodes []noc.NodeID, cfg Sy
 	m.dmaNode = net.AddGlobalNode("dma")
 	m.l1 = make([]*l1State, cfg.Cores)
 	for i := range m.l1 {
-		m.l1[i] = newL1State()
+		m.l1[i] = &l1State{}
+		m.l1[i].objs.Init(32)
 	}
 	return m
 }
@@ -394,9 +182,14 @@ func (m *System) bankFor(addr uint64) int {
 }
 
 func (m *System) entry(base uint64, size uint32) *dirEntry {
-	e := m.dir.get(base)
-	if e == nil {
-		e = m.dir.insert(base, dirEntry{size: size, owner: -1})
+	var e *dirEntry
+	if slot := m.dir.Get(base); slot != nil {
+		e = m.dirRecs.At(*slot)
+	} else {
+		var slot uint32
+		slot, e = m.dirRecs.Alloc()
+		*e = dirEntry{size: size, owner: -1}
+		m.dir.Put(base, slot)
 	}
 	if size > e.size {
 		e.size = size
@@ -407,7 +200,7 @@ func (m *System) entry(base uint64, size uint32) *dirEntry {
 // resident reports whether core holds the object, updating LRU on touch.
 func (m *System) resident(core int, base uint64) bool {
 	st := m.l1[core]
-	o := st.get(base)
+	o := st.objs.Get(base)
 	if o != nil {
 		st.tick++
 		o.used = st.tick
@@ -422,17 +215,17 @@ func (m *System) install(core int, base uint64, size uint32, dirty bool) {
 		return
 	}
 	st := m.l1[core]
-	if o := st.get(base); o != nil {
+	if o := st.objs.Get(base); o != nil {
 		o.dirty = o.dirty || dirty
 		st.tick++
 		o.used = st.tick
 		return
 	}
-	for st.used+uint64(size) > m.cfg.L1Bytes && st.n > 0 {
+	for st.used+uint64(size) > m.cfg.L1Bytes && st.objs.Len() > 0 {
 		m.evictLRU(core)
 	}
 	st.tick++
-	st.put(base, l1Obj{size: size, dirty: dirty, used: st.tick})
+	st.objs.Put(base, l1Obj{size: size, dirty: dirty, used: st.tick})
 	st.used += uint64(size)
 	e := m.entry(base, size)
 	e.addSharer(int32(core))
@@ -444,8 +237,8 @@ func (m *System) install(core int, base uint64, size uint32, dirty bool) {
 func (m *System) evictLRU(core int) {
 	st := m.l1[core]
 	victim := st.lruVictim()
-	o := *st.get(victim)
-	st.delete(victim)
+	o := *st.objs.Get(victim)
+	st.objs.Delete(victim)
 	st.used -= uint64(o.size)
 	e := m.entry(victim, o.size)
 	e.dropSharer(int32(core))
@@ -469,7 +262,6 @@ type memEvent struct {
 	base uint64
 	size uint32
 	then func()
-	next *memEvent
 }
 
 const (
@@ -481,21 +273,14 @@ const (
 )
 
 func (m *System) getEvent(kind uint8, core int, base uint64, size uint32, then func()) *memEvent {
-	ev := m.freeEv
-	if ev == nil {
-		ev = &memEvent{m: m}
-	} else {
-		m.freeEv = ev.next
-		ev.next = nil
-	}
-	ev.kind, ev.core, ev.base, ev.size, ev.then = kind, int32(core), base, size, then
+	ev := m.events.Get()
+	ev.m, ev.kind, ev.core, ev.base, ev.size, ev.then = m, kind, int32(core), base, size, then
 	return ev
 }
 
 func (m *System) putEvent(ev *memEvent) {
 	ev.then = nil
-	ev.next = m.freeEv
-	m.freeEv = ev
+	m.events.Put(ev)
 }
 
 func (ev *memEvent) Fire() {
@@ -514,7 +299,7 @@ func (ev *memEvent) Fire() {
 			bank := m.BankNode(ev.base)
 			base := ev.base
 			m.net.Send(bank, m.coreNodes[owner], m.cfg.CtrlBytes, sim.FuncEvent(func() {
-				if o := m.l1[owner].get(base); o != nil {
+				if o := m.l1[owner].objs.Get(base); o != nil {
 					o.dirty = false
 				}
 				ev.kind = evFetchData
@@ -599,7 +384,7 @@ func (m *System) FetchExclusive(core int, base uint64, size uint32, then func())
 	m.Fetch(core, base, size, func() {
 		e := m.entry(base, size)
 		m.invalidateOthers(core, base, e, func() {
-			if o := m.l1[core].get(base); o != nil {
+			if o := m.l1[core].objs.Get(base); o != nil {
 				o.dirty = true
 			}
 			e.owner = int32(core)
@@ -628,9 +413,9 @@ func (m *System) invalidateOthers(core int, base uint64, e *dirEntry, then func(
 		m.invalidations++
 		m.net.Send(bank, m.coreNodes[tgt], m.cfg.CtrlBytes, sim.FuncEvent(func() {
 			st := m.l1[tgt]
-			if o := st.get(base); o != nil {
+			if o := st.objs.Get(base); o != nil {
 				size := o.size
-				st.delete(base)
+				st.objs.Delete(base)
 				st.used -= uint64(size)
 			}
 			m.net.Send(m.coreNodes[tgt], bank, m.cfg.CtrlBytes, sim.FuncEvent(func() {
@@ -655,8 +440,7 @@ func (m *System) Writeback(core int, base uint64, size uint32, then func()) {
 		then = func() {}
 	}
 	e := m.entry(base, size)
-	st := m.l1[core]
-	if o := st.get(base); o != nil {
+	if o := m.l1[core].objs.Get(base); o != nil {
 		o.dirty = false
 	}
 	if e.owner == int32(core) {

@@ -44,9 +44,9 @@ type Network struct {
 	messages     uint64
 	totalLatency sim.Cycle
 
-	// freeHop is the network-owned free list of multi-hop relay events;
-	// bridged sends recycle through it instead of nesting closures.
-	freeHop *hopEvent
+	// hops recycles multi-hop relay events; bridged sends reuse them
+	// instead of nesting closures.
+	hops sim.Pool[hopEvent]
 }
 
 // NewNetwork creates a network; attach nodes with AddCore / AddGlobalNode,
@@ -136,8 +136,6 @@ type hopEvent struct {
 	froms  [3]int
 	tos    [3]int
 	ev     sim.Event // the send's completion; nil for none
-
-	next *hopEvent
 }
 
 func (h *hopEvent) Fire() {
@@ -151,21 +149,15 @@ func (h *hopEvent) Fire() {
 	net.totalLatency += net.eng.Now() - h.sent
 	ev := h.ev
 	h.ev = nil
-	h.next = net.freeHop
-	net.freeHop = h
+	net.hops.Put(h)
 	if ev != nil {
 		ev.Fire()
 	}
 }
 
 func (n *Network) getHop(bytes uint32) *hopEvent {
-	h := n.freeHop
-	if h == nil {
-		h = &hopEvent{net: n}
-	} else {
-		n.freeHop = h.next
-		h.next = nil
-	}
+	h := n.hops.Get()
+	h.net = n
 	h.bytes = bytes
 	h.sent = n.eng.Now()
 	h.stage = 0

@@ -10,12 +10,17 @@ import "math/bits"
 // of calWindow cycles starting at winStart; each bucket is an append-only
 // FIFO of bare Events, so same-cycle events keep their schedule order for
 // free and a bucket entry needs neither its cycle (the bucket and scan give
-// it) nor a sequence number. Events outside the window go to a plain binary
+// it) nor a sequence number. Events beyond the window go to a plain binary
 // min-heap of cells ("far"), each stamped with its cycle and a far-heap
 // sequence number, and are migrated into the window whenever the window
-// moves. Only rebase moves the window, and it migrates every far cell the
-// new window covers, so a far cell never shares a cycle with an in-window
-// event: pop orders the two by cycle alone.
+// moves.
+//
+// Invariant: every far cell lies at or beyond winStart+calWindow, so every
+// far cell is later than every in-window event. A schedule never lands
+// below the clock (ScheduleEventAt clamps), the clock never falls below
+// winStart, and rebase, the only code that moves the window, migrates
+// every far cell the new window covers. So pop takes the far minimum only
+// when the window is empty, and a cycle inside the window has no far cell.
 //
 // Scheduling and popping are O(1) amortized for in-window events — an
 // append and a slice read, with no allocation once the bucket storage is
@@ -93,12 +98,12 @@ func (q *calQueue) init() {
 	}
 }
 
-// schedule inserts ev at cycle at. Events outside the window, below it
-// included, go to the far heap.
+// schedule inserts ev at cycle at, which is not below the clock. Events
+// beyond the window go to the far heap.
 func (q *calQueue) schedule(at Cycle, ev Event) {
 	q.init()
 	q.n++
-	if at-q.winStart < calWindow { // unsigned: below-window wraps huge
+	if at-q.winStart < calWindow {
 		q.append(at, ev)
 		return
 	}
@@ -167,14 +172,6 @@ func (q *calQueue) pop() (Cycle, Event) {
 		q.rebase(q.far.h[0].at) // guaranteed to move the far minimum in-window
 	}
 	b := q.seek()
-	// The far heap holds an earlier event only when it has entries below
-	// the window; one comparison keeps the order exact in that rare case.
-	// It never holds one at the same cycle.
-	if len(q.far.h) > 0 && q.far.h[0].at < q.scan {
-		q.n--
-		c := q.far.pop()
-		return c.at, c.ev
-	}
 	ev := b.events[b.head]
 	b.events[b.head] = nil // release the event reference
 	b.head++
@@ -198,18 +195,14 @@ func (q *calQueue) peekAt() (Cycle, bool) {
 		return q.far.h[0].at, true
 	}
 	q.seek()
-	at := q.scan
-	if len(q.far.h) > 0 && q.far.h[0].at < at {
-		at = q.far.h[0].at
-	}
-	return at, true
+	return q.scan, true
 }
 
-// idleAt reports whether no event is pending at cycle t: its bucket is
-// empty and no far cell sits at t.
+// idleAt reports whether no event is pending at cycle t, which must lie in
+// the window (no far cell sits there): its bucket is empty.
 func (q *calQueue) idleAt(t Cycle) bool {
 	b := &q.buckets[t&calMask]
-	return b.head == len(b.events) && (len(q.far.h) == 0 || q.far.h[0].at != t)
+	return b.head == len(b.events)
 }
 
 // farHeap is a hand-rolled binary min-heap of cells ordered by (at, seq),

@@ -12,7 +12,7 @@
 // the conversion does not allocate); ScheduleEvent and ScheduleEventAt take
 // any Event, which is how hot paths schedule pooled or self-firing objects
 // — Server is the Event for its own dispatch, and Deliver hands out
-// delivery events recycled through an engine free list. Scheduling a
+// delivery events recycled through an engine Pool. Scheduling a
 // prebuilt closure or an Event therefore performs no allocation at all —
 // see docs/ARCHITECTURE.md for the invariants hot senders rely on.
 package sim
@@ -51,10 +51,7 @@ type Engine struct {
 	now  Cycle
 	fire uint64 // events fired, for diagnostics
 
-	// freeDeliver is the engine-owned free list (deliberately not a
-	// sync.Pool: engines are single-threaded and pool hits must be
-	// allocation- and lock-free) backing Deliver.
-	freeDeliver *deliverEvent
+	deliveries Pool[deliverEvent] // Deliver's events
 }
 
 // NewEngine returns an engine with its clock at cycle zero.
@@ -93,17 +90,15 @@ func (e *Engine) ScheduleEventAt(at Cycle, ev Event) {
 }
 
 // deliverEvent carries one message to a sink; instances are recycled
-// through the engine's free list, so steady-state delivery does not
-// allocate.
+// through the engine's pool, so steady-state delivery does not allocate.
 type deliverEvent struct {
 	eng  *Engine
 	sink Sink
 	m    any
-	next *deliverEvent
 }
 
 // Fire recycles the event before submitting, so the sink's handler may
-// immediately schedule further deliveries through the same free list.
+// immediately schedule further deliveries through the same pool.
 //
 // A delivery that wakes an idle Server[any] runs the server's dispatch
 // step in place when nothing else is pending at this cycle. Submit would
@@ -117,8 +112,7 @@ type deliverEvent struct {
 func (d *deliverEvent) Fire() {
 	e, sink, m := d.eng, d.sink, d.m
 	d.sink, d.m = nil, nil
-	d.next = e.freeDeliver
-	e.freeDeliver = d
+	e.deliveries.Put(d)
 	if srv, ok := sink.(*Server[any]); ok && e.q.idleAt(e.now) {
 		if srv.enqueue(m) {
 			e.fire++
@@ -130,20 +124,13 @@ func (d *deliverEvent) Fire() {
 }
 
 // Deliver returns an event that submits m to sink when it fires. The event
-// comes from the engine's free list and returns to it on firing, so a
+// comes from the engine's pool and returns to it on firing, so a
 // steady-state delivery neither allocates nor builds a closure; the caller
 // must schedule it (ScheduleEvent, or as a NoC send's completion) exactly
 // once.
 func (e *Engine) Deliver(sink Sink, m any) Event {
-	d := e.freeDeliver
-	if d == nil {
-		d = &deliverEvent{eng: e}
-	} else {
-		e.freeDeliver = d.next
-		d.next = nil
-	}
-	d.sink = sink
-	d.m = m
+	d := e.deliveries.Get()
+	d.eng, d.sink, d.m = e, sink, m
 	return d
 }
 

@@ -268,6 +268,53 @@ func TestCalendarQueueMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCalendarQueueFarCellsBeyondWindow checks the calendar queue's
+// invariant after every Step, over random schedules from outside and
+// inside events, past-cycle schedules that clamp, and RunFor jumps (the
+// only way the clock moves without a pop): every far cell lies at or
+// beyond winStart+calWindow, and the clock never falls below winStart.
+func TestCalendarQueueFarCellsBeyondWindow(t *testing.T) {
+	delays := []Cycle{0, 1, 7, 100, 4095, 4096, 4097, 9000, 50_000, 1 << 20}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		check := func(op int) {
+			q := &e.q
+			if e.now < q.winStart {
+				t.Fatalf("seed %d op %d: clock %d below window start %d", seed, op, e.now, q.winStart)
+			}
+			for _, c := range q.far.h {
+				if c.at < q.winStart+calWindow {
+					t.Fatalf("seed %d op %d: far cell at %d inside window [%d, %d)", seed, op, c.at, q.winStart, q.winStart+calWindow)
+				}
+			}
+		}
+		var fire func()
+		fire = func() {
+			if rng.Intn(3) == 0 {
+				e.Schedule(delays[rng.Intn(len(delays))], fire)
+			}
+		}
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				e.Schedule(delays[rng.Intn(len(delays))], fire)
+			case r < 6:
+				at := e.now + delays[rng.Intn(len(delays))]
+				e.ScheduleEventAt(at-min(at, delays[rng.Intn(len(delays))]), FuncEvent(fire))
+			case r < 7:
+				e.RunFor(delays[rng.Intn(len(delays))])
+			default:
+				e.Step()
+			}
+			check(op)
+		}
+		for op := 400; e.Step(); op++ {
+			check(op)
+		}
+	}
+}
+
 // The steady-state schedule/pop path must not allocate: closure cells and
 // typed events are stored directly in calendar buckets, and delivery events
 // recycle through the engine's free list.

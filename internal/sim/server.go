@@ -26,7 +26,6 @@ type Server[M any] struct {
 
 	// Stats.
 	served    uint64
-	busyUntil Cycle
 	busyTotal Cycle
 	maxQueue  int
 }
@@ -74,7 +73,6 @@ func (s *Server[M]) Fire() {
 	cost := s.h(m)
 	s.served++
 	s.busyTotal += cost
-	s.busyUntil = s.eng.Now() + cost
 	s.eng.ScheduleEvent(cost, s)
 }
 
@@ -90,11 +88,3 @@ func (s *Server[M]) BusyCycles() Cycle { return s.busyTotal }
 
 // MaxQueue returns the high-water mark of the input queue.
 func (s *Server[M]) MaxQueue() int { return s.maxQueue }
-
-// Utilization returns busy cycles divided by elapsed cycles so far.
-func (s *Server[M]) Utilization() float64 {
-	if s.eng.Now() == 0 {
-		return 0
-	}
-	return float64(s.busyTotal) / float64(s.eng.Now())
-}

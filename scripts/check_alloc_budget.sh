@@ -2,13 +2,13 @@
 # Allocation-regression gate.
 #
 # The frontend's steady-state decode path is designed to be allocation-free:
-# task records live in slot arenas, version records in open-addressed
-# slabs, protocol messages and dispatch records in free-list pools (see
-# docs/ARCHITECTURE.md "Memory layout"). What remains in the measured
-# allocs-per-simulated-task figure is per-run machine construction spread
-# over the workload, so the number is small and stable — and any structural
-# regression (a map reintroduced on a hot path, a pooled object leaking to
-# the heap) moves it sharply.
+# task and version records live in sim.Arena slots (version records found
+# through a sim.Table), protocol messages and dispatch records in sim.Pool
+# free lists (see docs/ARCHITECTURE.md "Memory layout"). What remains in
+# the measured allocs-per-simulated-task figure is per-run machine
+# construction spread over the workload, so the number is small and
+# stable — and any structural regression (a map reintroduced on a hot
+# path, a pooled object leaking to the heap) moves it sharply.
 #
 # This script fails if the freshly measured `frontend_decode` allocs/task
 # in BENCH_engine.json exceeds the ceiling committed in
