@@ -124,8 +124,7 @@ func (rb *releasingBackend) fire() {
 // storage. This extends the engine-level AllocsPerRun assertions in
 // internal/sim/engine_test.go to the full pipeline.
 func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RecordChains = false // the chain log is O(tasks) by design
+	cfg := DefaultConfig() // chain lengths are recorded, into a warm histogram
 
 	eng := sim.NewEngine()
 	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())

@@ -40,10 +40,9 @@ type Config struct {
 	// bounded stash lets unrelated operands flow past an unlucky set.
 	ORTStashLimit int
 
-	// RecordChains retains the per-version consumer-chain lengths for the
-	// §IV.B.2 statistics. The record grows with the task count, so
-	// streaming runs disable it to keep memory proportional to the task
-	// window.
+	// RecordChains counts dead versions by consumer-chain length for the
+	// §IV.B.2 statistics. The histogram grows with the longest chain, not
+	// with the task count; streaming runs disable it.
 	RecordChains bool
 }
 

@@ -271,6 +271,34 @@ func TestChainingDisabledStillCorrect(t *testing.T) {
 			t.Fatalf("reader %d started before producer finished", seq)
 		}
 	}
+
+	// A reader's consumer list outlives its forwarding: reader B registers
+	// with reader A after A's data arrived, is sent the data at once, and
+	// stays listed. Writer C needs 4 of the 5 blocks of a one-station TRS,
+	// so it waits for A to retire and takes A's slot; when C finishes it
+	// must not forward to A's consumers (B would see a duplicate data
+	// ready).
+	cfg.NumTRS = 1
+	cfg.TRSBytesEach = 5 * trsBlockBytes
+	var writes []taskmodel.Operand
+	for i := 0; i < 15; i++ {
+		writes = append(writes, opOut(taskmodel.Addr(0x70000+i*0x1000)))
+	}
+	r = buildRig(t, cfg, []*taskmodel.Task{
+		tk(2000, opIn(0x60000)),  // A
+		tk(20000, opIn(0x60000)), // B
+		tk(100, writes...),       // C
+	})
+	r.run(t, 3)
+	if r.mb.start[1] >= r.mb.finish[0] {
+		t.Fatal("reader B did not get its data from a live reader A")
+	}
+	if a, c := r.mb.ready[0], r.mb.ready[2]; a.Task.Seq != 0 || c.Task.Seq != 2 || a.ID != c.ID {
+		t.Fatalf("writer C did not reuse reader A's slot (A %v, C %v)", a.ID, c.ID)
+	}
+	if n := r.fe.trs[0].consumers.Len(); n != 0 {
+		t.Fatalf("%d consumer lists left after every task retired", n)
+	}
 }
 
 func TestWindowAccounting(t *testing.T) {
@@ -525,7 +553,7 @@ func TestTRSNetsEarlyOutputGrant(t *testing.T) {
 	if rec.dispatched {
 		t.Fatal("task dispatched before its operand info arrived")
 	}
-	trs.handleOperandInfo(trsOperandInfoMsg{op: op, base: 0x1000, size: 4096, dir: taskmodel.Out})
+	trs.handleOperandInfo(trsOperandInfoMsg{op: op, dir: taskmodel.Out})
 	if !rec.dispatched {
 		t.Fatalf("early grant not netted: pending %d, pendingReady %d", rec.op(0).pending, rec.pendingReady)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"tasksuperscalar/internal/noc"
 	"tasksuperscalar/internal/sim"
 	"tasksuperscalar/internal/stats"
@@ -350,7 +352,7 @@ func (fe *Frontend) Stats(end sim.Cycle) FrontendStats {
 	if s.TRSBytesAllocated > 0 {
 		s.InternalFragmentation = 1 - float64(s.TRSBytesUsed)/float64(s.TRSBytesAllocated)
 	}
-	var chains stats.Sample
+	var chains []uint64 // dead versions by consumer count, over every OVT
 	for _, o := range fe.ort {
 		s.ORTStallEvents += o.stallEvents
 		if o.maxOccupied > s.ORTMaxOccupied {
@@ -365,22 +367,59 @@ func (fe *Frontend) Stats(end sim.Cycle) FrontendStats {
 		if v.maxLive > s.OVTMaxLive {
 			s.OVTMaxLive = v.maxLive
 		}
-		for _, c := range v.chainLens {
-			chains.Add(float64(c))
-			if c > s.ChainMax {
-				s.ChainMax = c
+		for n, c := range v.chainHist {
+			if n == len(chains) {
+				chains = append(chains, 0)
 			}
+			chains[n] += c
 		}
 	}
-	if chains.N() > 0 {
-		s.ChainFracAtMost2 = chains.FracAtMost(2)
-		s.ChainP95 = chains.Percentile(95)
-	}
+	s.ChainFracAtMost2, s.ChainP95, s.ChainMax = chainStats(chains)
 	if fe.readyLagN > 0 {
 		s.ReadyLagAvg = float64(fe.readyLagSum) / float64(fe.readyLagN)
 		s.ReadyLagMax = fe.readyLagMax
 	}
 	return s
+}
+
+// chainStats summarizes a histogram of chain lengths (hist[n] versions had n
+// consumers) exactly as a stats.Sample of the lengths would: the fraction
+// of chains at most 2 long, the 95th percentile, and the longest chain.
+func chainStats(hist []uint64) (atMost2, p95 float64, longest int) {
+	var n, short uint64
+	for l, c := range hist {
+		n += c
+		if l <= 2 {
+			short += c
+		}
+		if c > 0 {
+			longest = l
+		}
+	}
+	if n == 0 {
+		return 0, 0, 0
+	}
+	atMost2 = float64(short) / float64(n)
+	// The k-th smallest length, counting from 0.
+	at := func(k uint64) float64 {
+		l := 0
+		for k >= hist[l] {
+			k -= hist[l]
+			l++
+		}
+		return float64(l)
+	}
+	// stats.Sample.Percentile's interpolation between the ranks around
+	// p/100·(n-1), operation for operation, so the result is bit-identical.
+	p := 95.0
+	rank := p / 100 * float64(n-1)
+	lo := uint64(math.Floor(rank))
+	hi := uint64(math.Ceil(rank))
+	if lo == hi {
+		return atMost2, at(lo), longest
+	}
+	frac := rank - float64(lo)
+	return atMost2, at(lo)*(1-frac) + at(hi)*frac, longest
 }
 
 // WindowOccupancy returns the current number of in-flight tasks.

@@ -18,11 +18,10 @@ type trsAllocMsg struct {
 }
 
 // trsOperandInfoMsg delivers decoded operand information from an ORT
-// ("operand <1,17,0> is 512B @283" in Figures 7-9).
+// ("operand <1,17,0> is 512B @283" in Figures 7-9). The object's base and
+// size are left out: the TRS reads them from the task at dispatch.
 type trsOperandInfoMsg struct {
 	op      OperandID
-	base    uint64
-	size    uint32
 	dir     taskmodel.Dir
 	version VersionID // version this operand reads (In) or produces (Out/InOut)
 
@@ -81,7 +80,7 @@ type ortDecodeMsg struct {
 type ortReleaseMsg struct {
 	base    uint64
 	version VersionID
-	granted int
+	granted int32
 }
 
 // --- messages to an OVT ---

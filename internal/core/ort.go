@@ -1,23 +1,27 @@
 package core
 
 import (
+	"math/bits"
+
 	"tasksuperscalar/internal/sim"
 	"tasksuperscalar/internal/taskmodel"
 )
 
-// ortEntry maps one memory object to its most recent user and its latest
-// version (the renaming-table row).
+// ortEntry is the payload of one way: an object's most recent user and its
+// latest version (the renaming-table row). The object's base address and
+// the way's valid bit live in the set's tag block.
 type ortEntry struct {
-	valid bool
-	base  uint64
-	size  uint32
-
 	lastUser    OperandID
 	lastUserGen uint32
 
 	latestVer VersionID
-	uses      int // uses granted for latestVer (release handshake)
+	uses      int32 // uses granted for latestVer (release handshake)
 }
+
+// wayMask holds one valid bit per way of a set.
+type wayMask = uint16
+
+const allWays wayMask = 1<<ortWays - 1 // fails to compile if ortWays outgrows wayMask
 
 // ortModule is one object renaming table: a 16-way logical cache of memory
 // objects mapped onto an eDRAM block. Tags for each set live in two 64 B
@@ -29,10 +33,13 @@ type ortModule struct {
 	node  int
 	srv   *sim.Server[any]
 
-	// entries holds every way of every set in one contiguous array (set s
-	// occupies entries[s*ortWays : (s+1)*ortWays]), preallocated from the
-	// configured table capacity — the fixed set-associative eDRAM block of
-	// §IV.B.3.
+	// Way i of set s is index s*ortWays+i of tags and entries, which are
+	// preallocated from the configured table capacity — the fixed
+	// set-associative eDRAM block of §IV.B.3. A set's tags (its 128 B tag
+	// block) and valid bits are all a lookup reads; only a hit or an
+	// insert touches the entry.
+	tags    []uint64 // each way's object base address
+	valid   []wayMask
 	entries []ortEntry
 	nsets   int
 	setMask int                      // nsets-1 when nsets is a power of 2, else -1
@@ -58,15 +65,12 @@ func newORT(fe *Frontend, index int) *ortModule {
 	if nsets&(nsets-1) == 0 {
 		o.setMask = nsets - 1 // power-of-2 set count: mask instead of mod
 	}
+	o.tags = make([]uint64, nsets*ortWays)
+	o.valid = make([]wayMask, nsets)
 	o.entries = make([]ortEntry, nsets*ortWays)
 	o.waiting = make([]sim.FIFO[ortDecodeMsg], nsets)
 	o.srv = sim.NewServer[any](fe.eng, "ort", o.handle)
 	return o
-}
-
-// set returns the ways of one set.
-func (o *ortModule) set(s int) []ortEntry {
-	return o.entries[s*ortWays : (s+1)*ortWays]
 }
 
 func (o *ortModule) handle(m any) sim.Cycle {
@@ -98,25 +102,24 @@ func (o *ortModule) setFor(base uint64) int {
 // lookupCost is the tag access: two 64 B blocks read sequentially.
 func (o *ortModule) lookupCost() sim.Cycle { return 2 * o.fe.cfg.EDRAMCycles }
 
-func (o *ortModule) find(set int, base uint64) *ortEntry {
-	ways := o.set(set)
-	for i := range ways {
-		e := &ways[i]
-		if e.valid && e.base == base {
-			return e
+// find returns the way of set that holds base, or -1.
+func (o *ortModule) find(set int, base uint64) int {
+	valid := o.valid[set]
+	for i, tag := range o.tags[set*ortWays : (set+1)*ortWays] {
+		if tag == base && valid&(1<<i) != 0 {
+			return set*ortWays + i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (o *ortModule) freeWay(set int) *ortEntry {
-	ways := o.set(set)
-	for i := range ways {
-		if !ways[i].valid {
-			return &ways[i]
-		}
+// freeWay returns the lowest free way of set, or -1 when the set is full.
+func (o *ortModule) freeWay(set int) int {
+	free := ^o.valid[set] & allWays
+	if free == 0 {
+		return -1
 	}
-	return nil
+	return set*ortWays + bits.TrailingZeros16(free)
 }
 
 func (o *ortModule) newVersion() VersionID {
@@ -136,10 +139,10 @@ func (o *ortModule) handleDecode(m ortDecodeMsg, replay bool) sim.Cycle {
 		return cost
 	}
 	o.lookups++
-	e := o.find(set, m.base)
-	if e == nil {
+	way := o.find(set, m.base)
+	if way < 0 {
 		w := o.freeWay(set)
-		if w == nil {
+		if w < 0 {
 			// Set full: hold the operand until an entry is released.
 			// The gateway is stalled only when the stash outgrows its
 			// credit limit (per-object order is kept by the per-set
@@ -155,17 +158,17 @@ func (o *ortModule) handleDecode(m ortDecodeMsg, replay bool) sim.Cycle {
 		return cost + o.decodeMiss(m, w)
 	}
 	o.hits++
-	return cost + o.decodeHit(m, e)
+	return cost + o.decodeHit(m, &o.entries[way])
 }
 
-// decodeMiss services an operand whose object has no live entry: the data
-// (if read) lives at its home address in memory.
-func (o *ortModule) decodeMiss(m ortDecodeMsg, w *ortEntry) sim.Cycle {
+// decodeMiss services an operand whose object has no live entry, inserting
+// one into free way w: the data (if read) lives at its home address in
+// memory.
+func (o *ortModule) decodeMiss(m ortDecodeMsg, w int) sim.Cycle {
 	v := o.newVersion()
-	*w = ortEntry{
-		valid:       true,
-		base:        m.base,
-		size:        m.size,
+	o.tags[w] = m.base
+	o.valid[w/ortWays] |= 1 << (w % ortWays)
+	o.entries[w] = ortEntry{
 		lastUser:    m.op,
 		lastUserGen: o.fe.trsGen(m.op.Task),
 		latestVer:   v,
@@ -177,9 +180,7 @@ func (o *ortModule) decodeMiss(m ortDecodeMsg, w *ortEntry) sim.Cycle {
 		o.maxOccupied = o.occupied
 	}
 	info := o.fe.pools.opInfo.Get()
-	*info = trsOperandInfoMsg{
-		op: m.op, base: m.base, size: m.size, dir: m.dir, version: v,
-	}
+	*info = trsOperandInfoMsg{op: m.op, dir: m.dir, version: v}
 	nv := o.fe.pools.newVersion.Get()
 	*nv = ovtNewVersionMsg{v: v, base: m.base, size: m.size, initialUse: 1}
 	switch m.dir {
@@ -214,7 +215,7 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 	prevVer := e.latestVer
 
 	info := o.fe.pools.opInfo.Get()
-	*info = trsOperandInfoMsg{op: m.op, base: m.base, size: m.size, dir: m.dir}
+	*info = trsOperandInfoMsg{op: m.op, dir: m.dir}
 	switch m.dir {
 	case taskmodel.In:
 		// RaR or RaW: register with the previous user, join the version.
@@ -278,12 +279,12 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 func (o *ortModule) handleRelease(m ortReleaseMsg) sim.Cycle {
 	cost := o.fe.cfg.ProcCycles + o.lookupCost()
 	set := o.setFor(m.base)
-	e := o.find(set, m.base)
+	i := o.find(set, m.base)
 	freed := false
-	if e != nil && e.latestVer == m.version && e.uses == m.granted {
+	if i >= 0 && o.entries[i].latestVer == m.version && o.entries[i].uses == m.granted {
 		// No grant happened since the OVT observed the version idle,
 		// and none can be in flight: safe to free.
-		e.valid = false
+		o.valid[set] &^= 1 << (i % ortWays)
 		o.occupied--
 		o.releases++
 		freed = true
@@ -293,7 +294,7 @@ func (o *ortModule) handleRelease(m ortReleaseMsg) sim.Cycle {
 	o.fe.sendToOVT(o.node, o.index, ra)
 	// Replay stashed decodes for this set, in order.
 	for freed && o.waiting[set].Len() > 0 {
-		if o.freeWay(set) == nil && o.find(set, o.waiting[set].Front().base) == nil {
+		if o.freeWay(set) < 0 && o.find(set, o.waiting[set].Front().base) < 0 {
 			break
 		}
 		w := o.waiting[set].Pop()

@@ -13,38 +13,33 @@ import (
 // mirroring the paper's fixed-capacity set-associative eDRAM array: steady
 // state allocates nothing, a full table stalls the gateway. A record whose
 // creation is stashed behind a full table exists in the "pending" state,
-// netting early AddUse/DecUse arrivals and parking buffer queries until the
-// creation replays (this replaces the old pendingUses/pendingQueries maps).
+// netting early AddUse/DecUse arrivals until the creation replays; buffer
+// queries that arrive meanwhile park in the module's queries table.
 type verRec struct {
-	id   VersionID
 	base uint64
+	buf  uint64
+	id   VersionID
 	size uint32
 
-	buf        uint64
-	ownsRename bool // buf is a rename buffer owned by this version
-	bufBucket  int
+	useCount  int32
+	granted   int32 // total uses ever granted (release handshake with the ORT)
+	totalUses int32 // lifetime consumer count (chain-length statistic)
+	pendUses  int32 // pending only: net uses that arrived before the creation
 
-	useCount   int
-	granted    int // total uses ever granted (release handshake with the ORT)
-	totalUses  int // lifetime consumer count (chain-length statistic)
+	waiter   OperandID // hasWaiter: the in-place successor's producer operand
+	producer OperandID // hasProducer: the writer operand producing the version
+
+	bufBucket  uint8 // rename-buffer size class, log2 bytes
+	ownsRename bool  // buf is a rename buffer owned by this version
 	superseded bool
+	hasWaiter  bool // an in-place successor waits for this version to die
 
-	hasWaiter bool      // an in-place successor waits for this version to die
-	waiter    OperandID // the successor's producer operand
-
-	hasProducer bool
-	producer    OperandID
-
+	hasProducer    bool
 	inPlaceNext    bool // the successor reuses this version's buffer
 	copyInFlight   bool
 	releasePending bool // ortRelease sent, awaiting ack
 	dead           bool
-
-	pending  bool // creation stashed; only pendUses/queries are meaningful
-	pendUses int  // net uses that arrived before the stashed creation
-	// queries holds consumers that asked for the buffer before creation;
-	// the slice's capacity is recycled through the module's query pool.
-	queries []OperandID
+	pending        bool // creation stashed; only pendUses is meaningful
 }
 
 // CopyEngine abstracts the external DMA engine that copies rename buffers
@@ -90,7 +85,10 @@ type ovtModule struct {
 	buckets [maxBucketLog2 + 1][]uint64
 	nextBuf uint64
 
-	qFree []([]OperandID) // recycled pending-query slices
+	// queries parks, per pending version number, the consumers that asked
+	// for its buffer before its creation; qFree recycles their slices.
+	queries sim.Table[uint32, []OperandID]
+	qFree   []([]OperandID)
 
 	copyEvents sim.Pool[ovtCopyDoneEvent]
 
@@ -101,8 +99,8 @@ type ovtModule struct {
 	inPlaceUnblocks    uint64
 	stallEvents        uint64
 	maxLive            int
-	chainLens          []int // total consumers per dead version
-	renameBufOut       int   // rename buffers currently allocated
+	chainHist          []uint64 // dead versions by total consumer count
+	renameBufOut       int      // rename buffers currently allocated
 	renameBufHighWater int
 }
 
@@ -129,12 +127,12 @@ func (o *ovtModule) rec(num uint32) *verRec {
 	return nil
 }
 
-// insert binds num to a fresh record, zeroed except for its recycled
-// queries capacity. Version numbers are unique among live+pending records.
+// insert binds num to a fresh, zeroed record. Version numbers are unique
+// among live+pending records.
 func (o *ovtModule) insert(num uint32) *verRec {
 	slot, rec := o.recs.Alloc()
 	o.byNum.Put(num, slot)
-	*rec = verRec{queries: rec.queries[:0]}
+	*rec = verRec{}
 	return rec
 }
 
@@ -202,7 +200,7 @@ func bucketFor(size uint32) int {
 
 // allocBuffer grabs a rename buffer from the appropriate free stack,
 // refilling the stack from the OS-assigned region when empty.
-func (o *ovtModule) allocBuffer(size uint32) (uint64, int) {
+func (o *ovtModule) allocBuffer(size uint32) (uint64, uint8) {
 	b := bucketFor(size)
 	free := o.buckets[b]
 	if len(free) == 0 {
@@ -219,10 +217,10 @@ func (o *ovtModule) allocBuffer(size uint32) (uint64, int) {
 	if o.renameBufOut > o.renameBufHighWater {
 		o.renameBufHighWater = o.renameBufOut
 	}
-	return buf, b
+	return buf, uint8(b)
 }
 
-func (o *ovtModule) freeBuffer(buf uint64, bucket int) {
+func (o *ovtModule) freeBuffer(buf uint64, bucket uint8) {
 	o.buckets[bucket] = append(o.buckets[bucket], buf)
 	o.renameBufOut--
 }
@@ -239,13 +237,15 @@ func (o *ovtModule) handleNewVersion(m ovtNewVersionMsg, replay bool) sim.Cycle 
 	}
 	rec := o.rec(m.v.Num)
 	var queries []OperandID
-	p := 0
+	var p int32
 	if rec != nil {
 		// A pending shadow exists: absorb its netted uses and take its
 		// parked queries (answered below, once the buffer is known).
 		p = rec.pendUses
-		queries = rec.queries
-		rec.queries = nil
+		if q := o.queries.Get(m.v.Num); q != nil {
+			queries = *q
+			o.queries.Delete(m.v.Num)
+		}
 	} else {
 		rec = o.insert(m.v.Num)
 	}
@@ -253,16 +253,15 @@ func (o *ovtModule) handleNewVersion(m ovtNewVersionMsg, replay bool) sim.Cycle 
 		id:          m.v,
 		base:        m.base,
 		size:        m.size,
-		useCount:    int(m.initialUse),
-		granted:     int(m.initialUse),
+		useCount:    int32(m.initialUse),
+		granted:     int32(m.initialUse),
 		hasProducer: m.hasProducer,
 		producer:    m.producer,
-		queries:     rec.queries[:0],
 	}
 	if !m.hasProducer {
 		// Producer-less (memory) versions: the initial reader counts as
 		// a chained consumer for the chain-length statistic.
-		rec.totalUses = int(m.initialUse)
+		rec.totalUses = int32(m.initialUse)
 	}
 	o.nlive++
 	o.created++
@@ -405,15 +404,19 @@ func (o *ovtModule) handleDecUse(m ovtDecUseMsg) sim.Cycle {
 func (o *ovtModule) handleQuery(m ovtQueryBufMsg) sim.Cycle {
 	rec := o.rec(m.v.Num)
 	if rec == nil || rec.pending {
-		// Creation stashed: answer when it replays.
-		p := o.pendingRec(m.v.Num)
-		if p.queries == nil {
+		// Creation stashed: park the query on the pending record's
+		// version number and answer it when the creation replays.
+		o.pendingRec(m.v.Num)
+		if q := o.queries.Get(m.v.Num); q != nil {
+			*q = append(*q, m.consumer)
+		} else {
+			var q []OperandID
 			if n := len(o.qFree); n > 0 {
-				p.queries = o.qFree[n-1]
+				q = o.qFree[n-1]
 				o.qFree = o.qFree[:n-1]
 			}
+			o.queries.Put(m.v.Num, append(q, m.consumer))
 		}
-		p.queries = append(p.queries, m.consumer)
 		return o.fe.cfg.ProcCycles + o.fe.cfg.EDRAMCycles
 	}
 	o.sendDataReady(m.consumer, rec.buf, false)
@@ -491,7 +494,10 @@ func (o *ovtModule) handleCopyDone(m ovtCopyDoneMsg) sim.Cycle {
 func (o *ovtModule) die(rec *verRec) {
 	rec.dead = true
 	if o.fe.cfg.RecordChains {
-		o.chainLens = append(o.chainLens, rec.totalUses)
+		for int(rec.totalUses) >= len(o.chainHist) {
+			o.chainHist = append(o.chainHist, 0)
+		}
+		o.chainHist[rec.totalUses]++
 	}
 	if rec.ownsRename && !rec.inPlaceNext {
 		o.freeBuffer(rec.buf, rec.bufBucket)

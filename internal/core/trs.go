@@ -5,29 +5,20 @@ import (
 	"tasksuperscalar/internal/taskmodel"
 )
 
-// opRec is the per-operand state stored in a task's TRS blocks.
+// opRec is the per-operand state stored in a task's TRS blocks (32 B). The
+// object's base and size are not copied here: dispatch reads them from the
+// task itself.
 type opRec struct {
-	base    uint64
-	size    uint32
-	dir     taskmodel.Dir
+	buf     uint64
 	version VersionID
+	next    OperandID // consumer chaining: the single next consumer, or noOperand
 
+	// dir is In, the zero value, until the operand info arrives; an early
+	// output-buffer grant relies on that (handleDataReady).
+	dir      taskmodel.Dir
 	pending  int8 // data-ready messages still required (negative: early arrivals)
 	stored   bool // operand info has arrived from the ORT/gateway
 	dataDone bool // input data available (pure readers forward on arrival)
-	buf      uint64
-
-	hasNext bool // consumer chaining: the single next consumer of this
-	next    OperandID
-
-	consumers []OperandID // ablation mode only (Chaining=false)
-}
-
-// reset clears an operand record for reuse, keeping the consumers slice's
-// capacity (the ablation mode refills it without allocating).
-func (op *opRec) reset() {
-	c := op.consumers[:0]
-	*op = opRec{consumers: c}
 }
 
 // taskRec is the in-flight task meta-data held by a TRS (main block plus
@@ -36,22 +27,21 @@ func (op *opRec) reset() {
 // the rest spill to a per-slot slice whose capacity is reused when the slot
 // recycles (the indirect blocks).
 type taskRec struct {
-	id   TaskID
-	gen  uint32
-	live bool
-	task *taskmodel.Task
-
-	blocks int
-	nops   int
-	main   [mainBlockOperands]opRec
-	spill  []opRec
-
-	pendingOps   int // operand records not yet stored
-	pendingReady int // data-ready messages not yet received
-	dispatched   bool
+	main  [mainBlockOperands]opRec
+	spill []opRec
+	task  *taskmodel.Task // nil while the slot is free
 
 	decodedAt sim.Cycle
 	readyAt   sim.Cycle
+
+	id     TaskID
+	gen    uint32
+	blocks uint8
+	nops   uint8
+
+	pendingOps   int8 // operand records not yet stored
+	pendingReady int8 // data-ready messages not yet received
+	dispatched   bool
 }
 
 // op returns the i-th operand record.
@@ -78,6 +68,10 @@ type trsModule struct {
 	sramHeads   int // block addresses staged in the SRAM buffer
 
 	tasks sim.Arena[taskRec] // a TaskID's Slot indexes it
+
+	// consumers lists the consumers registered with each operand, keyed
+	// by operandKey, in the ablation mode only (Chaining=false).
+	consumers sim.Table[uint64, []OperandID]
 
 	deferred     sim.FIFO[trsAllocMsg] // allocation requests awaiting free blocks
 	reportedFull bool
@@ -171,11 +165,10 @@ func (t *trsModule) allocate(m trsAllocMsg, blocks int) sim.Cycle {
 	t.freeBlocks -= blocks
 	slot, rec := t.tasks.Alloc()
 	rec.gen++
-	rec.live = true
 	rec.id = TaskID{TRS: uint16(t.index), Slot: slot}
 	rec.task = m.task
-	rec.blocks = blocks
-	rec.nops = nops
+	rec.blocks = uint8(blocks)
+	rec.nops = uint8(nops)
 	if spill := nops - mainBlockOperands; spill > 0 {
 		if cap(rec.spill) < spill {
 			rec.spill = make([]opRec, spill)
@@ -185,9 +178,9 @@ func (t *trsModule) allocate(m trsAllocMsg, blocks int) sim.Cycle {
 		rec.spill = rec.spill[:0]
 	}
 	for i := 0; i < nops; i++ {
-		rec.op(i).reset()
+		*rec.op(i) = opRec{next: noOperand}
 	}
-	rec.pendingOps = nops
+	rec.pendingOps = int8(nops)
 	rec.pendingReady = 0
 	rec.dispatched = false
 	rec.decodedAt = 0
@@ -228,7 +221,7 @@ func (t *trsModule) rec(id TaskID, gen uint32, checkGen bool) *taskRec {
 		return nil
 	}
 	r := t.tasks.At(id.Slot)
-	if !r.live {
+	if r.task == nil {
 		return nil
 	}
 	if checkGen && r.gen != gen {
@@ -252,8 +245,6 @@ func (t *trsModule) handleOperandInfo(m trsOperandInfoMsg) sim.Cycle {
 		panic("trs: operand info for freed slot")
 	}
 	op := r.op(int(m.op.Index))
-	op.base = m.base
-	op.size = m.size
 	op.dir = m.dir
 	op.version = m.version
 	op.stored = true
@@ -268,7 +259,7 @@ func (t *trsModule) handleOperandInfo(m trsOperandInfoMsg) sim.Cycle {
 		need = 2
 	}
 	op.pending += need
-	r.pendingReady += int(need)
+	r.pendingReady += need
 
 	cost := t.fe.cfg.ProcCycles + t.fe.cfg.EDRAMCycles
 	if m.hasProducer {
@@ -284,7 +275,7 @@ func (t *trsModule) handleOperandInfo(m trsOperandInfoMsg) sim.Cycle {
 	}
 	if m.immediateReady > 0 {
 		op.pending -= m.immediateReady
-		r.pendingReady -= int(m.immediateReady)
+		r.pendingReady -= m.immediateReady
 		op.buf = m.readyBuf
 		op.dataDone = true
 	}
@@ -332,7 +323,12 @@ func (t *trsModule) handleRegisterConsumer(m trsRegisterConsumerMsg) sim.Cycle {
 	}
 	op := r.op(int(m.producer.Index))
 	if !t.fe.cfg.Chaining {
-		op.consumers = append(op.consumers, m.consumer)
+		k := operandKey(m.producer)
+		if c := t.consumers.Get(k); c != nil {
+			*c = append(*c, m.consumer)
+		} else {
+			t.consumers.Put(k, []OperandID{m.consumer})
+		}
 		if op.dir == taskmodel.In && op.dataDone {
 			t.sendDataReady(int(m.consumer.Task.TRS), m.consumer, op.buf, false)
 		}
@@ -344,7 +340,6 @@ func (t *trsModule) handleRegisterConsumer(m trsRegisterConsumerMsg) sim.Cycle {
 		return cost
 	}
 	op.next = m.consumer
-	op.hasNext = true
 	return cost
 }
 
@@ -369,7 +364,7 @@ func (t *trsModule) handleDataReady(m trsDataReadyMsg) sim.Cycle {
 		op.buf = m.buf
 		op.dataDone = true
 		if op.dir == taskmodel.In {
-			t.forward(op, m.buf)
+			t.forward(m.op, op, m.buf)
 		}
 	} else if op.buf == 0 || op.dir == taskmodel.Out {
 		// Output buffer granted by the OVT (rename buffer or in-place
@@ -388,19 +383,27 @@ func (t *trsModule) sendDataReady(trsIdx int, op OperandID, buf uint64, output b
 }
 
 // forward passes an input-data-ready notification to the next consumer in
-// the chain (or to every registered consumer in the ablation mode).
-func (t *trsModule) forward(op *opRec, buf uint64) {
+// the chain (or to every consumer registered with operand id in the
+// ablation mode).
+func (t *trsModule) forward(id OperandID, op *opRec, buf uint64) {
 	if t.fe.cfg.Chaining {
-		if op.hasNext {
+		if op.next != noOperand {
 			t.sendDataReady(int(op.next.Task.TRS), op.next, buf, false)
 		}
 		return
 	}
-	for _, c := range op.consumers {
-		t.sendDataReady(int(c.Task.TRS), c, buf, false)
+	k := operandKey(id)
+	if c := t.consumers.Get(k); c != nil {
+		for _, consumer := range *c {
+			t.sendDataReady(int(consumer.Task.TRS), consumer, buf, false)
+		}
+		t.consumers.Delete(k)
 	}
-	op.consumers = op.consumers[:0]
 }
+
+// operandKey packs an operand's slot and index into a consumers key (the
+// TRS index is the station's own).
+func operandKey(id OperandID) uint64 { return uint64(id.Task.Slot)<<8 | uint64(id.Index) }
 
 // maybeDispatch sends the task to the ready queue once fully decoded and all
 // operands are ready. It returns the extra processing cost.
@@ -411,24 +414,21 @@ func (t *trsModule) maybeDispatch(r *taskRec) sim.Cycle {
 	r.dispatched = true
 	r.readyAt = t.fe.eng.Now()
 	rt := t.fe.getReadyTask()
+	nops := int(r.nops)
 	ops := rt.Operands
-	if cap(ops) < r.nops {
-		ops = make([]ResolvedOperand, r.nops)
+	if cap(ops) < nops {
+		ops = make([]ResolvedOperand, nops)
 	} else {
-		ops = ops[:r.nops]
+		ops = ops[:nops]
 	}
-	for i := 0; i < r.nops; i++ {
+	for i := 0; i < nops; i++ {
 		op := r.op(i)
-		buf := op.buf
-		if op.dir == taskmodel.Scalar {
-			buf = 0
+		ro := ResolvedOperand{Dir: op.dir}
+		if op.dir != taskmodel.Scalar { // a scalar has no Base, Buf or Size
+			to := r.task.Operands[i]
+			ro.Base, ro.Buf, ro.Size = to.Base, op.buf, to.Size
 		}
-		ops[i] = ResolvedOperand{
-			Base: taskmodel.Addr(op.base),
-			Buf:  buf,
-			Size: op.size,
-			Dir:  op.dir,
-		}
+		ops[i] = ro
 	}
 	rt.ID = r.id
 	rt.Task = r.task
@@ -445,25 +445,31 @@ func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
 		panic("trs: finish for freed slot")
 	}
 	// Traverse all operands: notify consumers, release version uses.
-	cost := t.fe.cfg.ProcCycles * sim.Cycle(max(1, r.nops))
+	nops := int(r.nops)
+	cost := t.fe.cfg.ProcCycles * sim.Cycle(max(1, nops))
 	cost += sim.Cycle(r.blocks) * t.fe.cfg.EDRAMCycles
-	for i := 0; i < r.nops; i++ {
+	for i := 0; i < nops; i++ {
 		op := r.op(i)
 		if op.dir == taskmodel.Scalar {
 			continue
 		}
+		id := OperandID{Task: m.id, Index: uint8(i)}
 		if op.dir.Writes() {
 			// The produced data is now final: release it to consumers.
 			op.dataDone = true
-			t.forward(op, op.buf)
+			t.forward(id, op, op.buf)
+		}
+		if !t.fe.cfg.Chaining {
+			// A reader's consumers stay listed after it forwarded to
+			// them; the slot's next task must not inherit them.
+			t.consumers.Delete(operandKey(id))
 		}
 		du := t.fe.pools.decUse.Get()
 		*du = ovtDecUseMsg{v: op.version}
 		t.fe.sendToOVT(t.node, int(op.version.OVT), du)
 	}
 	// Free the task storage (the slot keeps its generation counter).
-	blocks := r.blocks
-	r.live = false
+	blocks := int(r.blocks)
 	r.task = nil
 	t.tasks.Free(m.id.Slot)
 	t.freeBlocks += blocks
@@ -492,10 +498,3 @@ func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
 
 // occupancy returns blocks in use.
 func (t *trsModule) occupancy() int { return t.totalBlocks - t.freeBlocks }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
