@@ -383,6 +383,10 @@ func runStreaming(tasks int, seed int64, cfg tss.Config) {
 		fmt.Fprintf(os.Stderr, "tssim: %v\n", err)
 		os.Exit(1)
 	}
+	// Collect first, so the heap line counts live data, not garbage the
+	// run left behind.
+	wall := time.Since(start)
+	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	fmt.Printf("runtime:        %s on %d cores (streamed)\n", cfg.Runtime, res.Cores)
@@ -401,5 +405,5 @@ func runStreaming(tasks int, seed int64, cfg tss.Config) {
 	fmt.Printf("task window:    max %d in-flight tasks\n", res.WindowMax)
 	fmt.Printf("utilization:    %.1f%% of cores busy (time-averaged)\n", res.Utilization*100)
 	fmt.Printf("host:           %.1fs wall, %.1f MB heap in use\n",
-		time.Since(start).Seconds(), float64(ms.HeapAlloc)/(1<<20))
+		wall.Seconds(), float64(ms.HeapAlloc)/(1<<20))
 }

@@ -23,12 +23,15 @@ type FinishHandler interface {
 	TaskFinished(from noc.NodeID, id core.TaskID)
 }
 
+// dispatchCycles is the global task unit's processing per dispatch (model
+// calibration: one controller step, as in the pipeline's modules). The
+// dispatch header, credits and steals travel as core.CtrlBytes packets.
+const dispatchCycles sim.Cycle = 16
+
 // Config sizes the backend.
 type Config struct {
 	Cores           int
-	LocalQueueDepth int       // tasks prefetched per core (Carbon LTU)
-	DispatchCycles  sim.Cycle // global queue processing per dispatch
-	CtrlBytes       uint32
+	LocalQueueDepth int // tasks prefetched per core (Carbon LTU)
 
 	// Stealing lets an idle core take a staged-but-unstarted task from
 	// another core's local queue (Carbon supports this; the paper's
@@ -77,8 +80,7 @@ type Config struct {
 
 // DefaultConfig returns the backend used throughout the evaluation.
 func DefaultConfig(cores int) Config {
-	return Config{Cores: cores, LocalQueueDepth: 2, DispatchCycles: 16, CtrlBytes: 32,
-		RecordSchedule: true}
+	return Config{Cores: cores, LocalQueueDepth: 2, RecordSchedule: true}
 }
 
 // stagedTask is a local-queue entry whose operands may still be in flight.
@@ -206,8 +208,8 @@ func (b *Backend) trySteal(w *worker) {
 	st := victim.queue.PopBack()
 	st.w = w
 	b.steals++
-	b.net.Send(w.node, victim.node, b.cfg.CtrlBytes, sim.FuncEvent(func() {
-		b.net.Send(victim.node, w.node, b.cfg.CtrlBytes, sim.FuncEvent(func() {
+	b.net.Send(w.node, victim.node, core.CtrlBytes, sim.FuncEvent(func() {
+		b.net.Send(victim.node, w.node, core.CtrlBytes, sim.FuncEvent(func() {
 			// Re-stage on the thief (its L1 must hold the operands).
 			b.stageOperands(w, st.rt, sim.FuncEvent(func() {
 				w.queue.Push(st)
@@ -359,11 +361,11 @@ func (b *Backend) dispatch() sim.Cycle {
 			b.checkDispatch(rt, wi, spec)
 		}
 		w := b.workers[wi]
-		size := b.cfg.CtrlBytes + 16*uint32(len(rt.Operands))
+		size := core.CtrlBytes + 16*uint32(len(rt.Operands))
 		ev := b.deliveries.Get()
 		ev.b, ev.w, ev.rt = b, w, rt
 		b.net.Send(b.node, w.node, size, ev)
-		cost += b.cfg.DispatchCycles
+		cost += dispatchCycles
 	}
 	return cost
 }
@@ -434,7 +436,7 @@ func (ev *taskEvent) Fire() {
 			// Tell the GTU this worker's credit is now provably in
 			// flight (writeback → completion → credit), enabling one
 			// speculative early dispatch against it.
-			b.net.Send(w.node, b.node, b.cfg.CtrlBytes, b.eng.Deliver(b.gtu, w.hint))
+			b.net.Send(w.node, b.node, core.CtrlBytes, b.eng.Deliver(b.gtu, w.hint))
 		}
 		b.maybeStart(w)
 		ev.phase = phaseWriteDone
@@ -546,7 +548,7 @@ func (b *Backend) completeTask(w *worker, rt *core.ReadyTask) {
 		b.finish.TaskFinished(w.node, rt.ID)
 	}
 	// Return the local-queue slot to the global task unit.
-	b.net.Send(w.node, b.node, b.cfg.CtrlBytes, b.eng.Deliver(b.gtu, w.credit))
+	b.net.Send(w.node, b.node, core.CtrlBytes, b.eng.Deliver(b.gtu, w.credit))
 	// The task is fully retired: hand the dispatch record back to its
 	// issuing frontend's pool (no-op for unpooled producers).
 	rt.Release()

@@ -29,7 +29,7 @@ func rig(t *testing.T, cores int, withMem bool) (*sim.Engine, *Backend, *finishR
 	}
 	var m *mem.System
 	if withMem {
-		m = mem.NewSystem(eng, net, coreNodes, mem.DefaultSystemConfig(cores))
+		m = mem.NewSystem(eng, net, coreNodes)
 	}
 	b := New(eng, net, coreNodes, DefaultConfig(cores), m)
 	fr := &finishRecorder{}

@@ -30,7 +30,7 @@ func rigCfgMem(t *testing.T, cfg Config, withMem bool) (*sim.Engine, *Backend, *
 	}
 	var m *mem.System
 	if withMem {
-		m = mem.NewSystem(eng, net, coreNodes, mem.DefaultSystemConfig(cfg.Cores))
+		m = mem.NewSystem(eng, net, coreNodes)
 	}
 	b := New(eng, net, coreNodes, cfg, m)
 	fr := &finishRecorder{}

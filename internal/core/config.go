@@ -13,14 +13,7 @@ type Config struct {
 	ORTBytesEach uint64 // eDRAM per ORT (16-way sets, 32 B entries)
 	OVTBytesEach uint64 // eDRAM per OVT (32 B version records)
 
-	ProcCycles  sim.Cycle // per-packet controller processing (16)
-	EDRAMCycles sim.Cycle // per-access eDRAM latency (22)
-
 	GatewayBufBytes uint32 // incoming task buffer at the gateway (1 KB)
-
-	// Task-generating thread model: cycles to pack and emit one task.
-	GenBaseCycles  sim.Cycle
-	GenPerOpCycles sim.Cycle
 
 	// Renaming disables the OVT's rename buffers when false (ablation):
 	// output operands then wait for the previous version to die, i.e.
@@ -30,15 +23,6 @@ type Config struct {
 	// Chaining selects consumer chaining (the paper's design) versus
 	// direct per-operand consumer lists held at the producer (ablation).
 	Chaining bool
-
-	// CtrlBytes is the size of protocol messages on the NoC.
-	CtrlBytes uint32
-
-	// ORTStashLimit is the number of operands an ORT may hold waiting for
-	// full sets before it backpressures the gateway. Decode order only
-	// requires per-object FIFO, which the per-set stash preserves, so a
-	// bounded stash lets unrelated operands flow past an unlucky set.
-	ORTStashLimit int
 
 	// RecordChains counts dead versions by consumer-chain length for the
 	// §IV.B.2 statistics. The histogram grows with the longest chain, not
@@ -60,7 +44,33 @@ const (
 	ovtEntryBytes = 32 // version record
 
 	sramFreeListHeads = 64 // block addresses staged in the 128 B SRAM buffer
+
+	// ortStashLimit is the number of operands an ORT may hold waiting for
+	// full sets before it backpressures the gateway (model calibration).
+	// Decode order only requires per-object FIFO, which the per-set stash
+	// preserves, so a bounded stash lets unrelated operands flow past an
+	// unlucky set.
+	ortStashLimit = 64
 )
+
+// Module timing (§IV.B): every pipeline controller spends procCycles on
+// each packet it handles, and each access to its eDRAM costs edramCycles.
+const (
+	procCycles  sim.Cycle = 16
+	edramCycles sim.Cycle = 22
+)
+
+// Task-generating thread model (calibration): cycles to pack and emit one
+// task are GenBaseCycles + GenPerOpCycles per operand. The software
+// runtime's generator packs tasks at the same cost.
+const (
+	GenBaseCycles  sim.Cycle = 24
+	GenPerOpCycles sim.Cycle = 12
+)
+
+// CtrlBytes is the size of a protocol packet on the NoC: the pipeline's
+// messages, and the backend's dispatch header, credits and steals.
+const CtrlBytes uint32 = 32
 
 // DefaultConfig returns the paper's operating point (§VI conclusion:
 // 8 TRS + 2 ORT/OVT, 7 MB eDRAM).
@@ -71,15 +81,9 @@ func DefaultConfig() Config {
 		TRSBytesEach:    768 << 10, // 8 x 768 KB = 6 MB
 		ORTBytesEach:    256 << 10, // 2 x 256 KB = 512 KB
 		OVTBytesEach:    256 << 10, // 2 x 256 KB = 512 KB
-		ProcCycles:      16,
-		EDRAMCycles:     22,
 		GatewayBufBytes: 1024,
-		GenBaseCycles:   24,
-		GenPerOpCycles:  12,
 		Renaming:        true,
 		Chaining:        true,
-		CtrlBytes:       32,
-		ORTStashLimit:   64,
 		RecordChains:    true,
 	}
 }

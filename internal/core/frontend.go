@@ -156,21 +156,21 @@ func (fe *Frontend) trsGen(id TaskID) uint32 {
 
 func (fe *Frontend) sendToTRS(fromNode, trsIdx int, m any) {
 	t := fe.trs[trsIdx]
-	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(t.node), fe.cfg.CtrlBytes, fe.eng.Deliver(t.srv, m))
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(t.node), CtrlBytes, fe.eng.Deliver(t.srv, m))
 }
 
 func (fe *Frontend) sendToORT(fromNode, ortIdx int, m any) {
 	o := fe.ort[ortIdx]
-	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(o.node), fe.cfg.CtrlBytes, fe.eng.Deliver(o.srv, m))
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(o.node), CtrlBytes, fe.eng.Deliver(o.srv, m))
 }
 
 func (fe *Frontend) sendToOVT(fromNode, ovtIdx int, m any) {
 	o := fe.ovt[ovtIdx]
-	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(o.node), fe.cfg.CtrlBytes, fe.eng.Deliver(o.srv, m))
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(o.node), CtrlBytes, fe.eng.Deliver(o.srv, m))
 }
 
 func (fe *Frontend) sendToGW(fromNode int, m any) {
-	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(fe.gw.node), fe.cfg.CtrlBytes, fe.eng.Deliver(fe.gw.srv, m))
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(fe.gw.node), CtrlBytes, fe.eng.Deliver(fe.gw.srv, m))
 }
 
 func (fe *Frontend) sendToTRSFromGW(m any, trsIdx int) {
@@ -220,7 +220,7 @@ func (ev *readyEvent) Fire() {
 
 // dispatchReady ships a ready task to the backend's queuing system.
 func (fe *Frontend) dispatchReady(fromNode int, rt *ReadyTask) {
-	size := fe.cfg.CtrlBytes + 16*uint32(len(rt.Operands))
+	size := CtrlBytes + 16*uint32(len(rt.Operands))
 	lag := uint64(rt.ReadyAt - rt.DecodedAt)
 	fe.readyLagSum += lag
 	fe.readyLagN++
@@ -239,7 +239,7 @@ func (fe *Frontend) TaskFinished(fromNode noc.NodeID, id TaskID) {
 	t := fe.trs[id.TRS]
 	fm := fe.pools.finished.Get()
 	*fm = trsTaskFinishedMsg{id: id}
-	fe.net.Send(fromNode, noc.NodeID(t.node), fe.cfg.CtrlBytes, fe.eng.Deliver(t.srv, fm))
+	fe.net.Send(fromNode, noc.NodeID(t.node), CtrlBytes, fe.eng.Deliver(t.srv, fm))
 }
 
 // --- bookkeeping ---
@@ -470,7 +470,7 @@ func (g *Generator) produce() {
 		panic("generator: task exceeds the 19-operand limit")
 	}
 	g.cur = t
-	cost := g.fe.cfg.GenBaseCycles + g.fe.cfg.GenPerOpCycles*sim.Cycle(t.NumOperands())
+	cost := GenBaseCycles + GenPerOpCycles*sim.Cycle(t.NumOperands())
 	g.fe.eng.Schedule(cost, g.submitFn)
 }
 

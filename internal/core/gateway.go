@@ -124,7 +124,7 @@ func (g *gateway) handle(m any) sim.Cycle {
 		g.freeTRS[trs] = true
 		g.anyFree = true
 		g.srv.Submit(gwKickMsg{})
-		return g.fe.cfg.ProcCycles
+		return procCycles
 	case *gwStallMsg:
 		v := *msg
 		g.fe.pools.stall.Put(msg)
@@ -177,7 +177,7 @@ func (g *gateway) step() sim.Cycle {
 			am := g.fe.pools.alloc.Get()
 			*am = trsAllocMsg{task: p.task, gwRef: g.refOf(p)}
 			g.fe.sendToTRSFromGW(am, trs)
-			cost += g.fe.cfg.ProcCycles
+			cost += procCycles
 			progress = true
 		}
 	}
@@ -237,7 +237,7 @@ func (g *gateway) handleAllocReply(m gwAllocReplyMsg) sim.Cycle {
 		}
 	}
 	g.srv.Submit(gwKickMsg{})
-	return g.fe.cfg.ProcCycles
+	return procCycles
 }
 
 // issueOne distributes the next operand of the head task: memory operands go
@@ -272,7 +272,7 @@ func (g *gateway) issueOne(p *pendingTask) sim.Cycle {
 		g.fe.sendToORTFromGW(dm, ort)
 	}
 	g.issuedOps++
-	return g.fe.cfg.ProcCycles
+	return procCycles
 }
 
 // retire removes a fully issued task from the buffer and wakes blocked

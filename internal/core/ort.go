@@ -99,8 +99,8 @@ func (o *ortModule) setFor(base uint64) int {
 	return int(h % uint64(o.nsets))
 }
 
-// lookupCost is the tag access: two 64 B blocks read sequentially.
-func (o *ortModule) lookupCost() sim.Cycle { return 2 * o.fe.cfg.EDRAMCycles }
+// ortLookupCycles is the tag access: two 64 B blocks read sequentially.
+const ortLookupCycles = 2 * edramCycles
 
 // find returns the way of set that holds base, or -1.
 func (o *ortModule) find(set int, base uint64) int {
@@ -130,7 +130,7 @@ func (o *ortModule) newVersion() VersionID {
 // handleDecode performs the renaming-table lookup for one operand and
 // drives the flows of Figures 7 (output), 8 (input) and 9 (inout).
 func (o *ortModule) handleDecode(m ortDecodeMsg, replay bool) sim.Cycle {
-	cost := o.fe.cfg.ProcCycles + o.lookupCost()
+	cost := procCycles + ortLookupCycles
 	set := o.setFor(m.base)
 	if !replay && o.waiting[set].Len() > 0 {
 		// Preserve per-object decode order behind stashed operands.
@@ -150,7 +150,7 @@ func (o *ortModule) handleDecode(m ortDecodeMsg, replay bool) sim.Cycle {
 			o.waiting[set].Push(m)
 			o.nwait++
 			o.stallEvents++
-			if o.nwait > o.fe.cfg.ORTStashLimit {
+			if o.nwait > ortStashLimit {
 				o.fe.setStall(stallSrcORT(o.index), true)
 			}
 			return cost
@@ -205,7 +205,7 @@ func (o *ortModule) decodeMiss(m ortDecodeMsg, w int) sim.Cycle {
 	}
 	o.fe.sendToTRS(o.node, int(m.op.Task.TRS), info)
 	o.fe.sendToOVT(o.node, o.index, nv)
-	return o.fe.cfg.EDRAMCycles // entry insert
+	return edramCycles // entry insert
 }
 
 // decodeHit services an operand whose object has a live entry.
@@ -271,13 +271,13 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 		e.uses = 1
 	}
 	o.fe.sendToTRS(o.node, int(m.op.Task.TRS), info)
-	return o.fe.cfg.EDRAMCycles // entry update
+	return edramCycles // entry update
 }
 
 // handleRelease frees the object's entry if its latest version is the one
 // the OVT declared idle, then replays stalled operands for the set.
 func (o *ortModule) handleRelease(m ortReleaseMsg) sim.Cycle {
-	cost := o.fe.cfg.ProcCycles + o.lookupCost()
+	cost := procCycles + ortLookupCycles
 	set := o.setFor(m.base)
 	i := o.find(set, m.base)
 	freed := false

@@ -226,7 +226,7 @@ func (o *ovtModule) freeBuffer(buf uint64, bucket uint8) {
 }
 
 func (o *ovtModule) handleNewVersion(m ovtNewVersionMsg, replay bool) sim.Cycle {
-	cost := o.fe.cfg.ProcCycles + o.fe.cfg.EDRAMCycles
+	cost := procCycles + edramCycles
 	if o.nlive >= o.capacity {
 		o.stashed.Push(m)
 		if !replay {
@@ -376,12 +376,12 @@ func (o *ovtModule) handleAddUse(m ovtAddUseMsg) sim.Cycle {
 		// The version's creation is stashed behind a full table; hold
 		// the use until it replays.
 		o.pendingRec(m.v.Num).pendUses++
-		return o.fe.cfg.ProcCycles + o.fe.cfg.EDRAMCycles
+		return procCycles + edramCycles
 	}
 	rec.useCount++
 	rec.granted++
 	rec.totalUses++
-	return o.fe.cfg.ProcCycles + o.fe.cfg.EDRAMCycles
+	return procCycles + edramCycles
 }
 
 func (o *ovtModule) handleDecUse(m ovtDecUseMsg) sim.Cycle {
@@ -391,14 +391,14 @@ func (o *ovtModule) handleDecUse(m ovtDecUseMsg) sim.Cycle {
 		// holder already finished (ORT-miss readers are ready at
 		// decode). Net the release against the pending creation.
 		o.pendingRec(m.v.Num).pendUses--
-		return o.fe.cfg.ProcCycles + o.fe.cfg.EDRAMCycles
+		return procCycles + edramCycles
 	}
 	rec.useCount--
 	if rec.useCount < 0 {
 		panic("ovt: negative use count")
 	}
 	o.maybeRelease(rec)
-	return o.fe.cfg.ProcCycles + o.fe.cfg.EDRAMCycles
+	return procCycles + edramCycles
 }
 
 func (o *ovtModule) handleQuery(m ovtQueryBufMsg) sim.Cycle {
@@ -417,10 +417,10 @@ func (o *ovtModule) handleQuery(m ovtQueryBufMsg) sim.Cycle {
 			}
 			o.queries.Put(m.v.Num, append(q, m.consumer))
 		}
-		return o.fe.cfg.ProcCycles + o.fe.cfg.EDRAMCycles
+		return procCycles + edramCycles
 	}
 	o.sendDataReady(m.consumer, rec.buf, false)
-	return o.fe.cfg.ProcCycles + o.fe.cfg.EDRAMCycles
+	return procCycles + edramCycles
 }
 
 // maybeRelease advances a version's lifecycle when its use count reaches
@@ -477,7 +477,7 @@ func (ev *ovtCopyDoneEvent) Fire() {
 func (o *ovtModule) handleCopyDone(m ovtCopyDoneMsg) sim.Cycle {
 	rec := o.rec(m.v.Num)
 	if rec == nil || rec.pending {
-		return o.fe.cfg.ProcCycles
+		return procCycles
 	}
 	rec.copyInFlight = false
 	if rec.ownsRename {
@@ -486,7 +486,7 @@ func (o *ovtModule) handleCopyDone(m ovtCopyDoneMsg) sim.Cycle {
 	}
 	rec.buf = rec.base
 	o.maybeRelease(rec)
-	return o.fe.cfg.ProcCycles
+	return procCycles
 }
 
 // die removes a superseded version: frees its rename buffer (unless the
@@ -517,7 +517,7 @@ func (o *ovtModule) die(rec *verRec) {
 
 func (o *ovtModule) handleReleaseAck(m ovtReleaseAckMsg) sim.Cycle {
 	rec := o.rec(m.v.Num)
-	cost := o.fe.cfg.ProcCycles
+	cost := procCycles
 	if rec == nil || rec.pending {
 		return cost
 	}

@@ -70,7 +70,9 @@ type trsModule struct {
 	tasks sim.Arena[taskRec] // a TaskID's Slot indexes it
 
 	// consumers lists the consumers registered with each operand, keyed
-	// by operandKey, in the ablation mode only (Chaining=false).
+	// by operandKey, in the ablation mode only (Chaining=false). A list
+	// holds only consumers still waiting for data, and forward deletes it
+	// when the data arrives, so none outlives its task.
 	consumers sim.Table[uint64, []OperandID]
 
 	deferred     sim.FIFO[trsAllocMsg] // allocation requests awaiting free blocks
@@ -135,7 +137,7 @@ func (t *trsModule) blockAllocCost(n int) sim.Cycle {
 	cost := sim.Cycle(n) // 1 cycle per block from SRAM
 	for i := 0; i < n; i++ {
 		if t.sramHeads == 0 {
-			cost += t.fe.cfg.EDRAMCycles
+			cost += edramCycles
 			t.sramHeads = sramFreeListHeads
 			t.sramRefills++
 		}
@@ -155,7 +157,7 @@ func (t *trsModule) handleAlloc(m trsAllocMsg) sim.Cycle {
 		if t.deferred.Len() > t.deferredHighWater {
 			t.deferredHighWater = t.deferred.Len()
 		}
-		return t.fe.cfg.ProcCycles
+		return procCycles
 	}
 	return t.allocate(m, blocks)
 }
@@ -210,8 +212,8 @@ func (t *trsModule) allocate(m trsAllocMsg, blocks int) sim.Cycle {
 	}
 	// Alloc processing: packet cost + block pulls + one eDRAM write per
 	// block to initialize the task record.
-	return t.fe.cfg.ProcCycles + t.blockAllocCost(blocks) +
-		sim.Cycle(blocks)*t.fe.cfg.EDRAMCycles + extra
+	return procCycles + t.blockAllocCost(blocks) +
+		sim.Cycle(blocks)*edramCycles + extra
 }
 
 // rec returns the live record for id, or nil when the slot was freed or
@@ -261,7 +263,7 @@ func (t *trsModule) handleOperandInfo(m trsOperandInfoMsg) sim.Cycle {
 	op.pending += need
 	r.pendingReady += need
 
-	cost := t.fe.cfg.ProcCycles + t.fe.cfg.EDRAMCycles
+	cost := procCycles + edramCycles
 	if m.hasProducer {
 		// Register with the previous user of the version for input data.
 		rc := t.fe.pools.regConsumer.Get()
@@ -294,7 +296,7 @@ func (t *trsModule) handleScalar(m trsScalarMsg) sim.Cycle {
 	op.stored = true
 	op.dataDone = true
 	t.noteOperandStored(r)
-	cost := t.fe.cfg.ProcCycles + t.fe.cfg.EDRAMCycles
+	cost := procCycles + edramCycles
 	cost += t.maybeDispatch(r)
 	return cost
 }
@@ -308,7 +310,7 @@ func (t *trsModule) noteOperandStored(r *taskRec) {
 }
 
 func (t *trsModule) handleRegisterConsumer(m trsRegisterConsumerMsg) sim.Cycle {
-	cost := t.fe.cfg.ProcCycles + 2*t.fe.cfg.EDRAMCycles // read + link write
+	cost := procCycles + 2*edramCycles // read + link write
 	r := t.rec(m.producer.Task, m.prodGen, true)
 	if r == nil {
 		// The user already retired; its data was produced and written
@@ -322,24 +324,21 @@ func (t *trsModule) handleRegisterConsumer(m trsRegisterConsumerMsg) sim.Cycle {
 		return cost
 	}
 	op := r.op(int(m.producer.Index))
-	if !t.fe.cfg.Chaining {
-		k := operandKey(m.producer)
-		if c := t.consumers.Get(k); c != nil {
-			*c = append(*c, m.consumer)
-		} else {
-			t.consumers.Put(k, []OperandID{m.consumer})
-		}
-		if op.dir == taskmodel.In && op.dataDone {
-			t.sendDataReady(int(m.consumer.Task.TRS), m.consumer, op.buf, false)
-		}
-		return cost
-	}
 	if op.dir == taskmodel.In && op.dataDone {
 		// Data already flowed through this reader: forward directly.
 		t.sendDataReady(int(m.consumer.Task.TRS), m.consumer, op.buf, false)
 		return cost
 	}
-	op.next = m.consumer
+	if t.fe.cfg.Chaining {
+		op.next = m.consumer
+		return cost
+	}
+	k := operandKey(m.producer)
+	if c := t.consumers.Get(k); c != nil {
+		*c = append(*c, m.consumer)
+	} else {
+		t.consumers.Put(k, []OperandID{m.consumer})
+	}
 	return cost
 }
 
@@ -349,7 +348,7 @@ func (t *trsModule) handleDataReady(m trsDataReadyMsg) sim.Cycle {
 		panic("trs: data ready for freed slot")
 	}
 	op := r.op(int(m.op.Index))
-	cost := t.fe.cfg.ProcCycles + t.fe.cfg.EDRAMCycles
+	cost := procCycles + edramCycles
 	// Before the operand info lands (op.stored false) a data-ready is an
 	// early arrival: it drives op.pending negative and handleOperandInfo
 	// nets it. Once stored, nothing pending means a true duplicate.
@@ -436,7 +435,7 @@ func (t *trsModule) maybeDispatch(r *taskRec) sim.Cycle {
 	rt.DecodedAt = r.decodedAt
 	rt.ReadyAt = r.readyAt
 	t.fe.dispatchReady(t.node, rt)
-	return t.fe.cfg.EDRAMCycles // read the record out for dispatch
+	return edramCycles // read the record out for dispatch
 }
 
 func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
@@ -446,8 +445,8 @@ func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
 	}
 	// Traverse all operands: notify consumers, release version uses.
 	nops := int(r.nops)
-	cost := t.fe.cfg.ProcCycles * sim.Cycle(max(1, nops))
-	cost += sim.Cycle(r.blocks) * t.fe.cfg.EDRAMCycles
+	cost := procCycles * sim.Cycle(max(1, nops))
+	cost += sim.Cycle(r.blocks) * edramCycles
 	for i := 0; i < nops; i++ {
 		op := r.op(i)
 		if op.dir == taskmodel.Scalar {
@@ -458,11 +457,6 @@ func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
 			// The produced data is now final: release it to consumers.
 			op.dataDone = true
 			t.forward(id, op, op.buf)
-		}
-		if !t.fe.cfg.Chaining {
-			// A reader's consumers stay listed after it forwarded to
-			// them; the slot's next task must not inherit them.
-			t.consumers.Delete(operandKey(id))
 		}
 		du := t.fe.pools.decUse.Get()
 		*du = ovtDecUseMsg{v: op.version}

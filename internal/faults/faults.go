@@ -83,8 +83,6 @@ const (
 	Stream Point = "stream"
 	// StoreWrite is consulted once per persistent-store envelope write.
 	StoreWrite Point = "store.write"
-	// Heartbeat is consulted once per worker→dispatcher heartbeat request.
-	Heartbeat Point = "heartbeat"
 )
 
 // Spec is one point's fault mix.

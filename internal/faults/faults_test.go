@@ -79,7 +79,7 @@ func TestNilInjector(t *testing.T) {
 	// Points absent from the plan never fault either.
 	in2 := New(1, Plan{RPC: {P: 1, Kinds: []Kind{Drop}}})
 	for i := 0; i < 100; i++ {
-		if f := in2.At(Heartbeat); f.Kind != None {
+		if f := in2.At(StoreWrite); f.Kind != None {
 			t.Fatalf("unplanned point faulted: %+v", f)
 		}
 	}

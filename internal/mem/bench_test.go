@@ -15,7 +15,7 @@ func BenchmarkSystemFetch(b *testing.B) {
 	for i := 0; i < 16; i++ {
 		coreNodes = append(coreNodes, net.AddCore("c"))
 	}
-	m := NewSystem(e, net, coreNodes, DefaultSystemConfig(16))
+	m := NewSystem(e, net, coreNodes)
 	net.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -44,7 +44,7 @@ func newTestSystem(t *testing.T, cores int) (*sim.Engine, *System) {
 	for i := 0; i < cores; i++ {
 		coreNodes = append(coreNodes, net.AddCore("core"))
 	}
-	m := NewSystem(e, net, coreNodes, DefaultSystemConfig(cores))
+	m := NewSystem(e, net, coreNodes)
 	net.Build()
 	return e, m
 }
@@ -59,8 +59,8 @@ func TestFetchColdThenWarm(t *testing.T) {
 	if t1 == 0 {
 		t.Fatal("cold fetch never completed")
 	}
-	if t2 != m.cfg.L1Latency {
-		t.Fatalf("warm fetch took %d cycles, want L1 latency %d", t2, m.cfg.L1Latency)
+	if t2 != l1Latency {
+		t.Fatalf("warm fetch took %d cycles, want L1 latency %d", t2, l1Latency)
 	}
 	s := m.Snapshot()
 	if s.L1ObjHits != 1 {
@@ -127,8 +127,8 @@ func TestL1CapacityEviction(t *testing.T) {
 		e.Run()
 	}
 	st := m.l1[0]
-	if st.used > m.cfg.L1Bytes {
-		t.Fatalf("L1 over capacity: %d > %d", st.used, m.cfg.L1Bytes)
+	if st.used > l1Bytes {
+		t.Fatalf("L1 over capacity: %d > %d", st.used, l1Bytes)
 	}
 	if st.objs.Len() != 4 {
 		t.Fatalf("expected 4 resident objects, got %d", st.objs.Len())
@@ -194,7 +194,7 @@ func TestCoherenceInvariantProperty(t *testing.T) {
 		for i := 0; i < cores; i++ {
 			coreNodes = append(coreNodes, net.AddCore("core"))
 		}
-		m := NewSystem(e, net, coreNodes, DefaultSystemConfig(cores))
+		m := NewSystem(e, net, coreNodes)
 		net.Build()
 		for op := 0; op < 50; op++ {
 			core := rng.Intn(cores)
@@ -213,7 +213,7 @@ func TestCoherenceInvariantProperty(t *testing.T) {
 			e.Run()
 		}
 		for c := 0; c < cores; c++ {
-			if m.l1[c].used > m.cfg.L1Bytes {
+			if m.l1[c].used > l1Bytes {
 				return false
 			}
 			var sum uint64

@@ -15,30 +15,16 @@ import (
 	"tasksuperscalar/internal/noc"
 )
 
-// SystemConfig sizes the object-granular coherent memory system.
-type SystemConfig struct {
-	Cores     int
-	L1Bytes   uint64    // per-core L1 capacity (64 KB)
-	L1Latency sim.Cycle // 3 cycles
-	L2Banks   int       // 32 banks
-	L2Latency sim.Cycle // 22 cycles
-	DRAM      DRAMConfig
-	CtrlBytes uint32
-}
-
-// DefaultSystemConfig returns the Table II memory system for the given core
-// count.
-func DefaultSystemConfig(cores int) SystemConfig {
-	return SystemConfig{
-		Cores:     cores,
-		L1Bytes:   64 << 10,
-		L1Latency: 3,
-		L2Banks:   32,
-		L2Latency: 22,
-		DRAM:      DefaultDRAMConfig(),
-		CtrlBytes: 16,
-	}
-}
+// The Table II memory system's fixed sizes and latencies.
+const (
+	l1Bytes   uint64    = 64 << 10 // per-core L1 capacity
+	l1Latency sim.Cycle = 3
+	l2Banks             = 32 // a power of 2, so bankFor's modulus is a mask
+	l2Latency sim.Cycle = 22
+	// ctrlBytes is the size of a coherence request, probe or
+	// acknowledgement on the NoC (model calibration).
+	ctrlBytes uint32 = 16
+)
 
 // dirEntry is the directory state for one memory object, embedded in the L2
 // (MSI at object granularity: an object is Modified in one L1, Shared in
@@ -106,15 +92,11 @@ func (st *l1State) lruVictim() uint64 {
 type System struct {
 	eng  *sim.Engine
 	net  *noc.Network
-	cfg  SystemConfig
 	dram *DRAM
 
 	coreNodes []noc.NodeID
 	bankNodes []noc.NodeID
 	dmaNode   noc.NodeID
-	// bankMask is L2Banks-1 when the bank count is a power of 2 (mask
-	// instead of mod on the per-access home-bank path), else -1.
-	bankMask int
 
 	// dir is the directory: object base address → slot in dirRecs.
 	// Entries are never removed (the directory's working set is the
@@ -140,25 +122,20 @@ type System struct {
 
 // NewSystem builds the memory system and attaches its L2 banks, memory
 // controllers and DMA engine to the network. coreNodes must already be
-// attached by the caller (the backend owns core nodes).
-func NewSystem(eng *sim.Engine, net *noc.Network, coreNodes []noc.NodeID, cfg SystemConfig) *System {
+// attached by the caller (the backend owns core nodes); each has an L1.
+func NewSystem(eng *sim.Engine, net *noc.Network, coreNodes []noc.NodeID) *System {
 	m := &System{
 		eng:       eng,
 		net:       net,
-		cfg:       cfg,
-		dram:      NewDRAM(eng, cfg.DRAM),
+		dram:      NewDRAM(eng, DefaultDRAMConfig()),
 		coreNodes: coreNodes,
 	}
 	m.dir.Init(512)
-	for i := 0; i < cfg.L2Banks; i++ {
+	for i := 0; i < l2Banks; i++ {
 		m.bankNodes = append(m.bankNodes, net.AddGlobalNode("l2bank"))
 	}
-	m.bankMask = -1
-	if n := len(m.bankNodes); n&(n-1) == 0 {
-		m.bankMask = n - 1
-	}
 	m.dmaNode = net.AddGlobalNode("dma")
-	m.l1 = make([]*l1State, cfg.Cores)
+	m.l1 = make([]*l1State, len(coreNodes))
 	for i := range m.l1 {
 		m.l1[i] = &l1State{}
 		m.l1[i].objs.Init(32)
@@ -175,10 +152,7 @@ func (m *System) bankFor(addr uint64) int {
 	// Mix the address so consecutively allocated objects spread out.
 	h := addr >> 6
 	h ^= h >> 13
-	if m.bankMask >= 0 {
-		return int(h & uint64(m.bankMask)) // identical to % for power-of-2 bank counts
-	}
-	return int(h % uint64(len(m.bankNodes)))
+	return int(h % l2Banks)
 }
 
 func (m *System) entry(base uint64, size uint32) *dirEntry {
@@ -211,7 +185,7 @@ func (m *System) resident(core int, base uint64) bool {
 // install places the object in core's L1, evicting LRU objects as needed.
 // Objects larger than the L1 bypass it.
 func (m *System) install(core int, base uint64, size uint32, dirty bool) {
-	if uint64(size) > m.cfg.L1Bytes {
+	if uint64(size) > l1Bytes {
 		return
 	}
 	st := m.l1[core]
@@ -221,7 +195,7 @@ func (m *System) install(core int, base uint64, size uint32, dirty bool) {
 		o.used = st.tick
 		return
 	}
-	for st.used+uint64(size) > m.cfg.L1Bytes && st.objs.Len() > 0 {
+	for st.used+uint64(size) > l1Bytes && st.objs.Len() > 0 {
 		m.evictLRU(core)
 	}
 	st.tick++
@@ -298,7 +272,7 @@ func (ev *memEvent) Fire() {
 			m.writebacks++
 			bank := m.BankNode(ev.base)
 			base := ev.base
-			m.net.Send(bank, m.coreNodes[owner], m.cfg.CtrlBytes, sim.FuncEvent(func() {
+			m.net.Send(bank, m.coreNodes[owner], ctrlBytes, sim.FuncEvent(func() {
 				if o := m.l1[owner].objs.Get(base); o != nil {
 					o.dirty = false
 				}
@@ -318,7 +292,7 @@ func (ev *memEvent) Fire() {
 	case evFetchData:
 		// L2 access latency, then data burst bank -> core.
 		ev.kind = evFetchBurst
-		m.eng.ScheduleEvent(m.cfg.L2Latency, ev)
+		m.eng.ScheduleEvent(l2Latency, ev)
 	case evFetchBurst:
 		m.bytesMoved += uint64(ev.size)
 		ev.kind = evFetchInstall
@@ -333,7 +307,7 @@ func (ev *memEvent) Fire() {
 	case evWriteback:
 		then := ev.then
 		m.putEvent(ev)
-		m.eng.Schedule(m.cfg.L2Latency, then)
+		m.eng.Schedule(l2Latency, then)
 	}
 }
 
@@ -347,12 +321,12 @@ func (m *System) Fetch(core int, base uint64, size uint32, then func()) {
 	m.entry(base, size)
 	if m.resident(core, base) {
 		m.l1ObjHits++
-		m.eng.Schedule(m.cfg.L1Latency, then)
+		m.eng.Schedule(l1Latency, then)
 		return
 	}
 	// Request message to the home bank.
 	ev := m.getEvent(evFetchReq, core, base, size, then)
-	m.net.Send(m.coreNodes[core], m.BankNode(base), m.cfg.CtrlBytes, ev)
+	m.net.Send(m.coreNodes[core], m.BankNode(base), ctrlBytes, ev)
 }
 
 // AcquireWrite obtains exclusive ownership of the object for core without
@@ -366,11 +340,11 @@ func (m *System) AcquireWrite(core int, base uint64, size uint32, then func()) {
 	e := m.entry(base, size)
 	bank := m.BankNode(base)
 	coreNode := m.coreNodes[core]
-	m.net.Send(coreNode, bank, m.cfg.CtrlBytes, sim.FuncEvent(func() {
+	m.net.Send(coreNode, bank, ctrlBytes, sim.FuncEvent(func() {
 		m.invalidateOthers(core, base, e, func() {
 			m.install(core, base, size, true)
 			e.owner = int32(core)
-			m.eng.Schedule(m.cfg.L1Latency, then)
+			m.eng.Schedule(l1Latency, then)
 		})
 	}))
 }
@@ -411,14 +385,14 @@ func (m *System) invalidateOthers(core int, base uint64, e *dirEntry, then func(
 	for _, tgt := range targets {
 		tgt := tgt
 		m.invalidations++
-		m.net.Send(bank, m.coreNodes[tgt], m.cfg.CtrlBytes, sim.FuncEvent(func() {
+		m.net.Send(bank, m.coreNodes[tgt], ctrlBytes, sim.FuncEvent(func() {
 			st := m.l1[tgt]
 			if o := st.objs.Get(base); o != nil {
 				size := o.size
 				st.objs.Delete(base)
 				st.used -= uint64(size)
 			}
-			m.net.Send(m.coreNodes[tgt], bank, m.cfg.CtrlBytes, sim.FuncEvent(func() {
+			m.net.Send(m.coreNodes[tgt], bank, ctrlBytes, sim.FuncEvent(func() {
 				pending--
 				if pending == 0 {
 					then()
@@ -461,7 +435,7 @@ func (m *System) Copy(src, dst uint64, size uint32, done sim.Event) {
 	m.dmaCopies++
 	m.bytesMoved += uint64(size)
 	e := m.entry(dst, size)
-	m.net.Send(m.dmaNode, m.BankNode(src), m.cfg.CtrlBytes, sim.FuncEvent(func() {
+	m.net.Send(m.dmaNode, m.BankNode(src), ctrlBytes, sim.FuncEvent(func() {
 		m.net.Send(m.BankNode(src), m.BankNode(dst), size, sim.FuncEvent(func() {
 			m.invalidateOthers(-1, dst, e, func() {
 				e.inL2 = true

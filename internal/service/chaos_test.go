@@ -25,9 +25,9 @@ import (
 // to the fault-free run, the conservation invariants hold on the surviving
 // daemon, and the journal drains to zero live jobs.
 
-// chaosPlan is the fault mix every seed runs under. Heartbeat is left clean:
-// worker liveness flapping is a load balancer concern, not what this suite
-// pins down.
+// chaosPlan is the fault mix every seed runs under. Heartbeats are not an
+// injection point: worker liveness flapping is a load balancer concern, not
+// what this suite pins down.
 func chaosPlan() faults.Plan {
 	return faults.Plan{
 		faults.RPC: {

@@ -13,30 +13,17 @@ import (
 	"tasksuperscalar/internal/taskmodel"
 )
 
-// Config models the software runtime's costs, in core cycles at 3.2 GHz.
-type Config struct {
-	// DecodeBase + DecodePerOp*operands is charged per task on the
-	// decoder thread. The defaults average ~2240 cycles (700 ns) for a
-	// 4-operand task.
-	DecodeBase  sim.Cycle
-	DecodePerOp sim.Cycle
-	// WakeupCycles is charged per dependent made ready at task completion.
-	WakeupCycles sim.Cycle
-	// GenBase/GenPerOp mirror the task-generating thread's packing cost.
-	GenBase  sim.Cycle
-	GenPerOp sim.Cycle
-}
-
-// DefaultConfig calibrates the decoder to the paper's 700 ns/task.
-func DefaultConfig() Config {
-	return Config{
-		DecodeBase:   1340,
-		DecodePerOp:  225,
-		WakeupCycles: 60,
-		GenBase:      24,
-		GenPerOp:     12,
-	}
-}
+// The software runtime's costs, in core cycles at 3.2 GHz, calibrate the
+// decoder to the paper's 700 ns/task. decodeBase + decodePerOp*operands is
+// charged per task on the decoder thread, ~2240 cycles (700 ns) for a
+// 4-operand task, after the generating thread's packing cost
+// (core.GenBaseCycles + core.GenPerOpCycles*operands). wakeupCycles is
+// charged per dependent made ready at task completion.
+const (
+	decodeBase   sim.Cycle = 1340
+	decodePerOp  sim.Cycle = 225
+	wakeupCycles sim.Cycle = 60
+)
 
 // record tracks one decoded task in the software dependency graph.
 type record struct {
@@ -58,11 +45,10 @@ type objState struct {
 // shared backend. Its window is unbounded.
 type Runtime struct {
 	eng *sim.Engine
-	cfg Config
 
-	stream  taskmodel.Stream
-	backend *backendIface
-	node    noc.NodeID
+	stream     taskmodel.Stream
+	dispatcher Dispatcher
+	node       noc.NodeID
 
 	recs    []*record
 	objs    map[taskmodel.Addr]*objState
@@ -76,12 +62,6 @@ type Runtime struct {
 	windowMax int64
 }
 
-// backendIface is the minimal dispatcher surface (satisfied by
-// backend.Backend).
-type backendIface struct {
-	ready func(rt *core.ReadyTask)
-}
-
 // Dispatcher is what the software runtime needs from the backend.
 type Dispatcher interface {
 	TaskReady(rt *core.ReadyTask)
@@ -89,14 +69,13 @@ type Dispatcher interface {
 
 // New creates a software runtime decoding stream onto d. node is the core
 // the decoder thread runs on (used as the completion-notification target).
-func New(eng *sim.Engine, cfg Config, stream taskmodel.Stream, d Dispatcher, node noc.NodeID) *Runtime {
+func New(eng *sim.Engine, stream taskmodel.Stream, d Dispatcher, node noc.NodeID) *Runtime {
 	return &Runtime{
-		eng:     eng,
-		cfg:     cfg,
-		stream:  stream,
-		backend: &backendIface{ready: d.TaskReady},
-		node:    node,
-		objs:    make(map[taskmodel.Addr]*objState),
+		eng:        eng,
+		stream:     stream,
+		dispatcher: d,
+		node:       node,
+		objs:       make(map[taskmodel.Addr]*objState),
 	}
 }
 
@@ -108,8 +87,8 @@ func (r *Runtime) decodeNext() {
 	if t == nil {
 		return
 	}
-	cost := r.cfg.GenBase + r.cfg.DecodeBase +
-		(r.cfg.GenPerOp+r.cfg.DecodePerOp)*sim.Cycle(t.NumOperands())
+	cost := core.GenBaseCycles + decodeBase +
+		(core.GenPerOpCycles+decodePerOp)*sim.Cycle(t.NumOperands())
 	r.eng.Schedule(cost, func() {
 		r.admit(t)
 		r.decodeNext()
@@ -173,7 +152,7 @@ func (r *Runtime) admit(t *taskmodel.Task) {
 	if rec.pending == 0 {
 		rec.rt.DecodedAt = now
 		rec.rt.ReadyAt = now
-		r.backend.ready(rec.rt)
+		r.dispatcher.TaskReady(rec.rt)
 	}
 }
 
@@ -212,13 +191,13 @@ func (r *Runtime) TaskFinished(from noc.NodeID, id core.TaskID) {
 		s := r.recs[sIdx]
 		s.pending--
 		if s.pending == 0 {
-			delay += r.cfg.WakeupCycles
+			delay += wakeupCycles
 			dep := s
 			r.eng.Schedule(delay, func() {
 				now := r.eng.Now()
 				dep.rt.DecodedAt = now
 				dep.rt.ReadyAt = now
-				r.backend.ready(dep.rt)
+				r.dispatcher.TaskReady(dep.rt)
 			})
 		}
 	}

@@ -31,7 +31,7 @@ func runSoft(t *testing.T, tasks []*taskmodel.Task) (*Runtime, *instantBackend, 
 	t.Helper()
 	eng := sim.NewEngine()
 	be := &instantBackend{eng: eng, start: map[uint64]uint64{}, finish: map[uint64]uint64{}}
-	rt := New(eng, DefaultConfig(), taskmodel.NewSliceStream(tasks), be, 0)
+	rt := New(eng, taskmodel.NewSliceStream(tasks), be, 0)
 	be.rt = rt
 	rt.Start()
 	eng.Run()

@@ -37,7 +37,6 @@ func (c Config) CanonicalString() string {
 	w("sim", SimVersion)
 	w("runtime", c.Runtime.String())
 	w("cores", c.Cores)
-	w("cores_per_ring", c.CoresPerRing)
 
 	fe := c.Frontend
 	w("fe.num_trs", fe.NumTRS)
@@ -45,28 +44,13 @@ func (c Config) CanonicalString() string {
 	w("fe.trs_bytes_each", fe.TRSBytesEach)
 	w("fe.ort_bytes_each", fe.ORTBytesEach)
 	w("fe.ovt_bytes_each", fe.OVTBytesEach)
-	w("fe.proc_cycles", fe.ProcCycles)
-	w("fe.edram_cycles", fe.EDRAMCycles)
 	w("fe.gateway_buf_bytes", fe.GatewayBufBytes)
-	w("fe.gen_base_cycles", fe.GenBaseCycles)
-	w("fe.gen_per_op_cycles", fe.GenPerOpCycles)
 	w("fe.renaming", fe.Renaming)
 	w("fe.chaining", fe.Chaining)
-	w("fe.ctrl_bytes", fe.CtrlBytes)
-	w("fe.ort_stash_limit", fe.ORTStashLimit)
 	w("fe.record_chains", fe.RecordChains)
-
-	sw := c.Software
-	w("sw.decode_base", sw.DecodeBase)
-	w("sw.decode_per_op", sw.DecodePerOp)
-	w("sw.wakeup_cycles", sw.WakeupCycles)
-	w("sw.gen_base", sw.GenBase)
-	w("sw.gen_per_op", sw.GenPerOp)
 
 	be := c.Backend
 	w("be.local_queue_depth", be.LocalQueueDepth)
-	w("be.dispatch_cycles", be.DispatchCycles)
-	w("be.ctrl_bytes", be.CtrlBytes)
 	w("be.stealing", be.Stealing)
 	w("be.record_schedule", be.RecordSchedule)
 	// The dispatch policy and worker-class mix are machine state (they

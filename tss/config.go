@@ -7,7 +7,6 @@ import (
 
 	"tasksuperscalar/internal/backend"
 	"tasksuperscalar/internal/core"
-	"tasksuperscalar/internal/softrt"
 )
 
 // RuntimeKind selects how tasks are decoded and scheduled.
@@ -69,13 +68,9 @@ type Config struct {
 
 	// Cores is the number of worker processors (Table II: 32-256).
 	Cores int
-	// CoresPerRing is the local-ring arity (Table II: 8).
-	CoresPerRing int
 
 	// Frontend sizes the hardware pipeline (ignored for other runtimes).
 	Frontend core.Config
-	// Software configures the software-runtime baseline.
-	Software softrt.Config
 
 	// Backend sizes the Carbon-like queuing system and carries the
 	// dispatch policy (Backend.Policy, "" = "fifo"; see PolicyNames) and
@@ -98,13 +93,11 @@ type Config struct {
 // 2 ORT/OVT (7 MB eDRAM), memory system enabled.
 func DefaultConfig() Config {
 	return Config{
-		Runtime:      HardwarePipeline,
-		Cores:        256,
-		CoresPerRing: 8,
-		Frontend:     core.DefaultConfig(),
-		Software:     softrt.DefaultConfig(),
-		Backend:      backend.DefaultConfig(256),
-		Memory:       true,
+		Runtime:  HardwarePipeline,
+		Cores:    256,
+		Frontend: core.DefaultConfig(),
+		Backend:  backend.DefaultConfig(256),
+		Memory:   true,
 	}
 }
 
@@ -134,9 +127,6 @@ func validClassName(name string) bool {
 func (c Config) Validate() error {
 	if c.Cores < 1 {
 		return fmt.Errorf("tss: need at least one core, got %d", c.Cores)
-	}
-	if c.CoresPerRing < 1 {
-		return fmt.Errorf("tss: cores per ring must be positive, got %d", c.CoresPerRing)
 	}
 	if c.Runtime == HardwarePipeline {
 		if c.Frontend.NumTRS < 1 || c.Frontend.NumORT < 1 {

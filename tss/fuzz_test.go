@@ -6,7 +6,7 @@ import (
 )
 
 // fuzzConfig builds a validating Config from raw fuzz inputs.
-func fuzzConfig(rt uint8, cores, cpr, trs, ort int, trsb, ortb uint64, memory bool) Config {
+func fuzzConfig(rt uint8, cores, trs, ort int, trsb, ortb uint64, memory bool) Config {
 	pos := func(v, m, min int) int {
 		v %= m
 		if v < 0 {
@@ -16,7 +16,6 @@ func fuzzConfig(rt uint8, cores, cpr, trs, ort int, trsb, ortb uint64, memory bo
 	}
 	cfg := DefaultConfig().WithCores(pos(cores, 1024, 1))
 	cfg.Runtime = []RuntimeKind{HardwarePipeline, SoftwareRuntime, Sequential}[int(rt)%3]
-	cfg.CoresPerRing = pos(cpr, 64, 1)
 	cfg.Frontend.NumTRS = pos(trs, 64, 1)
 	cfg.Frontend.NumORT = pos(ort, 16, 1)
 	cfg.Frontend.TRSBytesEach = trsb%(64<<20) + 1
@@ -32,14 +31,14 @@ func fuzzConfig(rt uint8, cores, cpr, trs, ort int, trsb, ortb uint64, memory bo
 // changes the fingerprint, and the encoding itself stays a well-formed
 // unique-keyed listing.
 func FuzzConfigCanonicalString(f *testing.F) {
-	f.Add(uint8(0), 256, 8, 8, 2, uint64(768<<10), uint64(256<<10), true)
-	f.Add(uint8(1), 32, 8, 4, 1, uint64(1<<20), uint64(128<<10), false)
-	f.Add(uint8(2), 1, 1, 1, 1, uint64(1), uint64(1), true)
-	f.Add(uint8(77), -300, 0, 1000, -5, uint64(1<<60), uint64(0), false)
+	f.Add(uint8(0), 256, 8, 2, uint64(768<<10), uint64(256<<10), true)
+	f.Add(uint8(1), 32, 4, 1, uint64(1<<20), uint64(128<<10), false)
+	f.Add(uint8(2), 1, 1, 1, uint64(1), uint64(1), true)
+	f.Add(uint8(77), -300, 1000, -5, uint64(1<<60), uint64(0), false)
 
-	f.Fuzz(func(t *testing.T, rt uint8, cores, cpr, trs, ort int, trsb, ortb uint64, memory bool) {
-		a := fuzzConfig(rt, cores, cpr, trs, ort, trsb, ortb, memory)
-		b := fuzzConfig(rt, cores, cpr, trs, ort, trsb, ortb, memory)
+	f.Fuzz(func(t *testing.T, rt uint8, cores, trs, ort int, trsb, ortb uint64, memory bool) {
+		a := fuzzConfig(rt, cores, trs, ort, trsb, ortb, memory)
+		b := fuzzConfig(rt, cores, trs, ort, trsb, ortb, memory)
 
 		canon := a.CanonicalString()
 		if canon != b.CanonicalString() {
@@ -64,13 +63,12 @@ func FuzzConfigCanonicalString(f *testing.F) {
 
 		// Every semantic mutation moves the fingerprint.
 		mutations := map[string]func(*Config){
-			"cores":          func(c *Config) { c.Cores++ },
-			"cores_per_ring": func(c *Config) { c.CoresPerRing++ },
-			"num_trs":        func(c *Config) { c.Frontend.NumTRS++ },
-			"num_ort":        func(c *Config) { c.Frontend.NumORT++ },
-			"trs_bytes":      func(c *Config) { c.Frontend.TRSBytesEach++ },
-			"ort_bytes":      func(c *Config) { c.Frontend.ORTBytesEach++ },
-			"memory":         func(c *Config) { c.Memory = !c.Memory },
+			"cores":     func(c *Config) { c.Cores++ },
+			"num_trs":   func(c *Config) { c.Frontend.NumTRS++ },
+			"num_ort":   func(c *Config) { c.Frontend.NumORT++ },
+			"trs_bytes": func(c *Config) { c.Frontend.TRSBytesEach++ },
+			"ort_bytes": func(c *Config) { c.Frontend.ORTBytesEach++ },
+			"memory":    func(c *Config) { c.Memory = !c.Memory },
 			"runtime": func(c *Config) {
 				if c.Runtime == HardwarePipeline {
 					c.Runtime = SoftwareRuntime

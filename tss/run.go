@@ -130,6 +130,9 @@ func runEngine(ctx context.Context, m *machine) error {
 	return nil
 }
 
+// coresPerRing is the local-ring arity (Table II: 8 cores per ring).
+const coresPerRing = 8
+
 // machine bundles the shared substrate of a parallel run.
 type machine struct {
 	eng       *sim.Engine
@@ -143,7 +146,7 @@ type machine struct {
 // buildMachine assembles engine, network, cores, memory and backend.
 func buildMachine(cfg Config) *machine {
 	eng := sim.NewEngine()
-	net := noc.NewNetwork(eng, cfg.CoresPerRing, noc.DefaultConfig())
+	net := noc.NewNetwork(eng, coresPerRing, noc.DefaultConfig())
 	m := &machine{eng: eng, net: net}
 	// One shared diagnostic name: cores are identified by NodeID, and a
 	// formatted name per core is a measurable slice of construction cost
@@ -155,7 +158,7 @@ func buildMachine(cfg Config) *machine {
 	// The task-generating thread runs on its own core.
 	m.genNode = net.AddCore("generator")
 	if cfg.Memory {
-		m.memory = mem.NewSystem(eng, net, m.coreNodes, mem.DefaultSystemConfig(cfg.Cores))
+		m.memory = mem.NewSystem(eng, net, m.coreNodes)
 	}
 	bcfg := cfg.Backend
 	bcfg.Cores = cfg.Cores
@@ -244,7 +247,7 @@ func runHardwareMulti(ctx context.Context, streams []*countingStream, cfg Config
 
 func runSoftware(ctx context.Context, st *countingStream, cfg Config) (*Result, error) {
 	m := buildMachine(cfg)
-	rt := softrt.New(m.eng, cfg.Software, st, m.back, m.genNode)
+	rt := softrt.New(m.eng, st, m.back, m.genNode)
 	m.back.SetFinishHandler(rt)
 	m.net.Build()
 

@@ -79,7 +79,7 @@ func TestSoftwareRuntimeRuns(t *testing.T) {
 		t.Fatalf("software run executed %d tasks, want 80", res.Tasks)
 	}
 	// The decoder is serialized: single-operand tasks decode at
-	// DecodeBase + DecodePerOp + generation cost ~ 1600 cycles.
+	// softrt's decodeBase + decodePerOp + generation cost ~ 1600 cycles.
 	if res.DecodeRateCycles < 1500 {
 		t.Fatalf("software decode rate %.0f cycles/task, want >= 1500", res.DecodeRateCycles)
 	}
