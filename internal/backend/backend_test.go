@@ -22,7 +22,7 @@ func (f *finishRecorder) TaskFinished(from noc.NodeID, id core.TaskID) {
 func rig(t *testing.T, cores int, withMem bool) (*sim.Engine, *Backend, *finishRecorder) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
+	net := noc.NewNetwork(eng, noc.DefaultConfig())
 	var coreNodes []noc.NodeID
 	for i := 0; i < cores; i++ {
 		coreNodes = append(coreNodes, net.AddCore("core"))
@@ -161,7 +161,7 @@ func TestBackendScalarOperandsSkipStaging(t *testing.T) {
 
 func TestHeterogeneousCoreSpeeds(t *testing.T) {
 	eng := sim.NewEngine()
-	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
+	net := noc.NewNetwork(eng, noc.DefaultConfig())
 	coreNodes := []noc.NodeID{net.AddCore("slow"), net.AddCore("fast")}
 	cfg := DefaultConfig(2)
 	// The class takes the first core; the second is a baseline core.
@@ -191,7 +191,7 @@ func TestStealingBalancesLoad(t *testing.T) {
 	// core takes it.
 	run := func(stealing bool) uint64 {
 		eng := sim.NewEngine()
-		net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
+		net := noc.NewNetwork(eng, noc.DefaultConfig())
 		coreNodes := []noc.NodeID{net.AddCore("a"), net.AddCore("b")}
 		cfg := DefaultConfig(2)
 		cfg.Stealing = stealing
@@ -217,7 +217,7 @@ func TestStealingBalancesLoad(t *testing.T) {
 
 func TestStealingCountsSteals(t *testing.T) {
 	eng := sim.NewEngine()
-	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
+	net := noc.NewNetwork(eng, noc.DefaultConfig())
 	coreNodes := []noc.NodeID{net.AddCore("a"), net.AddCore("b")}
 	cfg := DefaultConfig(2)
 	cfg.Stealing = true

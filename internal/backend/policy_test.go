@@ -23,7 +23,7 @@ func rigCfg(t *testing.T, cfg Config) (*sim.Engine, *Backend, *finishRecorder) {
 func rigCfgMem(t *testing.T, cfg Config, withMem bool) (*sim.Engine, *Backend, *finishRecorder) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
+	net := noc.NewNetwork(eng, noc.DefaultConfig())
 	var coreNodes []noc.NodeID
 	for i := 0; i < cfg.Cores; i++ {
 		coreNodes = append(coreNodes, net.AddCore("core"))

@@ -67,9 +67,9 @@ func EngineSchedulePop(b *testing.B) {
 	e.Run()
 }
 
-// EngineMixedHorizons stresses the split between calendar buckets and the
+// EngineMixedHorizons stresses the split between the calendar window and the
 // far heap: most events land near the clock, a steady minority at
-// task-runtime horizons far beyond the bucket window.
+// task-runtime horizons far beyond the window.
 func EngineMixedHorizons(b *testing.B) {
 	e := sim.NewEngine()
 	fn := func() {}

@@ -127,7 +127,7 @@ func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig() // chain lengths are recorded, into a warm histogram
 
 	eng := sim.NewEngine()
-	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
+	net := noc.NewNetwork(eng, noc.DefaultConfig())
 	fe := New(eng, net, cfg, NewNullCopyEngine(eng))
 	rb := &releasingBackend{eng: eng, fe: fe, node: net.AddGlobalNode("rb")}
 	rb.fireFn = rb.fire

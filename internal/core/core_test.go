@@ -50,7 +50,7 @@ type rig struct {
 func buildRig(t testing.TB, cfg Config, tasks []*taskmodel.Task) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
+	net := noc.NewNetwork(eng, noc.DefaultConfig())
 	genNode := net.AddCore("generator")
 	fe := New(eng, net, cfg, NewNullCopyEngine(eng))
 	mb := &mockBackend{
@@ -272,12 +272,12 @@ func TestChainingDisabledStillCorrect(t *testing.T) {
 		}
 	}
 
-	// A reader's consumer list outlives its forwarding: reader B registers
-	// with reader A after A's data arrived, is sent the data at once, and
-	// stays listed. Writer C needs 4 of the 5 blocks of a one-station TRS,
-	// so it waits for A to retire and takes A's slot; when C finishes it
-	// must not forward to A's consumers (B would see a duplicate data
-	// ready).
+	// Reader B registers with reader A after A's data arrived, so A sends
+	// it the data at once and does not list it. Writer C needs 4 of the 5
+	// blocks of a one-station TRS, so it waits for A to retire and takes
+	// A's slot. The final assertions guard what follows: C does not
+	// forward to A's old consumers when it finishes (B would see a
+	// duplicate data ready), and no consumer list survives the run.
 	cfg.NumTRS = 1
 	cfg.TRSBytesEach = 5 * trsBlockBytes
 	var writes []taskmodel.Operand

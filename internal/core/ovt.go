@@ -9,12 +9,14 @@ import (
 // The OVT is the physical-register-file analogue — it holds only meta-data;
 // buffers live in an OS-assigned memory region (§IV.B.4).
 //
-// Records live in a sim.Arena indexed by a sim.Table of version numbers,
-// mirroring the paper's fixed-capacity set-associative eDRAM array: steady
-// state allocates nothing, a full table stalls the gateway. A record whose
-// creation is stashed behind a full table exists in the "pending" state,
-// netting early AddUse/DecUse arrivals until the creation replays; buffer
-// queries that arrive meanwhile park in the module's queries table.
+// Records live in a sim.Arena indexed by a sim.Table of version numbers.
+// The paper's fixed-capacity set-associative eDRAM array is the live-record
+// counter checked against capacity: a full table stalls the gateway, while
+// the host storage grows with the versions a run holds and allocates
+// nothing once warm. A record whose creation is stashed behind a full
+// table exists in the "pending" state, netting early AddUse/DecUse
+// arrivals until the creation replays; buffer queries that arrive
+// meanwhile park in the module's queries table.
 type verRec struct {
 	base uint64
 	buf  uint64
@@ -68,12 +70,12 @@ type ovtModule struct {
 	node  int
 	srv   *sim.Server[any]
 
-	capacity int
+	capacity int // live versions the table holds (OVTBytesEach / ovtEntryBytes)
 
 	// byNum maps a version number to its record's slot in recs (an arena,
-	// so handlers may hold a *verRec across nested stash replays). It is
-	// sized at construction for the table capacity at half load, and grows
-	// only if overload (pending records) ever pushes past that.
+	// so handlers may hold a *verRec across nested stash replays). It
+	// starts empty and doubles at half load, so it grows with the live and
+	// pending records a run holds, never with capacity.
 	byNum sim.Table[uint32, uint32]
 	recs  sim.Arena[verRec]
 	nlive int // records in the live (non-pending) state
@@ -112,7 +114,6 @@ func newOVT(fe *Frontend, index int) *ovtModule {
 		// Rename buffers live in a private high region per OVT.
 		nextBuf: (uint64(1) << 44) + uint64(index)<<40,
 	}
-	o.byNum.Init(o.capacity)
 	o.srv = sim.NewServer[any](fe.eng, "ovt", o.handle)
 	return o
 }

@@ -51,7 +51,7 @@ func TestGeneratorBackPressureStalledPipeline(t *testing.T) {
 	cfg.GatewayBufBytes = 4 * 24 // four single-operand tasks (taskBytes)
 
 	eng := sim.NewEngine()
-	net := noc.NewNetwork(eng, 8, noc.DefaultConfig())
+	net := noc.NewNetwork(eng, noc.DefaultConfig())
 	genNode := net.AddCore("generator")
 	fe := New(eng, net, cfg, NewNullCopyEngine(eng))
 	sb := &stalledBackend{node: net.AddGlobalNode("stalled-backend")}

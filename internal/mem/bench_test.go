@@ -10,7 +10,7 @@ import (
 // BenchmarkSystemFetch measures object-granular coherent fetches.
 func BenchmarkSystemFetch(b *testing.B) {
 	e := sim.NewEngine()
-	net := noc.NewNetwork(e, 8, noc.DefaultConfig())
+	net := noc.NewNetwork(e, noc.DefaultConfig())
 	var coreNodes []noc.NodeID
 	for i := 0; i < 16; i++ {
 		coreNodes = append(coreNodes, net.AddCore("c"))

@@ -39,7 +39,7 @@ func TestDRAMChannelParallelism(t *testing.T) {
 func newTestSystem(t *testing.T, cores int) (*sim.Engine, *System) {
 	t.Helper()
 	e := sim.NewEngine()
-	net := noc.NewNetwork(e, 8, noc.DefaultConfig())
+	net := noc.NewNetwork(e, noc.DefaultConfig())
 	var coreNodes []noc.NodeID
 	for i := 0; i < cores; i++ {
 		coreNodes = append(coreNodes, net.AddCore("core"))
@@ -188,7 +188,7 @@ func TestCoherenceInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine()
-		net := noc.NewNetwork(e, 8, noc.DefaultConfig())
+		net := noc.NewNetwork(e, noc.DefaultConfig())
 		cores := 4
 		var coreNodes []noc.NodeID
 		for i := 0; i < cores; i++ {

@@ -130,7 +130,6 @@ func NewSystem(eng *sim.Engine, net *noc.Network, coreNodes []noc.NodeID) *Syste
 		dram:      NewDRAM(eng, DefaultDRAMConfig()),
 		coreNodes: coreNodes,
 	}
-	m.dir.Init(512)
 	for i := 0; i < l2Banks; i++ {
 		m.bankNodes = append(m.bankNodes, net.AddGlobalNode("l2bank"))
 	}
@@ -138,7 +137,6 @@ func NewSystem(eng *sim.Engine, net *noc.Network, coreNodes []noc.NodeID) *Syste
 	m.l1 = make([]*l1State, len(coreNodes))
 	for i := range m.l1 {
 		m.l1[i] = &l1State{}
-		m.l1[i].objs.Init(32)
 	}
 	return m
 }

@@ -22,7 +22,7 @@ func BenchmarkRingTransfer(b *testing.B) {
 // BenchmarkNetworkCrossRing measures two-level routed sends.
 func BenchmarkNetworkCrossRing(b *testing.B) {
 	e := sim.NewEngine()
-	n := NewNetwork(e, 8, DefaultConfig())
+	n := NewNetwork(e, DefaultConfig())
 	var cores []NodeID
 	for i := 0; i < 64; i++ {
 		cores = append(cores, n.AddCore("c"))

@@ -25,6 +25,9 @@ type node struct {
 	globalStop int // stop on the global ring (bridge stop for cores)
 }
 
+// coresPerRing is the local-ring arity (Table II: 8 cores per ring).
+const coresPerRing = 8
+
 // Network is the two-level ring fabric: local 8-core processor rings whose
 // bridge stops sit on a global ring shared with L2 banks, memory controllers
 // and the frontend modules.
@@ -35,8 +38,7 @@ type Network struct {
 	locals []*Ring
 	nodes  []node
 
-	coresPerRing int
-	coreCount    int
+	coreCount int
 	// pending global stops are allocated before Build.
 	built        bool
 	globalOrder  []NodeID // global-resident nodes in attach order
@@ -51,11 +53,8 @@ type Network struct {
 
 // NewNetwork creates a network; attach nodes with AddCore / AddGlobalNode,
 // then call Build before sending.
-func NewNetwork(eng *sim.Engine, coresPerRing int, cfg Config) *Network {
-	if coresPerRing <= 0 {
-		coresPerRing = 8
-	}
-	return &Network{eng: eng, cfg: cfg, coresPerRing: coresPerRing}
+func NewNetwork(eng *sim.Engine, cfg Config) *Network {
+	return &Network{eng: eng, cfg: cfg}
 }
 
 // AddCore attaches a core; cores fill local rings in order, 8 per ring.
@@ -64,8 +63,8 @@ func (n *Network) AddCore(name string) NodeID {
 		panic("noc: AddCore after Build")
 	}
 	id := NodeID(len(n.nodes))
-	ring := n.coreCount / n.coresPerRing
-	stop := n.coreCount % n.coresPerRing
+	ring := n.coreCount / coresPerRing
+	stop := n.coreCount % coresPerRing
 	n.coreCount++
 	n.nodes = append(n.nodes, node{kind: kindCore, name: name, localRing: ring, localStop: stop})
 	return id
@@ -89,11 +88,11 @@ func (n *Network) Build() {
 	if n.built {
 		return
 	}
-	nRings := (n.coreCount + n.coresPerRing - 1) / n.coresPerRing
+	nRings := (n.coreCount + coresPerRing - 1) / coresPerRing
 	n.locals = make([]*Ring, nRings)
 	for i := range n.locals {
 		// +1 stop for the bridge to the global ring.
-		n.locals[i] = NewRing(n.eng, fmt.Sprintf("local%d", i), n.coresPerRing+1, n.cfg)
+		n.locals[i] = NewRing(n.eng, fmt.Sprintf("local%d", i), coresPerRing+1, n.cfg)
 	}
 	globalStops := nRings + len(n.globalOrder)
 	if globalStops == 0 {
@@ -120,7 +119,7 @@ func (n *Network) Build() {
 }
 
 // bridgeLocalStop is the local-ring stop index used by the bridge.
-func (n *Network) bridgeLocalStop() int { return n.coresPerRing }
+func (n *Network) bridgeLocalStop() int { return coresPerRing }
 
 // hopEvent relays one message across the ring hops of a bridged route. One
 // pooled instance carries the whole journey: each Fire reserves the next

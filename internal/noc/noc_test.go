@@ -112,7 +112,7 @@ func TestRingSameStop(t *testing.T) {
 func buildNet(t *testing.T, cores int) (*sim.Engine, *Network, []NodeID, []NodeID) {
 	t.Helper()
 	e := sim.NewEngine()
-	n := NewNetwork(e, 8, DefaultConfig())
+	n := NewNetwork(e, DefaultConfig())
 	var coreIDs, globalIDs []NodeID
 	for i := 0; i < cores; i++ {
 		coreIDs = append(coreIDs, n.AddCore("core"))

@@ -6,14 +6,18 @@ import "math/bits"
 // tuned for discrete-event simulation, where almost every event lands within
 // a few hundred cycles of the clock.
 //
-// Near-future events live in a ring of per-cycle buckets covering a window
-// of calWindow cycles starting at winStart; each bucket is an append-only
-// FIFO of bare Events, so same-cycle events keep their schedule order for
-// free and a bucket entry needs neither its cycle (the bucket and scan give
-// it) nor a sequence number. Events beyond the window go to a plain binary
-// min-heap of cells ("far"), each stamped with its cycle and a far-heap
-// sequence number, and are migrated into the window whenever the window
-// moves.
+// Near-future events live in a ring of per-cycle FIFOs covering a window of
+// calWindow cycles starting at winStart. Each FIFO is a singly linked list
+// of nodes, and the ring holds only its head and tail node indexes, 8 bytes
+// per cycle. A node is the bare Event plus the index of the next node, 24
+// bytes; same-cycle events keep their schedule order for free, and a node
+// needs neither its cycle (the list and scan give it) nor a sequence
+// number. All nodes share one array that grows with the peak number of
+// pending in-window events, and freed nodes are reused last in first out,
+// so an engine's storage follows what its run holds. Events beyond the
+// window go to a plain binary min-heap of cells ("far"), each stamped with
+// its cycle and a far-heap sequence number, and are migrated into the
+// window whenever the window moves.
 //
 // Invariant: every far cell lies at or beyond winStart+calWindow, so every
 // far cell is later than every in-window event. A schedule never lands
@@ -22,21 +26,23 @@ import "math/bits"
 // every far cell the new window covers. So pop takes the far minimum only
 // when the window is empty, and a cycle inside the window has no far cell.
 //
-// Scheduling and popping are O(1) amortized for in-window events — an
-// append and a slice read, with no allocation once the bucket storage is
-// warm — and O(log n) for the rare far events.
+// Scheduling and popping are O(1) amortized for in-window events — a node
+// link and unlink, with no allocation once the node array has reached the
+// run's peak — and O(log n) for the rare far events.
 type calQueue struct {
-	buckets  []bucket // len calWindow; bucket i holds cycles c with c&calMask == i
-	winStart Cycle    // first cycle covered by the bucket window (calMask-aligned)
-	scan     Cycle    // no in-window events exist at cycles < scan
-	inWin    int      // events currently held in buckets
-	far      farHeap  // events outside [winStart, winStart+calWindow)
-	n        int      // total pending events
+	cycles   [calWindow]fifo // cycles[i] holds the events at cycles c with c&calMask == i
+	nodes    []node          // nodes[0] is unused: index 0 means none
+	free     uint32          // first free node, the rest linked through next
+	winStart Cycle           // first cycle covered by the window (calMask-aligned)
+	scan     Cycle           // no in-window events exist at cycles < scan
+	inWin    int             // events currently held in the window
+	far      farHeap         // events outside [winStart, winStart+calWindow)
+	n        int             // total pending events
 
-	// occ mirrors bucket occupancy, one bit per bucket, so seek jumps to
-	// the next non-empty bucket with a word scan instead of walking empty
-	// cycles one at a time. Invariant: bit i is set iff buckets[i] holds
-	// at least one event.
+	// occ mirrors FIFO occupancy, one bit per cycle of the window, so seek
+	// jumps to the next non-empty FIFO with a word scan instead of walking
+	// empty cycles one at a time. Invariant: bit i is set iff cycles[i]
+	// holds at least one event.
 	occ [calWindow / 64]uint64
 }
 
@@ -48,12 +54,10 @@ const (
 	calWindow     = Cycle(1) << calWindowBits
 	calMask       = calWindow - 1
 
-	// bucketSeedCap is the initial per-bucket capacity, carved from one
-	// contiguous backing array at init. Growing 4096 buckets from nil one
-	// append at a time costs thousands of small allocations per engine;
-	// seeding them from a single slab removes that warm-up tax (buckets
-	// that outgrow the seed reallocate individually and stay warm).
-	bucketSeedCap = 8
+	// nodeSeedCap is the node array's first capacity, 3 KiB: an array that
+	// grew from one node would reallocate at every doubling on the way to
+	// the hundred-odd in-window events a paper run holds at its peak.
+	nodeSeedCap = 128
 
 	// farSeedCap pre-sizes the far heap so the first few hundred
 	// long-horizon events (task runtimes, DRAM transfers) grow it once.
@@ -76,24 +80,24 @@ func cellBefore(a, b *cell) bool {
 	return a.seq < b.seq
 }
 
-// bucket is the FIFO of one in-window cycle. An entry is the Event alone,
-// 16 bytes: closures arrive as FuncEvent (a func value is pointer-shaped,
-// so boxing it in the interface does not allocate), typed and pooled
-// events as themselves, and firing is a single interface call.
-type bucket struct {
-	events []Event
-	head   int
+// fifo is the event list of one in-window cycle: the indexes of its first
+// and last nodes, both 0 when it is empty.
+type fifo struct{ head, tail uint32 }
+
+// node is one in-window event. ev is the Event alone: closures arrive as
+// FuncEvent (a func value is pointer-shaped, so boxing it in the interface
+// does not allocate), typed and pooled events as themselves, and firing is
+// a single interface call. next links the cycle's FIFO, or the free list.
+type node struct {
+	ev   Event
+	next uint32
 }
 
 func (q *calQueue) len() int { return q.n }
 
 func (q *calQueue) init() {
-	if q.buckets == nil {
-		q.buckets = make([]bucket, calWindow)
-		seed := make([]Event, int(calWindow)*bucketSeedCap)
-		for i := range q.buckets {
-			q.buckets[i].events = seed[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
-		}
+	if q.nodes == nil {
+		q.nodes = make([]node, 1, nodeSeedCap)
 		q.far.h = make([]cell, 0, farSeedCap)
 	}
 }
@@ -110,23 +114,34 @@ func (q *calQueue) schedule(at Cycle, ev Event) {
 	q.far.push(at, ev)
 }
 
-// append adds ev to the bucket of in-window cycle at.
+// append adds ev to the FIFO of in-window cycle at.
 func (q *calQueue) append(at Cycle, ev Event) {
-	b := &q.buckets[at&calMask]
-	if len(b.events) == b.head {
-		q.setOcc(uint32(at & calMask))
+	i := q.free
+	if i != 0 {
+		q.free = q.nodes[i].next
+		q.nodes[i] = node{ev: ev}
+	} else {
+		i = uint32(len(q.nodes))
+		q.nodes = append(q.nodes, node{ev: ev})
 	}
-	b.events = append(b.events, ev)
+	f := &q.cycles[at&calMask]
+	if f.head == 0 {
+		f.head = i
+		q.setOcc(uint32(at & calMask))
+	} else {
+		q.nodes[f.tail].next = i
+	}
+	f.tail = i
 	q.inWin++
 	if at < q.scan {
 		q.scan = at
 	}
 }
 
-// rebase moves the bucket window so that cycle t is covered, then migrates
-// far events that now fall inside it, in (at, seq) order. Only called when
-// the window is empty, so every migrated event precedes, in its bucket, any
-// event scheduled there later.
+// rebase moves the window so that cycle t is covered, then migrates far
+// events that now fall inside it, in (at, seq) order. Only called when the
+// window is empty, so every migrated event precedes, in its FIFO, any event
+// scheduled there later.
 func (q *calQueue) rebase(t Cycle) {
 	q.winStart = t &^ calMask
 	q.scan = t
@@ -136,30 +151,30 @@ func (q *calQueue) rebase(t Cycle) {
 	}
 }
 
-// seek advances scan to the next non-empty bucket and returns it. The
-// caller must ensure inWin > 0. The occupancy bitmap turns the walk over
-// empty cycles into a word scan: find the next set bit at or after scan's
-// bucket, circularly (bucket order from scan is cycle order within the
-// window, so the first occupied bucket is the earliest pending cycle).
-func (q *calQueue) seek() *bucket {
-	// Fast path: the bucket at scan is still non-empty (same-cycle event
+// seek advances scan to the next non-empty FIFO and returns it. The caller
+// must ensure inWin > 0. The occupancy bitmap turns the walk over empty
+// cycles into a word scan: find the next set bit at or after scan's cycle,
+// circularly (order from scan is cycle order within the window, so the
+// first occupied FIFO holds the earliest pending cycle).
+func (q *calQueue) seek() *fifo {
+	// Fast path: the FIFO at scan is still non-empty (same-cycle event
 	// bursts are the common case — module costs cluster messages).
-	if b := &q.buckets[q.scan&calMask]; b.head < len(b.events) {
-		return b
+	if f := &q.cycles[q.scan&calMask]; f.head != 0 {
+		return f
 	}
 	start := uint32(q.scan & calMask)
 	w := start >> 6
 	if word := q.occ[w] & (^uint64(0) << (start & 63)); word != 0 {
 		i := w<<6 + uint32(bits.TrailingZeros64(word))
 		q.scan += Cycle(i-start) & calMask
-		return &q.buckets[i]
+		return &q.cycles[i]
 	}
 	for k := 1; k <= len(q.occ); k++ {
 		w2 := (w + uint32(k)) % uint32(len(q.occ))
 		if word := q.occ[w2]; word != 0 {
 			i := w2<<6 + uint32(bits.TrailingZeros64(word))
 			q.scan += Cycle(i-start) & calMask
-			return &q.buckets[i]
+			return &q.cycles[i]
 		}
 	}
 	panic("sim: calendar queue window accounting corrupted")
@@ -171,13 +186,15 @@ func (q *calQueue) pop() (Cycle, Event) {
 	if q.inWin == 0 {
 		q.rebase(q.far.h[0].at) // guaranteed to move the far minimum in-window
 	}
-	b := q.seek()
-	ev := b.events[b.head]
-	b.events[b.head] = nil // release the event reference
-	b.head++
-	if b.head == len(b.events) {
-		b.events = b.events[:0]
-		b.head = 0
+	f := q.seek()
+	i := f.head
+	nd := &q.nodes[i]
+	ev := nd.ev
+	nd.ev = nil // release the event reference
+	f.head = nd.next
+	nd.next = q.free
+	q.free = i
+	if f.head == 0 {
 		q.clearOcc(uint32(q.scan & calMask))
 	}
 	q.inWin--
@@ -199,11 +216,8 @@ func (q *calQueue) peekAt() (Cycle, bool) {
 }
 
 // idleAt reports whether no event is pending at cycle t, which must lie in
-// the window (no far cell sits there): its bucket is empty.
-func (q *calQueue) idleAt(t Cycle) bool {
-	b := &q.buckets[t&calMask]
-	return b.head == len(b.events)
-}
+// the window (no far cell sits there): its FIFO is empty.
+func (q *calQueue) idleAt(t Cycle) bool { return q.cycles[t&calMask].head == 0 }
 
 // farHeap is a hand-rolled binary min-heap of cells ordered by (at, seq),
 // where seq counts the heap's pushes: far events at one cycle pop in the

@@ -6,10 +6,11 @@
 // scheduled. All timing in the repository is expressed in core clock cycles
 // of the simulated 3.2 GHz CMP (see Table II of the paper).
 //
-// Every pending event is one Event: a 16-byte calendar-bucket entry, or a
-// far-heap cell that adds its cycle and a sequence number. Schedule takes a
-// closure and stores it as a FuncEvent (a func value is pointer-shaped, so
-// the conversion does not allocate); ScheduleEvent and ScheduleEventAt take
+// Every pending event is one Event: in a 24-byte calendar node that adds
+// the index of the next event at its cycle, or in a far-heap cell that adds
+// its cycle and a sequence number. Schedule takes a closure and stores it
+// as a FuncEvent (a func value is pointer-shaped, so the conversion does
+// not allocate); ScheduleEvent and ScheduleEventAt take
 // any Event, which is how hot paths schedule pooled or self-firing objects
 // — Server is the Event for its own dispatch, and Deliver hands out
 // delivery events recycled through an engine Pool. Scheduling a

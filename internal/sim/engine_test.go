@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -339,6 +340,35 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 		e.Run()
 	}); avg != 0 {
 		t.Fatalf("steady-state schedule/pop allocated %.1f times per run, want 0", avg)
+	}
+}
+
+// freshEngine keeps each engine of TestCalendarQueueGrowsWithUse on the
+// heap, where a run's engine lives.
+var freshEngine *Engine
+
+// TestCalendarQueueGrowsWithUse pins that an engine allocates for the
+// events it holds, not for its whole calendar window: a fresh engine that
+// schedules and runs 100 near events allocates under 64 KiB, 32 KiB of it
+// the window's per-cycle index. A calendar that carved a seed slab for
+// every cycle of the window up front allocated about 640 KiB.
+func TestCalendarQueueGrowsWithUse(t *testing.T) {
+	const engines = 20
+	fn := func() {}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range engines {
+		freshEngine = NewEngine()
+		for i := range 100 {
+			freshEngine.Schedule(Cycle(i%37), fn)
+		}
+		freshEngine.Run()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / engines
+	t.Logf("a fresh engine running 100 near events allocated %d B", per)
+	if per >= 64<<10 {
+		t.Fatalf("a fresh engine running 100 near events allocated %d B, want under 64 KiB", per)
 	}
 }
 

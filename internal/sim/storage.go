@@ -6,12 +6,14 @@ import (
 )
 
 // The simulator's storage. Every frontend structure of the paper is a
-// fixed-capacity table (§IV.B), and the modules mirror that with storage
-// that stops allocating once warm. Three types cover every module: Table
-// indexes records by an integer key, Arena holds records at stable
-// addresses in recycled slots, and Pool recycles pointer-passed records
-// (messages and events). None is safe for concurrent use; like every
-// simulation structure each is owned by one engine goroutine.
+// fixed-capacity table (§IV.B); the modules enforce each capacity with a
+// counter, and keep their records in storage that starts empty, grows with
+// what the run holds and stops allocating once warm. Three types cover
+// every module: Table indexes records by an integer key, Arena holds
+// records at stable addresses in recycled slots, and Pool recycles
+// pointer-passed records (messages and events). None is safe for
+// concurrent use; like every simulation structure each is owned by one
+// engine goroutine.
 
 // Table is an open-addressed hash table from integer keys to values.
 //
@@ -22,7 +24,8 @@ import (
 // finds it half full. Keys, values and occupancy are three separate
 // arrays: one struct per slot would pad every entry.
 //
-// The zero value is an empty table; Init pre-sizes one.
+// The zero value is an empty table; the first Put gives it tableMinSlots
+// slots.
 type Table[K ~uint32 | ~uint64, V any] struct {
 	keys  []K
 	vals  []V
@@ -33,8 +36,8 @@ type Table[K ~uint32 | ~uint64, V any] struct {
 
 const tableMinSlots = 8
 
-// Init empties t and sizes it for n entries at half load.
-func (t *Table[K, V]) Init(n int) {
+// resize empties t and sizes it for n entries at half load.
+func (t *Table[K, V]) resize(n int) {
 	size := tableMinSlots
 	for size < 2*n {
 		size <<= 1
@@ -72,7 +75,7 @@ func (t *Table[K, V]) Get(k K) *V {
 func (t *Table[K, V]) Put(k K, v V) {
 	if 2*t.n >= len(t.keys) {
 		keys, vals, used := t.keys, t.vals, t.used
-		t.Init(len(keys))
+		t.resize(len(keys))
 		for i, u := range used {
 			if u {
 				t.Put(keys[i], vals[i])
@@ -133,14 +136,17 @@ func (t *Table[K, V]) All() iter.Seq2[K, *V] {
 // Arena holds records at stable addresses, indexed by dense slot numbers.
 // Records live in chunks of arenaChunk, so a pointer from At or Alloc
 // stays valid while the arena grows (handlers hold records across nested
-// replays and multi-hop protocol chains). The zero value is empty.
+// replays and multi-hop protocol chains). Chunks are small, so an arena's
+// storage follows the records it holds: a station with a few dozen tasks
+// allocates one chunk. The zero value is empty.
 type Arena[T any] struct {
 	chunks [][]T
 	n      int      // slots handed out so far: [0, n)
 	free   []uint32 // freed slots, reused last in first out
 }
 
-const arenaChunk = 512
+// arenaChunk is a power of 2, so At is a shift and a mask.
+const arenaChunk = 64
 
 // Alloc returns a slot and its record: the most recently freed slot, else
 // the next dense index from 0. A recycled record keeps its old contents,

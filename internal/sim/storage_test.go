@@ -25,7 +25,7 @@ func checkTableMatchesMap[K ~uint32 | ~uint64](t *testing.T, maxKey K) {
 			return ks
 		}
 		var probe Table[K, int]
-		probe.Init(size / 2)
+		probe.resize(size / 2)
 		var ks []K
 		for len(ks) < 8 {
 			k := K(rng.Uint64())
@@ -40,7 +40,7 @@ func checkTableMatchesMap[K ~uint32 | ~uint64](t *testing.T, maxKey K) {
 		rng := rand.New(rand.NewSource(seed))
 		var tab Table[K, int]
 		if seed%2 == 0 {
-			tab.Init(rng.Intn(20))
+			tab.resize(rng.Intn(20))
 		}
 		ref := map[K]int{}
 		pool := []K{0, maxKey}
@@ -114,10 +114,12 @@ func TestArenaKeepsAddresses(t *testing.T) {
 			t.Fatalf("slot %d moved or changed while the arena grew: %v", i, *r)
 		}
 	}
-	for _, s := range []uint32{5, 700, 2} {
+	// Three slots in three different chunks, freed out of slot order.
+	freed := []uint32{5, 2*arenaChunk + 60, arenaChunk + 2}
+	for _, s := range freed {
 		a.Free(s)
 	}
-	for _, want := range []uint32{2, 700, 5} {
+	for _, want := range []uint32{freed[2], freed[1], freed[0]} {
 		slot, r := a.Alloc()
 		if slot != want || r != a.At(want) || r[0] != uint64(want) {
 			t.Fatalf("Alloc after frees returned slot %d (%v), want %d with its old contents", slot, *r, want)
@@ -133,7 +135,7 @@ func TestArenaKeepsAddresses(t *testing.T) {
 // Alloc/Free and Pool Get/Put.
 func TestStorageZeroAllocSteadyState(t *testing.T) {
 	var tab Table[uint64, l1Like]
-	tab.Init(256)
+	tab.resize(256)
 	keys := make([]uint64, 200)
 	for i := range keys {
 		keys[i] = uint64(i) << 6

@@ -130,9 +130,6 @@ func runEngine(ctx context.Context, m *machine) error {
 	return nil
 }
 
-// coresPerRing is the local-ring arity (Table II: 8 cores per ring).
-const coresPerRing = 8
-
 // machine bundles the shared substrate of a parallel run.
 type machine struct {
 	eng       *sim.Engine
@@ -146,7 +143,7 @@ type machine struct {
 // buildMachine assembles engine, network, cores, memory and backend.
 func buildMachine(cfg Config) *machine {
 	eng := sim.NewEngine()
-	net := noc.NewNetwork(eng, coresPerRing, noc.DefaultConfig())
+	net := noc.NewNetwork(eng, noc.DefaultConfig())
 	m := &machine{eng: eng, net: net}
 	// One shared diagnostic name: cores are identified by NodeID, and a
 	// formatted name per core is a measurable slice of construction cost

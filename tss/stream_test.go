@@ -159,20 +159,64 @@ func TestRunStreamPartitioned(t *testing.T) {
 // hardware pipeline and checks that retained heap stays proportional to the
 // in-flight window, not the stream length (a recorded run of the same
 // workload would retain hundreds of megabytes of tasks and schedule maps).
+//
+// The heap is sampled during the run, after a collection every
+// heapSampleEvery retirements, so per-task state that grew during the run
+// and was freed only at its end would fail: every sample must stay under
+// heapSampleBound, and no sample of the second half may exceed the first
+// half's largest by more than heapGrowthMargin.
 func TestMillionTaskStreamBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-task stream is a long test; skipped with -short")
 	}
-	const n = 1_000_000
+	const (
+		n                = 1_000_000
+		heapSampleEvery  = 10_000
+		heapSampleBound  = 32 << 20
+		heapGrowthMargin = 2 << 20
+	)
 	cfg := streamCfg(64)
 
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
+	var samples []uint64 // HeapAlloc after a collection, in bytes
+	var retired int
+	cfg.OnComplete = func(seq, cycle uint64) {
+		if retired++; retired%heapSampleEvery == 0 {
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			samples = append(samples, ms.HeapAlloc)
+		}
+	}
 	res, err := RunStream(workloads.NewCPIStream(n, 42), cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(samples) != n/heapSampleEvery {
+		t.Fatalf("took %d heap samples, want %d", len(samples), n/heapSampleEvery)
+	}
+	mb := func(b uint64) float64 { return float64(b) / (1 << 20) }
+	var firstMax, secondMax, lo uint64 = 0, 0, ^uint64(0)
+	for i, s := range samples {
+		lo = min(lo, s)
+		if i < len(samples)/2 {
+			firstMax = max(firstMax, s)
+		} else {
+			secondMax = max(secondMax, s)
+		}
+		if s > heapSampleBound {
+			t.Errorf("heap sample %d (after %d retirements) is %.1f MB, over the %.0f MB bound",
+				i, (i+1)*heapSampleEvery, mb(s), mb(heapSampleBound))
+		}
+	}
+	t.Logf("%d heap samples during the run: %.2f–%.2f MB, first half max %.2f MB, second half max %.2f MB",
+		len(samples), mb(lo), mb(max(firstMax, secondMax)), mb(firstMax), mb(secondMax))
+	if secondMax > firstMax+heapGrowthMargin {
+		t.Errorf("heap kept growing during the run: second half max %.2f MB, first half max %.2f MB (margin %.0f MB)",
+			mb(secondMax), mb(firstMax), mb(heapGrowthMargin))
 	}
 
 	runtime.GC()

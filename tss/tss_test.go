@@ -85,6 +85,35 @@ func TestSoftwareRuntimeRuns(t *testing.T) {
 	}
 }
 
+// TestSoftwareRunAllocsPerTask pins the software runtime's allocations per
+// task on warm 256-core runs of three Figure 16 workloads. What remains is
+// machine construction, the dependency graph's edge lists and, where the
+// whole program is in flight at once (H264), one dispatch record and one
+// operand slice per task. A runtime that built a map and two closures per
+// task and allocated every dispatch record afresh read 7.0, 11.7 and 8.4.
+func TestSoftwareRunAllocsPerTask(t *testing.T) {
+	for _, c := range []struct {
+		workload string
+		ceiling  float64
+	}{{"cholesky", 3.0}, {"h264", 9.5}, {"knn", 3.5}} {
+		wl, _ := workloads.ByName(c.workload)
+		tasks := wl.Gen(2500, 42).Tasks
+		cfg := DefaultConfig().WithCores(256)
+		cfg.Memory = false
+		cfg.Runtime = SoftwareRuntime
+		perTask := testing.AllocsPerRun(3, func() {
+			if _, err := RunTasks(tasks, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(len(tasks))
+		t.Logf("%s: %d tasks, %.2f allocations per task", c.workload, len(tasks), perTask)
+		if perTask > c.ceiling {
+			t.Errorf("%s: a warm software run allocated %.2f times per task, want at most %.1f",
+				c.workload, perTask, c.ceiling)
+		}
+	}
+}
+
 func TestHardwareDecodeFasterThanSoftware(t *testing.T) {
 	p := chainProgram(16, 8, 20_000)
 	hwCfg := DefaultConfig().WithCores(16)
