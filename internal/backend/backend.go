@@ -108,8 +108,6 @@ type worker struct {
 	node    noc.NodeID
 	queue   sim.FIFO[*stagedTask]
 	running bool
-	credit  *gtuCredit // reusable (immutable) local-queue credit message
-	hint    *gtuHint   // reusable execution-finished hint (spec policy only)
 }
 
 // Backend implements core.Dispatcher.
@@ -122,7 +120,7 @@ type Backend struct {
 	finish FinishHandler
 
 	node    noc.NodeID // global task unit
-	gtu     *sim.Server[any]
+	gtu     *sim.Server[gtuMsg]
 	policy  Policy // owns the ready set; picks (task, worker) pairs
 	credits []int  // free local-queue slots per worker
 	freeRR  int
@@ -164,11 +162,23 @@ type Backend struct {
 	valIdx           int // cursor into cfg.SpecValidate
 }
 
-// gtuMsg types. Ready tasks travel as bare *core.ReadyTask pointers;
-// credits and hints are per-worker singletons — none allocates per message.
-type gtuCredit struct{ worker int }
-type gtuHint struct{ worker int }   // worker finished executing (spec policy)
-type gtuMove struct{ from, to int } // steal: slot moves between workers
+// gtuKind tags a message to the global task unit.
+type gtuKind uint8
+
+const (
+	gtuReady  gtuKind = iota // a ready task joins the ready set
+	gtuCredit                // a worker's local-queue slot is free again
+	gtuHint                  // a worker finished executing (spec policy)
+	gtuMove                  // steal: a local-queue slot moves between workers
+)
+
+// gtuMsg is a message to the global task unit.
+type gtuMsg struct {
+	rt   *core.ReadyTask // gtuReady
+	w    int             // the worker of a credit or hint; the one a moved slot leaves
+	to   int             // gtuMove: the worker the slot moves to
+	kind gtuKind
+}
 
 // execCycles scales a task's runtime, when worker classes are configured,
 // by the worker's class (per-kernel) speed — a machine property that
@@ -217,7 +227,7 @@ func (b *Backend) trySteal(w *worker) {
 				b.maybeStart(w)
 			}))
 			// The local-queue slot moves with the task.
-			b.gtu.Submit(gtuMove{from: victim.idx, to: w.idx})
+			b.gtu.Submit(gtuMsg{kind: gtuMove, w: victim.idx, to: w.idx})
 		}))
 	}))
 }
@@ -235,15 +245,13 @@ func New(eng *sim.Engine, net *noc.Network, coreNodes []noc.NodeID, cfg Config, 
 		node: net.AddGlobalNode("gtu"),
 	}
 	b.recSched = cfg.RecordSchedule
-	b.gtu = sim.NewServer[any](eng, "gtu", b.handleGTU)
-	// Workers, credits, and credit messages in three contiguous arrays.
+	b.gtu = sim.NewServer(eng, b.handleGTU)
+	// Workers and credits in contiguous arrays.
 	ws := make([]worker, cfg.Cores)
-	creds := make([]gtuCredit, cfg.Cores)
 	b.workers = make([]*worker, cfg.Cores)
 	b.credits = make([]int, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		creds[i] = gtuCredit{worker: i}
-		ws[i] = worker{idx: i, node: coreNodes[i], credit: &creds[i]}
+		ws[i] = worker{idx: i, node: coreNodes[i]}
 		b.workers[i] = &ws[i]
 		b.credits[i] = cfg.LocalQueueDepth
 	}
@@ -266,11 +274,6 @@ func New(eng *sim.Engine, net *noc.Network, coreNodes []noc.NodeID, cfg Config, 
 		b.wantHints = true
 		b.specHint = make([]bool, cfg.Cores)
 		b.specDebt = make([]int8, cfg.Cores)
-		hints := make([]gtuHint, cfg.Cores)
-		for i := range hints {
-			hints[i] = gtuHint{worker: i}
-			b.workers[i].hint = &hints[i]
-		}
 	}
 	b.policy = b.newPolicy(cfg.Policy)
 	return b
@@ -294,38 +297,35 @@ func (b *Backend) SetFinishHandler(h FinishHandler) { b.finish = h }
 func (b *Backend) Node() noc.NodeID { return b.node }
 
 // TaskReady implements core.Dispatcher: the ready queue accepts the task.
-func (b *Backend) TaskReady(rt *core.ReadyTask) { b.gtu.Submit(rt) }
+// It submits rather than delivers, because the software runtime calls it
+// from inside its own handlers.
+func (b *Backend) TaskReady(rt *core.ReadyTask) { b.gtu.Submit(gtuMsg{kind: gtuReady, rt: rt}) }
 
-func (b *Backend) handleGTU(m any) sim.Cycle {
-	switch msg := m.(type) {
-	case *core.ReadyTask:
-		b.policy.Enqueue(msg)
+func (b *Backend) handleGTU(m gtuMsg) sim.Cycle {
+	switch m.kind {
+	case gtuReady:
+		b.policy.Enqueue(m.rt)
 		if r := b.policy.Ready(); r > b.readyPeak {
 			b.readyPeak = r
 		}
-		return b.dispatch()
-	case *gtuCredit:
-		if b.specDebt != nil && b.specDebt[msg.worker] > 0 {
+	case gtuCredit:
+		if b.specDebt != nil && b.specDebt[m.w] > 0 {
 			// The slot this credit frees was consumed early by a
 			// speculative dispatch: repay the debt instead. This is
 			// the rollback-free validation — the speculation is
 			// confirmed correct by the credit's arrival.
-			b.specDebt[msg.worker]--
+			b.specDebt[m.w]--
 			b.specValidated++
 		} else {
-			b.credits[msg.worker]++
+			b.credits[m.w]++
 		}
-		return b.dispatch()
-	case *gtuHint:
-		b.specHint[msg.worker] = true
-		return b.dispatch()
+	case gtuHint:
+		b.specHint[m.w] = true
 	case gtuMove:
-		b.credits[msg.from]++
-		b.credits[msg.to]--
-		return b.dispatch()
-	default:
-		panic("gtu: unknown message")
+		b.credits[m.w]++
+		b.credits[m.to]--
 	}
+	return b.dispatch()
 }
 
 // deliverTaskEvent carries one dispatched task from the global task unit to
@@ -436,7 +436,7 @@ func (ev *taskEvent) Fire() {
 			// Tell the GTU this worker's credit is now provably in
 			// flight (writeback → completion → credit), enabling one
 			// speculative early dispatch against it.
-			b.net.Send(w.node, b.node, core.CtrlBytes, b.eng.Deliver(b.gtu, w.hint))
+			b.net.Send(w.node, b.node, core.CtrlBytes, b.gtu.Deliver(gtuMsg{kind: gtuHint, w: w.idx}))
 		}
 		b.maybeStart(w)
 		ev.phase = phaseWriteDone
@@ -548,7 +548,7 @@ func (b *Backend) completeTask(w *worker, rt *core.ReadyTask) {
 		b.finish.TaskFinished(w.node, rt.ID)
 	}
 	// Return the local-queue slot to the global task unit.
-	b.net.Send(w.node, b.node, core.CtrlBytes, b.eng.Deliver(b.gtu, w.credit))
+	b.net.Send(w.node, b.node, core.CtrlBytes, b.gtu.Deliver(gtuMsg{kind: gtuCredit, w: w.idx}))
 	// The task is fully retired: hand the dispatch record back to its
 	// issuing frontend's pool (no-op for unpooled producers).
 	rt.Release()
@@ -558,17 +558,25 @@ func (b *Backend) completeTask(w *worker, rt *core.ReadyTask) {
 func (b *Backend) Executed() uint64 { return b.executed }
 
 // Schedule returns observed start and finish times indexed by task sequence
-// number (for validation against the dependency-graph oracle). It returns
-// nils when the run was configured without schedule recording.
+// number (for validation against the dependency-graph oracle), n of each.
+// It hands over the recorded tables instead of copying them, and drops its
+// own references, so later recording cannot overwrite what it returned. It
+// returns nils when the run was configured without schedule recording.
 func (b *Backend) Schedule(n int) (start, finish []uint64) {
 	if !b.recSched {
 		return nil, nil
 	}
-	start = make([]uint64, n)
-	finish = make([]uint64, n)
-	copy(start, b.startAt)
-	copy(finish, b.finishAt)
+	start, finish = resized(b.startAt, n), resized(b.finishAt, n)
+	b.startAt, b.finishAt = nil, nil
 	return start, finish
+}
+
+// resized returns tab cut or zero-extended to n entries.
+func resized(tab []sim.Cycle, n int) []sim.Cycle {
+	if len(tab) >= n {
+		return tab[:n]
+	}
+	return append(tab, make([]sim.Cycle, n-len(tab))...)
 }
 
 // Utilization returns average busy cores over [0, end].

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"slices"
 	"testing"
 
 	"tasksuperscalar/internal/core"
@@ -59,6 +60,33 @@ func TestBackendExecutesTask(t *testing.T) {
 	start, finish := b.Schedule(1)
 	if finish[0]-start[0] < 1000 {
 		t.Fatalf("task ran %d cycles, want >= 1000", finish[0]-start[0])
+	}
+}
+
+// Schedule hands its recorded tables over, cut or zero-extended to the
+// length asked for. A reused backend records its next run into new tables,
+// so the returned ones keep the first run's times.
+func TestScheduleHandsOverTables(t *testing.T) {
+	eng, b, _ := rig(t, 1, false)
+	run := func() {
+		b.TaskReady(mkTask(0, 1_000))
+		b.TaskReady(mkTask(1, 1_000))
+		eng.Run()
+	}
+	run()
+	start, finish := b.Schedule(2)
+	if len(start) != 2 || len(finish) != 2 || finish[1] == 0 {
+		t.Fatalf("Schedule(2) = %v, %v; want both tasks' times", start, finish)
+	}
+	want := slices.Clone(start)
+	b.ResetRunStats()
+	run()
+	if !slices.Equal(start, want) {
+		t.Fatalf("the second run rewrote the first run's start times: %v, want %v", start, want)
+	}
+	again, _ := b.Schedule(3)
+	if len(again) != 3 || again[2] != 0 || again[0] <= want[1] {
+		t.Fatalf("second run's Schedule(3) = %v; want 3 entries, starts after %d, the third zero", again, want[1])
 	}
 }
 

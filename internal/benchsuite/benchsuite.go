@@ -109,7 +109,7 @@ func EngineChurn1M(b *testing.B) {
 // module-controller hot path).
 func ServerPipeline(b *testing.B) {
 	e := sim.NewEngine()
-	srv := sim.NewServer(e, "bench", func(int) sim.Cycle { return 16 })
+	srv := sim.NewServer(e, func(int) sim.Cycle { return 16 })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -543,17 +543,17 @@ func TestCopyBackOnIdleRenamedVersion(t *testing.T) {
 func TestTRSNetsEarlyOutputGrant(t *testing.T) {
 	r := buildRig(t, DefaultConfig(), nil)
 	trs := r.fe.trs[0]
-	trs.handleAlloc(trsAllocMsg{task: tk(100, opOut(0x1000))})
+	trs.handleAlloc(tk(100, opOut(0x1000)))
 	id := TaskID{TRS: 0, Slot: 0}
 	op := OperandID{Task: id}
-	grant := trsDataReadyMsg{op: op, buf: 0x9000, output: true}
+	grant := trsMsg{kind: trsDataReady, op: op, buf: 0x9000, output: true}
 
 	trs.handleDataReady(grant)
 	rec := trs.rec(id, 0, false)
 	if rec.dispatched {
 		t.Fatal("task dispatched before its operand info arrived")
 	}
-	trs.handleOperandInfo(trsOperandInfoMsg{op: op, dir: taskmodel.Out})
+	trs.handleOperandInfo(trsMsg{kind: trsOperandInfo, op: op, dir: taskmodel.Out})
 	if !rec.dispatched {
 		t.Fatalf("early grant not netted: pending %d, pendingReady %d", rec.op(0).pending, rec.pendingReady)
 	}

@@ -29,10 +29,6 @@ type Frontend struct {
 	// instead of mod on the per-operand routing path), else -1.
 	ortMask int
 
-	// pools recycles protocol message structs; together with the NoC's
-	// typed delivery events this keeps the steady-state message path
-	// allocation-free (see docs/ARCHITECTURE.md).
-	pools       msgPools
 	readyEvents sim.Pool[readyEvent]
 	// readyTasks recycles ReadyTask records (and their resolved-operand
 	// slices) once the backend releases them, so dispatch allocates
@@ -150,35 +146,27 @@ func (fe *Frontend) trsGen(id TaskID) uint32 {
 
 // --- message transport (asynchronous point-to-point over the NoC) ---
 //
-// Messages are pooled structs passed as pointers; each send completes with
-// the engine's pooled Deliver event into the destination module's server,
-// so no closure and no boxing happens per message.
+// Messages travel by value; each send completes with a pooled delivery
+// event of the destination module's server, so no closure and no boxing
+// happens per message.
 
-func (fe *Frontend) sendToTRS(fromNode, trsIdx int, m any) {
+func (fe *Frontend) sendToTRS(fromNode, trsIdx int, m trsMsg) {
 	t := fe.trs[trsIdx]
-	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(t.node), CtrlBytes, fe.eng.Deliver(t.srv, m))
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(t.node), CtrlBytes, t.srv.Deliver(m))
 }
 
-func (fe *Frontend) sendToORT(fromNode, ortIdx int, m any) {
+func (fe *Frontend) sendToORT(fromNode, ortIdx int, m ortMsg) {
 	o := fe.ort[ortIdx]
-	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(o.node), CtrlBytes, fe.eng.Deliver(o.srv, m))
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(o.node), CtrlBytes, o.srv.Deliver(m))
 }
 
-func (fe *Frontend) sendToOVT(fromNode, ovtIdx int, m any) {
+func (fe *Frontend) sendToOVT(fromNode, ovtIdx int, m ovtMsg) {
 	o := fe.ovt[ovtIdx]
-	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(o.node), CtrlBytes, fe.eng.Deliver(o.srv, m))
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(o.node), CtrlBytes, o.srv.Deliver(m))
 }
 
-func (fe *Frontend) sendToGW(fromNode int, m any) {
-	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(fe.gw.node), CtrlBytes, fe.eng.Deliver(fe.gw.srv, m))
-}
-
-func (fe *Frontend) sendToTRSFromGW(m any, trsIdx int) {
-	fe.sendToTRS(fe.gw.node, trsIdx, m)
-}
-
-func (fe *Frontend) sendToORTFromGW(m *ortDecodeMsg, ortIdx int) {
-	fe.sendToORT(fe.gw.node, ortIdx, m)
+func (fe *Frontend) sendToGW(fromNode int, m gwMsg) {
+	fe.net.Send(noc.NodeID(fromNode), noc.NodeID(fe.gw.node), CtrlBytes, fe.gw.srv.Deliver(m))
 }
 
 // stall source encoding: ORT i and OVT i each get a slot in the gateway's
@@ -199,9 +187,7 @@ func (fe *Frontend) setStall(src int, on bool) {
 	} else {
 		fromNode = fe.ovt[src/2].node
 	}
-	sm := fe.pools.stall.Get()
-	*sm = gwStallMsg{src: src, stalled: on}
-	fe.sendToGW(fromNode, sm)
+	fe.sendToGW(fromNode, gwMsg{kind: gwStall, src: int32(src), stalled: on})
 }
 
 // readyEvent carries one decoded-and-ready task to the dispatcher; pooled
@@ -237,9 +223,7 @@ func (fe *Frontend) dispatchReady(fromNode int, rt *ReadyTask) {
 // the task's storage.
 func (fe *Frontend) TaskFinished(fromNode noc.NodeID, id TaskID) {
 	t := fe.trs[id.TRS]
-	fm := fe.pools.finished.Get()
-	*fm = trsTaskFinishedMsg{id: id}
-	fe.net.Send(fromNode, noc.NodeID(t.node), CtrlBytes, fe.eng.Deliver(t.srv, fm))
+	fe.net.Send(fromNode, noc.NodeID(t.node), CtrlBytes, t.srv.Deliver(trsMsg{kind: trsFinished, op: OperandID{Task: id}}))
 }
 
 // --- bookkeeping ---
@@ -484,6 +468,6 @@ func (g *Generator) trySubmit() {
 	gw.Reserve(t)
 	g.produced++
 	g.cur = nil
-	g.fe.net.Send(g.node, g.fe.GatewayNode(), taskBytes(t), g.fe.eng.Deliver(gw.enqSink, t))
+	g.fe.net.Send(g.node, g.fe.GatewayNode(), taskBytes(t), gw.arrival(t))
 	g.produce()
 }

@@ -7,8 +7,10 @@ import (
 
 // pendingTask is a task staged in the gateway's incoming buffer. Records
 // recycle through the gateway's pool (one allocation per window-occupancy
-// high-water mark, not per task).
+// high-water mark, not per task). A record is also its task's arrival: the
+// generator's send completes with it, and its Fire admits the task.
 type pendingTask struct {
+	g     *gateway
 	task  *taskmodel.Task
 	bytes uint32
 
@@ -26,11 +28,10 @@ type pendingTask struct {
 type gateway struct {
 	fe   *Frontend
 	node int
-	srv  *sim.Server[any]
+	srv  *sim.Server[gwMsg]
 
 	queue   sim.FIFO[*pendingTask]
 	pending sim.Pool[pendingTask]
-	enqSink sim.Sink // delivery target for generator task injection
 	bufUsed uint32
 	waiters []func() // generators blocked on buffer space
 	drain   []func() // scratch for waking waiters without allocating
@@ -65,16 +66,9 @@ func newGateway(fe *Frontend) *gateway {
 		g.freeTRS[i] = true
 	}
 	g.anyFree = true
-	g.srv = sim.NewServer[any](fe.eng, "gateway", g.handle)
-	g.enqSink = enqueueSink{g}
+	g.srv = sim.NewServer(fe.eng, g.handle)
 	return g
 }
-
-// enqueueSink adapts task injection to the NoC's sink-based delivery: the
-// generator's message payload is the task pointer itself.
-type enqueueSink struct{ g *gateway }
-
-func (s enqueueSink) Submit(m any) { s.g.Enqueue(m.(*taskmodel.Task)) }
 
 // taskBytes is the space a task occupies in the gateway buffer: kernel
 // pointer and globals plus one descriptor per operand.
@@ -94,47 +88,52 @@ func (g *gateway) Reserve(t *taskmodel.Task) {
 	g.bufUsed += taskBytes(t)
 }
 
-// Enqueue stages an arriving task (called at NoC delivery time); space was
-// already reserved by Reserve.
-func (g *gateway) Enqueue(t *taskmodel.Task) {
+// arrival returns the staging record of a task about to be sent; it admits
+// the task when it fires, so it is the send's completion. Space was already
+// reserved by Reserve.
+func (g *gateway) arrival(t *taskmodel.Task) *pendingTask {
 	p := g.pending.Get()
-	*p = pendingTask{task: t, bytes: taskBytes(t)}
+	*p = pendingTask{g: g, task: t, bytes: taskBytes(t)}
+	return p
+}
+
+// Fire implements sim.Event: the task arrives in the gateway's buffer.
+func (p *pendingTask) Fire() { p.g.admit(p) }
+
+// Enqueue stages a task directly, as if its send arrived now; space was
+// already reserved by Reserve.
+func (g *gateway) Enqueue(t *taskmodel.Task) { g.admit(g.arrival(t)) }
+
+// admit stages an arrived task and wakes the work loop.
+func (g *gateway) admit(p *pendingTask) {
 	g.queue.Push(p)
 	g.admitted++
-	g.srv.Submit(gwKickMsg{})
+	g.kick()
 }
 
 // AwaitRoom registers a callback for when buffer space frees.
 func (g *gateway) AwaitRoom(fn func()) { g.waiters = append(g.waiters, fn) }
 
-// gwKickMsg wakes the gateway's work loop.
-type gwKickMsg struct{}
+// kick wakes the gateway's work loop.
+func (g *gateway) kick() { g.srv.Submit(gwMsg{kind: gwKick}) }
 
-func (g *gateway) handle(m any) sim.Cycle {
-	switch msg := m.(type) {
-	case gwKickMsg:
+func (g *gateway) handle(m gwMsg) sim.Cycle {
+	switch m.kind {
+	case gwKick:
 		return g.step()
-	case *gwAllocReplyMsg:
-		v := *msg
-		g.fe.pools.allocReply.Put(msg)
-		return g.handleAllocReply(v)
-	case *gwSpaceFreedMsg:
-		trs := msg.trs
-		g.fe.pools.spaceFreed.Put(msg)
-		g.freeTRS[trs] = true
+	case gwAllocReply:
+		return g.handleAllocReply(m)
+	case gwSpaceFreed:
+		g.freeTRS[m.src] = true
 		g.anyFree = true
-		g.srv.Submit(gwKickMsg{})
+		g.kick()
 		return procCycles
-	case *gwStallMsg:
-		v := *msg
-		g.fe.pools.stall.Put(msg)
-		return g.handleStall(v)
-	default:
-		panic("gateway: unknown message")
+	default: // gwStall
+		return g.handleStall(m)
 	}
 }
 
-func (g *gateway) handleStall(m gwStallMsg) sim.Cycle {
+func (g *gateway) handleStall(m gwMsg) sim.Cycle {
 	word, bit := m.src/64, uint64(1)<<(m.src%64)
 	was := g.stalls[word]&bit != 0
 	if m.stalled && !was {
@@ -143,7 +142,7 @@ func (g *gateway) handleStall(m gwStallMsg) sim.Cycle {
 	} else if !m.stalled && was {
 		g.stalls[word] &^= bit
 		g.nstalled--
-		g.srv.Submit(gwKickMsg{})
+		g.kick()
 	}
 	return 0
 }
@@ -174,28 +173,24 @@ func (g *gateway) step() sim.Cycle {
 			p := *g.queue.At(g.allocSent)
 			p.allocSent = true
 			g.allocSent++
-			am := g.fe.pools.alloc.Get()
-			*am = trsAllocMsg{task: p.task, gwRef: g.refOf(p)}
-			g.fe.sendToTRSFromGW(am, trs)
+			g.fe.sendToTRS(g.node, trs, trsMsg{kind: trsAlloc, task: p.task})
 			cost += procCycles
 			progress = true
 		}
 	}
 
 	if progress {
-		g.srv.Submit(gwKickMsg{})
+		g.kick()
 	}
 	return cost
 }
 
-// refOf returns a stable reference for the pending task (its position is
-// not stable, so use the task's sequence number; the alloc reply echoes it).
-func (g *gateway) refOf(p *pendingTask) int { return int(p.task.Seq) }
-
-func (g *gateway) findRef(ref int) *pendingTask {
+// findSeq returns the pending task an alloc reply refers to. A task's
+// position is not stable, so the reply names it by its sequence number.
+func (g *gateway) findSeq(seq uint64) *pendingTask {
 	// Only the sent prefix can have a reply outstanding.
 	for i := 0; i < g.allocSent; i++ {
-		if p := *g.queue.At(i); int(p.task.Seq) == ref {
+		if p := *g.queue.At(i); p.task.Seq == seq {
 			return p
 		}
 	}
@@ -219,8 +214,8 @@ func (g *gateway) pickTRS() int {
 	return -1
 }
 
-func (g *gateway) handleAllocReply(m gwAllocReplyMsg) sim.Cycle {
-	p := g.findRef(m.gwRef)
+func (g *gateway) handleAllocReply(m gwMsg) sim.Cycle {
+	p := g.findSeq(m.seq)
 	if p == nil {
 		panic("gateway: alloc reply for unknown task")
 	}
@@ -236,7 +231,7 @@ func (g *gateway) handleAllocReply(m gwAllocReplyMsg) sim.Cycle {
 			}
 		}
 	}
-	g.srv.Submit(gwKickMsg{})
+	g.kick()
 	return procCycles
 }
 
@@ -257,19 +252,15 @@ func (g *gateway) issueOne(p *pendingTask) sim.Cycle {
 	op := ops[i]
 	oid := OperandID{Task: p.id, Index: uint8(i)}
 	if op.Dir == taskmodel.Scalar {
-		sm := g.fe.pools.scalar.Get()
-		*sm = trsScalarMsg{op: oid}
-		g.fe.sendToTRSFromGW(sm, int(p.id.TRS))
+		g.fe.sendToTRS(g.node, int(p.id.TRS), trsMsg{kind: trsScalar, op: oid})
 	} else {
-		ort := g.fe.ortFor(uint64(op.Base))
-		dm := g.fe.pools.decode.Get()
-		*dm = ortDecodeMsg{
+		g.fe.sendToORT(g.node, g.fe.ortFor(uint64(op.Base)), ortMsg{
+			kind: ortDecode,
 			op:   oid,
 			base: uint64(op.Base),
 			size: op.Size,
 			dir:  op.Dir,
-		}
-		g.fe.sendToORTFromGW(dm, ort)
+		})
 	}
 	g.issuedOps++
 	return procCycles

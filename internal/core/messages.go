@@ -7,137 +7,129 @@ import (
 )
 
 // Protocol messages of the asynchronous point-to-point protocol (Figures
-// 6-9). Each message type is handled by exactly one module kind.
+// 6-9). Each module kind handles a small fixed set of messages, spelled as
+// one message type per kind: a kind tag plus the fields its messages use.
+// Messages travel by value, so a queued message is a slot of its module's
+// input queue and a handler owns the copy it is given. TestRecordSizes pins
+// each type's size, which is the host memory per queued message.
 
-// --- messages to a TRS ---
+// trsKind tags a message to a TRS.
+type trsKind uint8
 
-// trsAllocMsg asks a TRS to allocate storage for a new task (Figure 6).
-type trsAllocMsg struct {
-	task  *taskmodel.Task
-	gwRef int // gateway buffer reference, echoed back to avoid associative lookups
-}
+const (
+	trsAlloc            trsKind = iota // allocate storage for a new task (Figure 6)
+	trsOperandInfo                     // decoded operand information from an ORT (Figures 7-9)
+	trsScalar                          // a scalar operand, straight from the gateway
+	trsRegisterConsumer                // register a consumer with a version's previous user (Figure 8)
+	trsDataReady                       // one readiness condition of an operand is satisfied
+	trsFinished                        // the backend completed the task
+)
 
-// trsOperandInfoMsg delivers decoded operand information from an ORT
-// ("operand <1,17,0> is 512B @283" in Figures 7-9). The object's base and
-// size are left out: the TRS reads them from the task at dispatch.
-type trsOperandInfoMsg struct {
-	op      OperandID
-	dir     taskmodel.Dir
-	version VersionID // version this operand reads (In) or produces (Out/InOut)
-
-	hasProducer bool // register with this user for input data
-	producer    OperandID
-	prodGen     uint32
-
-	immediateReady int8   // ready messages satisfied at decode (ORT miss)
-	readyBuf       uint64 // buffer address for immediately-ready data
-}
-
-// trsScalarMsg delivers a scalar operand directly from the gateway.
-type trsScalarMsg struct {
+// trsMsg is a message to a TRS. An operand info is "operand <1,17,0> is
+// 512B @283" in Figures 7-9, with the object's base and size left out: the
+// TRS reads them from the task at dispatch.
+type trsMsg struct {
+	task *taskmodel.Task // trsAlloc
+	// buf is the data's buffer: a data ready's, or an operand info's when
+	// the data is ready at decode.
+	buf uint64
+	// op is the operand concerned: the consumer of a trsRegisterConsumer,
+	// and op.Task the task of a trsFinished.
 	op OperandID
-}
-
-// trsRegisterConsumerMsg registers a consumer with the previous user of an
-// object version (Figure 8: "register consumer of <2,5,2>").
-type trsRegisterConsumerMsg struct {
-	producer OperandID // the user being registered with
-	prodGen  uint32
-	consumer OperandID
-	// queryVersion resolves the data location if the user already retired:
-	// the version read (In) or the consumer's own in-place version (InOut).
-	queryVersion VersionID
-}
-
-// trsDataReadyMsg marks one readiness condition of an operand satisfied.
-type trsDataReadyMsg struct {
-	op     OperandID
-	buf    uint64
-	output bool // true: output buffer available (from OVT); false: input data
-}
-
-// trsTaskFinishedMsg notifies the TRS that the backend completed the task.
-type trsTaskFinishedMsg struct {
-	id TaskID
-}
-
-// --- messages to an ORT ---
-
-// ortDecodeMsg carries one memory operand from the gateway for dependency
-// decoding.
-type ortDecodeMsg struct {
-	op   OperandID
-	base uint64
-	size uint32
-	dir  taskmodel.Dir
-}
-
-// ortReleaseMsg tells the ORT that the latest version of an object went
-// idle; the ORT may free the object's entry. granted is the number of uses
-// the OVT has recorded for the version: the ORT frees the entry only if its
-// own grant count matches, which proves no use can still be in flight (all
-// grants originate at the ORT, and ORT->OVT messages are FIFO).
-type ortReleaseMsg struct {
-	base    uint64
+	// producer is the previous user of the version to register with
+	// (trsOperandInfo when hasProducer, trsRegisterConsumer), and prodGen
+	// its slot's generation.
+	producer OperandID
+	// version is, for an operand info, the version the operand reads (In)
+	// or produces (Out/InOut). A trsRegisterConsumer queries it if the
+	// producer already retired: the version read (In) or the consumer's own
+	// in-place version (InOut).
 	version VersionID
-	granted int32
+	prodGen uint32
+
+	kind           trsKind
+	dir            taskmodel.Dir // trsOperandInfo
+	hasProducer    bool          // trsOperandInfo: register with producer for input data
+	immediateReady int8          // trsOperandInfo: ready messages satisfied at decode (ORT miss)
+	output         bool          // trsDataReady: output buffer granted (from the OVT), not input data
 }
 
-// --- messages to an OVT ---
+// ortKind tags a message to an ORT.
+type ortKind uint8
 
-// ovtNewVersionMsg creates a new version record. The ORT assigns version IDs
-// so no reply round-trip is needed.
-type ovtNewVersionMsg struct {
-	v    VersionID
-	base uint64
-	size uint32
+const (
+	ortDecode  ortKind = iota // one memory operand from the gateway, for dependency decoding
+	ortRelease                // the object's latest version went idle; the entry may go
+)
 
+// ortMsg is a message to an ORT. A release carries the number of uses the
+// OVT has recorded for the version: the ORT frees the entry only if its own
+// grant count matches, which proves no use can still be in flight (all
+// grants originate at the ORT, and ORT->OVT messages are FIFO).
+type ortMsg struct {
+	base    uint64    // the object's base address
+	op      OperandID // ortDecode
+	version VersionID // ortRelease
+	size    uint32    // ortDecode
+	granted int32     // ortRelease
+	kind    ortKind
+	dir     taskmodel.Dir // ortDecode
+}
+
+// ovtKind tags a message to an OVT.
+type ovtKind uint8
+
+const (
+	// ovtNewVersion creates a version record. The ORT assigns version IDs
+	// so no reply round-trip is needed.
+	ovtNewVersion ovtKind = iota
+	ovtAddUse             // register a reader with a version
+	ovtDecUse             // drop one use of a version (task finished)
+	// ovtQueryBuf resolves the data buffer of a version whose last user
+	// already retired; the OVT replies with a data-ready message.
+	ovtQueryBuf
+	ovtReleaseAck // acknowledge an ortRelease
+	ovtCopyDone   // a DMA copy-back of the version completed
+)
+
+// ovtMsg is a message to an OVT.
+type ovtMsg struct {
+	base uint64    // ovtNewVersion
+	v    VersionID // the version concerned
+	prev VersionID // ovtNewVersion when hasPrev: the version superseded
+	// op is the writer operand producing an ovtNewVersion (when
+	// hasProducer), or the consumer an ovtQueryBuf answers.
+	op   OperandID
+	size uint32 // ovtNewVersion
+
+	kind        ovtKind
 	hasProducer bool
-	producer    OperandID // writer operand producing the version
-
-	hasPrev bool
-	prev    VersionID
-
-	inPlace    bool // inout (or renaming disabled): reuse prev's buffer
-	initialUse int8 // use count held at creation (producer or first reader)
+	hasPrev     bool
+	inPlace     bool // inout (or renaming disabled): reuse prev's buffer
+	initialUse  int8 // use count held at creation (producer or first reader)
+	freed       bool // ovtReleaseAck: the ORT freed the entry
 }
 
-// ovtAddUseMsg registers a reader with a version.
-type ovtAddUseMsg struct{ v VersionID }
+// gwKind tags a message to the gateway.
+type gwKind uint8
 
-// ovtDecUseMsg drops one use of a version (task finished).
-type ovtDecUseMsg struct{ v VersionID }
+const (
+	gwKick       gwKind = iota // wake the work loop
+	gwAllocReply               // the slot allocated for a pending task ("use slot 17", Figure 6)
+	gwSpaceFreed               // a TRS that reported itself full has room again
+	gwStall                    // backpressure from a full ORT or OVT, asserted or released
+)
 
-// ovtQueryBufMsg resolves the data buffer of a version whose last user
-// already retired; the OVT replies with a data-ready message.
-type ovtQueryBufMsg struct {
-	v        VersionID
-	consumer OperandID
-}
-
-// ovtReleaseAckMsg acknowledges an ortReleaseMsg.
-type ovtReleaseAckMsg struct {
-	v     VersionID
-	freed bool
-}
-
-// --- messages to the gateway ---
-
-// gwAllocReplyMsg returns the allocated slot for a pending task ("use slot
-// 17" in Figure 6).
-type gwAllocReplyMsg struct {
-	gwRef     int
-	id        TaskID
-	moreSpace bool // the TRS still has room for a maximal task
-}
-
-// gwSpaceFreedMsg re-announces a TRS that previously reported itself full.
-type gwSpaceFreedMsg struct{ trs int }
-
-// gwStallMsg asserts or releases backpressure from a full ORT or OVT.
-type gwStallMsg struct {
-	src     int // module index in the frontend's stall bitmap
-	stalled bool
+// gwMsg is a message to the gateway.
+type gwMsg struct {
+	seq uint64 // gwAllocReply: the pending task's sequence number, its buffer reference
+	id  TaskID // gwAllocReply
+	// src is the sending TRS of a gwSpaceFreed, and a gwStall's module
+	// index in the frontend's stall bitmap.
+	src       int32
+	kind      gwKind
+	moreSpace bool // gwAllocReply: the TRS still has room for a maximal task
+	stalled   bool // gwStall
 }
 
 // ResolvedOperand is an operand as the backend sees it after decode: the

@@ -31,7 +31,7 @@ type ortModule struct {
 	fe    *Frontend
 	index int
 	node  int
-	srv   *sim.Server[any]
+	srv   *sim.Server[ortMsg]
 
 	// Way i of set s is index s*ortWays+i of tags and entries, which are
 	// preallocated from the configured table capacity — the fixed
@@ -42,10 +42,10 @@ type ortModule struct {
 	valid   []wayMask
 	entries []ortEntry
 	nsets   int
-	setMask int                      // nsets-1 when nsets is a power of 2, else -1
-	waiting []sim.FIFO[ortDecodeMsg] // stashed decodes per full set
-	nwait   int                      // total stashed operands
-	verSeq  uint32                   // version number allocator for the paired OVT
+	setMask int                // nsets-1 when nsets is a power of 2, else -1
+	waiting []sim.FIFO[ortMsg] // stashed decodes per full set
+	nwait   int                // total stashed operands
+	verSeq  uint32             // version number allocator for the paired OVT
 
 	// Stats.
 	lookups, hits, inserts, releases uint64
@@ -68,23 +68,17 @@ func newORT(fe *Frontend, index int) *ortModule {
 	o.tags = make([]uint64, nsets*ortWays)
 	o.valid = make([]wayMask, nsets)
 	o.entries = make([]ortEntry, nsets*ortWays)
-	o.waiting = make([]sim.FIFO[ortDecodeMsg], nsets)
-	o.srv = sim.NewServer[any](fe.eng, "ort", o.handle)
+	o.waiting = make([]sim.FIFO[ortMsg], nsets)
+	o.srv = sim.NewServer(fe.eng, o.handle)
 	return o
 }
 
-func (o *ortModule) handle(m any) sim.Cycle {
-	switch msg := m.(type) {
-	case *ortDecodeMsg:
-		v := *msg
-		o.fe.pools.decode.Put(msg)
-		return o.handleDecode(v, false)
-	case *ortReleaseMsg:
-		v := *msg
-		o.fe.pools.ortRelease.Put(msg)
-		return o.handleRelease(v)
-	default:
-		panic("ort: unknown message")
+func (o *ortModule) handle(m ortMsg) sim.Cycle {
+	switch m.kind {
+	case ortDecode:
+		return o.handleDecode(m, false)
+	default: // ortRelease
+		return o.handleRelease(m)
 	}
 }
 
@@ -129,7 +123,7 @@ func (o *ortModule) newVersion() VersionID {
 
 // handleDecode performs the renaming-table lookup for one operand and
 // drives the flows of Figures 7 (output), 8 (input) and 9 (inout).
-func (o *ortModule) handleDecode(m ortDecodeMsg, replay bool) sim.Cycle {
+func (o *ortModule) handleDecode(m ortMsg, replay bool) sim.Cycle {
 	cost := procCycles + ortLookupCycles
 	set := o.setFor(m.base)
 	if !replay && o.waiting[set].Len() > 0 {
@@ -164,7 +158,7 @@ func (o *ortModule) handleDecode(m ortDecodeMsg, replay bool) sim.Cycle {
 // decodeMiss services an operand whose object has no live entry, inserting
 // one into free way w: the data (if read) lives at its home address in
 // memory.
-func (o *ortModule) decodeMiss(m ortDecodeMsg, w int) sim.Cycle {
+func (o *ortModule) decodeMiss(m ortMsg, w int) sim.Cycle {
 	v := o.newVersion()
 	o.tags[w] = m.base
 	o.valid[w/ortWays] |= 1 << (w % ortWays)
@@ -179,28 +173,26 @@ func (o *ortModule) decodeMiss(m ortDecodeMsg, w int) sim.Cycle {
 	if o.occupied > o.maxOccupied {
 		o.maxOccupied = o.occupied
 	}
-	info := o.fe.pools.opInfo.Get()
-	*info = trsOperandInfoMsg{op: m.op, dir: m.dir, version: v}
-	nv := o.fe.pools.newVersion.Get()
-	*nv = ovtNewVersionMsg{v: v, base: m.base, size: m.size, initialUse: 1}
+	info := trsMsg{kind: trsOperandInfo, op: m.op, dir: m.dir, version: v}
+	nv := ovtMsg{kind: ovtNewVersion, v: v, base: m.base, size: m.size, initialUse: 1}
 	switch m.dir {
 	case taskmodel.In:
 		// Data is in memory; the operand is immediately ready.
 		info.immediateReady = 1
-		info.readyBuf = m.base
+		info.buf = m.base
 	case taskmodel.InOut:
 		// No previous version: input data is in memory; the OVT grants
 		// the (in-place) output buffer.
 		info.immediateReady = 1
-		info.readyBuf = m.base
+		info.buf = m.base
 		nv.hasProducer = true
-		nv.producer = m.op
+		nv.op = m.op
 		nv.inPlace = true
 	case taskmodel.Out:
 		// No previous version to protect: write in place. The OVT sends
 		// the output-buffer grant.
 		nv.hasProducer = true
-		nv.producer = m.op
+		nv.op = m.op
 		nv.inPlace = true
 	}
 	o.fe.sendToTRS(o.node, int(m.op.Task.TRS), info)
@@ -209,13 +201,12 @@ func (o *ortModule) decodeMiss(m ortDecodeMsg, w int) sim.Cycle {
 }
 
 // decodeHit services an operand whose object has a live entry.
-func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
+func (o *ortModule) decodeHit(m ortMsg, e *ortEntry) sim.Cycle {
 	prevUser := e.lastUser
 	prevGen := e.lastUserGen
 	prevVer := e.latestVer
 
-	info := o.fe.pools.opInfo.Get()
-	*info = trsOperandInfoMsg{op: m.op, dir: m.dir}
+	info := trsMsg{kind: trsOperandInfo, op: m.op, dir: m.dir}
 	switch m.dir {
 	case taskmodel.In:
 		// RaR or RaW: register with the previous user, join the version.
@@ -223,9 +214,7 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 		info.hasProducer = true
 		info.producer = prevUser
 		info.prodGen = prevGen
-		au := o.fe.pools.addUse.Get()
-		*au = ovtAddUseMsg{v: prevVer}
-		o.fe.sendToOVT(o.node, o.index, au)
+		o.fe.sendToOVT(o.node, o.index, ovtMsg{kind: ovtAddUse, v: prevVer})
 		e.uses++
 		if o.fe.cfg.Chaining || m.dir.Writes() {
 			e.lastUser = m.op
@@ -234,15 +223,13 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 	case taskmodel.Out:
 		v := o.newVersion()
 		info.version = v
-		nv := o.fe.pools.newVersion.Get()
-		*nv = ovtNewVersionMsg{
-			v: v, base: m.base, size: m.size,
-			hasProducer: true, producer: m.op,
+		o.fe.sendToOVT(o.node, o.index, ovtMsg{
+			kind: ovtNewVersion, v: v, base: m.base, size: m.size,
+			hasProducer: true, op: m.op,
 			hasPrev: true, prev: prevVer,
 			inPlace:    !o.fe.cfg.Renaming,
 			initialUse: 1,
-		}
-		o.fe.sendToOVT(o.node, o.index, nv)
+		})
 		e.lastUser = m.op
 		e.lastUserGen = o.fe.trsGen(m.op.Task)
 		e.latestVer = v
@@ -256,15 +243,13 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 		info.hasProducer = true
 		info.producer = prevUser
 		info.prodGen = prevGen
-		nv := o.fe.pools.newVersion.Get()
-		*nv = ovtNewVersionMsg{
-			v: v, base: m.base, size: m.size,
-			hasProducer: true, producer: m.op,
+		o.fe.sendToOVT(o.node, o.index, ovtMsg{
+			kind: ovtNewVersion, v: v, base: m.base, size: m.size,
+			hasProducer: true, op: m.op,
 			hasPrev: true, prev: prevVer,
 			inPlace:    true,
 			initialUse: 1,
-		}
-		o.fe.sendToOVT(o.node, o.index, nv)
+		})
 		e.lastUser = m.op
 		e.lastUserGen = o.fe.trsGen(m.op.Task)
 		e.latestVer = v
@@ -276,7 +261,7 @@ func (o *ortModule) decodeHit(m ortDecodeMsg, e *ortEntry) sim.Cycle {
 
 // handleRelease frees the object's entry if its latest version is the one
 // the OVT declared idle, then replays stalled operands for the set.
-func (o *ortModule) handleRelease(m ortReleaseMsg) sim.Cycle {
+func (o *ortModule) handleRelease(m ortMsg) sim.Cycle {
 	cost := procCycles + ortLookupCycles
 	set := o.setFor(m.base)
 	i := o.find(set, m.base)
@@ -289,9 +274,7 @@ func (o *ortModule) handleRelease(m ortReleaseMsg) sim.Cycle {
 		o.releases++
 		freed = true
 	}
-	ra := o.fe.pools.releaseAck.Get()
-	*ra = ovtReleaseAckMsg{v: m.version, freed: freed}
-	o.fe.sendToOVT(o.node, o.index, ra)
+	o.fe.sendToOVT(o.node, o.index, ovtMsg{kind: ovtReleaseAck, v: m.version, freed: freed})
 	// Replay stashed decodes for this set, in order.
 	for freed && o.waiting[set].Len() > 0 {
 		if o.freeWay(set) < 0 && o.find(set, o.waiting[set].Front().base) < 0 {

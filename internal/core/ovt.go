@@ -68,7 +68,7 @@ type ovtModule struct {
 	fe    *Frontend
 	index int
 	node  int
-	srv   *sim.Server[any]
+	srv   *sim.Server[ovtMsg]
 
 	capacity int // live versions the table holds (OVTBytesEach / ovtEntryBytes)
 
@@ -80,7 +80,7 @@ type ovtModule struct {
 	recs  sim.Arena[verRec]
 	nlive int // records in the live (non-pending) state
 
-	stashed sim.FIFO[ovtNewVersionMsg] // deferred creations while full
+	stashed sim.FIFO[ovtMsg] // deferred creations while full
 
 	// Free rename buffers by log2 size: fixed stacks, refilled by carving
 	// 16-buffer chunks from the bump-allocated region.
@@ -114,7 +114,7 @@ func newOVT(fe *Frontend, index int) *ovtModule {
 		// Rename buffers live in a private high region per OVT.
 		nextBuf: (uint64(1) << 44) + uint64(index)<<40,
 	}
-	o.srv = sim.NewServer[any](fe.eng, "ovt", o.handle)
+	o.srv = sim.NewServer(fe.eng, o.handle)
 	return o
 }
 
@@ -159,34 +159,20 @@ func (o *ovtModule) pendingCount() int { return o.byNum.Len() - o.nlive }
 
 // --- message handling ---
 
-func (o *ovtModule) handle(m any) sim.Cycle {
-	switch msg := m.(type) {
-	case *ovtNewVersionMsg:
-		v := *msg
-		o.fe.pools.newVersion.Put(msg)
-		return o.handleNewVersion(v, false)
-	case *ovtAddUseMsg:
-		v := *msg
-		o.fe.pools.addUse.Put(msg)
-		return o.handleAddUse(v)
-	case *ovtDecUseMsg:
-		v := *msg
-		o.fe.pools.decUse.Put(msg)
-		return o.handleDecUse(v)
-	case *ovtQueryBufMsg:
-		v := *msg
-		o.fe.pools.query.Put(msg)
-		return o.handleQuery(v)
-	case *ovtReleaseAckMsg:
-		v := *msg
-		o.fe.pools.releaseAck.Put(msg)
-		return o.handleReleaseAck(v)
-	case *ovtCopyDoneMsg:
-		v := *msg
-		o.fe.pools.copyDone.Put(msg)
-		return o.handleCopyDone(v)
-	default:
-		panic("ovt: unknown message")
+func (o *ovtModule) handle(m ovtMsg) sim.Cycle {
+	switch m.kind {
+	case ovtNewVersion:
+		return o.handleNewVersion(m, false)
+	case ovtAddUse:
+		return o.handleAddUse(m.v)
+	case ovtDecUse:
+		return o.handleDecUse(m.v)
+	case ovtQueryBuf:
+		return o.handleQuery(m.v, m.op)
+	case ovtReleaseAck:
+		return o.handleReleaseAck(m.v, m.freed)
+	default: // ovtCopyDone
+		return o.handleCopyDone(m.v)
 	}
 }
 
@@ -226,7 +212,7 @@ func (o *ovtModule) freeBuffer(buf uint64, bucket uint8) {
 	o.renameBufOut--
 }
 
-func (o *ovtModule) handleNewVersion(m ovtNewVersionMsg, replay bool) sim.Cycle {
+func (o *ovtModule) handleNewVersion(m ovtMsg, replay bool) sim.Cycle {
 	cost := procCycles + edramCycles
 	if o.nlive >= o.capacity {
 		o.stashed.Push(m)
@@ -257,7 +243,7 @@ func (o *ovtModule) handleNewVersion(m ovtNewVersionMsg, replay bool) sim.Cycle 
 		useCount:    int32(m.initialUse),
 		granted:     int32(m.initialUse),
 		hasProducer: m.hasProducer,
-		producer:    m.producer,
+		producer:    m.op,
 	}
 	if !m.hasProducer {
 		// Producer-less (memory) versions: the initial reader counts as
@@ -296,7 +282,7 @@ func (o *ovtModule) handleNewVersion(m ovtNewVersionMsg, replay bool) sim.Cycle 
 
 // createVersion services the body of a version creation once admitted; it
 // returns the buffer address the version starts with.
-func (o *ovtModule) createVersion(m ovtNewVersionMsg, rec *verRec) uint64 {
+func (o *ovtModule) createVersion(m ovtMsg, rec *verRec) uint64 {
 	if !m.hasPrev {
 		// First version of the object: data lives at the home address.
 		rec.buf = m.base
@@ -328,7 +314,7 @@ func (o *ovtModule) createVersion(m ovtNewVersionMsg, rec *verRec) uint64 {
 			rec.bufBucket = prev.bufBucket
 		}
 		prev.hasWaiter = true
-		prev.waiter = m.producer
+		prev.waiter = m.op
 		buf := rec.buf
 		o.maybeRelease(prev)
 		o.maybeReleaseByNum(m.v.Num)
@@ -359,11 +345,9 @@ func (o *ovtModule) maybeReleaseByNum(num uint32) {
 	}
 }
 
-// sendDataReady ships one pooled readiness notification to an operand's TRS.
+// sendDataReady ships one readiness notification to an operand's TRS.
 func (o *ovtModule) sendDataReady(op OperandID, buf uint64, output bool) {
-	dm := o.fe.pools.dataReady.Get()
-	*dm = trsDataReadyMsg{op: op, buf: buf, output: output}
-	o.fe.sendToTRS(o.node, int(op.Task.TRS), dm)
+	o.fe.sendToTRS(o.node, int(op.Task.TRS), trsMsg{kind: trsDataReady, op: op, buf: buf, output: output})
 }
 
 // grantOutput tells the producer's TRS that the output buffer is available.
@@ -371,12 +355,12 @@ func (o *ovtModule) grantOutput(rec *verRec) {
 	o.sendDataReady(rec.producer, rec.buf, true)
 }
 
-func (o *ovtModule) handleAddUse(m ovtAddUseMsg) sim.Cycle {
-	rec := o.rec(m.v.Num)
+func (o *ovtModule) handleAddUse(v VersionID) sim.Cycle {
+	rec := o.rec(v.Num)
 	if rec == nil || rec.pending {
 		// The version's creation is stashed behind a full table; hold
 		// the use until it replays.
-		o.pendingRec(m.v.Num).pendUses++
+		o.pendingRec(v.Num).pendUses++
 		return procCycles + edramCycles
 	}
 	rec.useCount++
@@ -385,13 +369,13 @@ func (o *ovtModule) handleAddUse(m ovtAddUseMsg) sim.Cycle {
 	return procCycles + edramCycles
 }
 
-func (o *ovtModule) handleDecUse(m ovtDecUseMsg) sim.Cycle {
-	rec := o.rec(m.v.Num)
+func (o *ovtModule) handleDecUse(v VersionID) sim.Cycle {
+	rec := o.rec(v.Num)
 	if rec == nil || rec.pending {
 		// The version's creation is stashed behind a full table and its
 		// holder already finished (ORT-miss readers are ready at
 		// decode). Net the release against the pending creation.
-		o.pendingRec(m.v.Num).pendUses--
+		o.pendingRec(v.Num).pendUses--
 		return procCycles + edramCycles
 	}
 	rec.useCount--
@@ -402,25 +386,25 @@ func (o *ovtModule) handleDecUse(m ovtDecUseMsg) sim.Cycle {
 	return procCycles + edramCycles
 }
 
-func (o *ovtModule) handleQuery(m ovtQueryBufMsg) sim.Cycle {
-	rec := o.rec(m.v.Num)
+func (o *ovtModule) handleQuery(v VersionID, consumer OperandID) sim.Cycle {
+	rec := o.rec(v.Num)
 	if rec == nil || rec.pending {
 		// Creation stashed: park the query on the pending record's
 		// version number and answer it when the creation replays.
-		o.pendingRec(m.v.Num)
-		if q := o.queries.Get(m.v.Num); q != nil {
-			*q = append(*q, m.consumer)
+		o.pendingRec(v.Num)
+		if q := o.queries.Get(v.Num); q != nil {
+			*q = append(*q, consumer)
 		} else {
 			var q []OperandID
 			if n := len(o.qFree); n > 0 {
 				q = o.qFree[n-1]
 				o.qFree = o.qFree[:n-1]
 			}
-			o.queries.Put(m.v.Num, append(q, m.consumer))
+			o.queries.Put(v.Num, append(q, consumer))
 		}
 		return procCycles + edramCycles
 	}
-	o.sendDataReady(m.consumer, rec.buf, false)
+	o.sendDataReady(consumer, rec.buf, false)
 	return procCycles + edramCycles
 }
 
@@ -448,35 +432,30 @@ func (o *ovtModule) maybeRelease(rec *verRec) {
 	}
 	if !rec.releasePending {
 		rec.releasePending = true
-		rm := o.fe.pools.ortRelease.Get()
-		*rm = ortReleaseMsg{base: rec.base, version: rec.id, granted: rec.granted}
-		o.fe.sendToORT(o.node, o.index, rm)
+		o.fe.sendToORT(o.node, o.index, ortMsg{kind: ortRelease, base: rec.base, version: rec.id, granted: rec.granted})
 	}
 }
 
-// ovtCopyDoneMsg is the internal completion event of a DMA copy-back.
-type ovtCopyDoneMsg struct{ v VersionID }
-
 // ovtCopyDoneEvent adapts a DMA completion to the module's message queue;
 // instances recycle through the module's pool so copy-backs do not
-// allocate.
+// allocate. It submits rather than delivers: mem.System.Copy fires it
+// inside an invalidation callback, where the tail-call argument behind a
+// delivery's in-place service does not hold.
 type ovtCopyDoneEvent struct {
 	o *ovtModule
 	v VersionID
 }
 
-// Fire implements sim.Event: it recycles itself, then submits the pooled
+// Fire implements sim.Event: it recycles itself, then submits the
 // copy-done message.
 func (ev *ovtCopyDoneEvent) Fire() {
 	o, v := ev.o, ev.v
 	o.copyEvents.Put(ev)
-	cm := o.fe.pools.copyDone.Get()
-	*cm = ovtCopyDoneMsg{v: v}
-	o.srv.Submit(cm)
+	o.srv.Submit(ovtMsg{kind: ovtCopyDone, v: v})
 }
 
-func (o *ovtModule) handleCopyDone(m ovtCopyDoneMsg) sim.Cycle {
-	rec := o.rec(m.v.Num)
+func (o *ovtModule) handleCopyDone(v VersionID) sim.Cycle {
+	rec := o.rec(v.Num)
 	if rec == nil || rec.pending {
 		return procCycles
 	}
@@ -516,14 +495,14 @@ func (o *ovtModule) die(rec *verRec) {
 	o.replayStashed()
 }
 
-func (o *ovtModule) handleReleaseAck(m ovtReleaseAckMsg) sim.Cycle {
-	rec := o.rec(m.v.Num)
+func (o *ovtModule) handleReleaseAck(v VersionID, freed bool) sim.Cycle {
+	rec := o.rec(v.Num)
 	cost := procCycles
 	if rec == nil || rec.pending {
 		return cost
 	}
 	rec.releasePending = false
-	if m.freed {
+	if freed {
 		// The ORT freed the entry with grant counts matching: no use of
 		// this version can exist or arrive. Retire the record.
 		if rec.useCount != 0 {

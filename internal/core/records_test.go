@@ -13,7 +13,8 @@ import (
 // the simulator's memory per in-flight task: a TRS operand (the paper's
 // main block holds 4 in 128 B), a TRS task, an OVT version and the payload
 // of an ORT way (the paper's entries are 32 B; the way's 8 B tag sits in
-// the set's tag block).
+// the set's tag block). It also pins each module's message type, which
+// its server queues by value: the host memory per queued message.
 func TestRecordSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("record sizes are pinned for 64-bit platforms")
@@ -26,6 +27,10 @@ func TestRecordSizes(t *testing.T) {
 		{"taskRec", unsafe.Sizeof(taskRec{}), 200},
 		{"verRec", unsafe.Sizeof(verRec{}), 88},
 		{"ortEntry", unsafe.Sizeof(ortEntry{}), 40},
+		{"trsMsg", unsafe.Sizeof(trsMsg{}), 64},
+		{"ortMsg", unsafe.Sizeof(ortMsg{}), 40},
+		{"ovtMsg", unsafe.Sizeof(ovtMsg{}), 48},
+		{"gwMsg", unsafe.Sizeof(gwMsg{}), 24},
 	} {
 		t.Logf("%s: %d B", c.name, c.size)
 		if c.size > c.max {

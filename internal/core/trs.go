@@ -61,7 +61,7 @@ type trsModule struct {
 	fe    *Frontend
 	index int
 	node  int // NoC node (stored as int to match noc.NodeID)
-	srv   *sim.Server[any]
+	srv   *sim.Server[trsMsg]
 
 	totalBlocks int
 	freeBlocks  int
@@ -75,7 +75,7 @@ type trsModule struct {
 	// when the data arrives, so none outlives its task.
 	consumers sim.Table[uint64, []OperandID]
 
-	deferred     sim.FIFO[trsAllocMsg] // allocation requests awaiting free blocks
+	deferred     sim.FIFO[*taskmodel.Task] // allocation requests awaiting free blocks
 	reportedFull bool
 
 	// Stats.
@@ -94,40 +94,25 @@ func newTRS(fe *Frontend, index int) *trsModule {
 	}
 	t.freeBlocks = t.totalBlocks
 	t.sramHeads = sramFreeListHeads
-	t.srv = sim.NewServer[any](fe.eng, "trs", t.handle)
+	t.srv = sim.NewServer(fe.eng, t.handle)
 	return t
 }
 
-// handle copies each pooled message out and recycles it before dispatching,
-// ordered by rough message frequency.
-func (t *trsModule) handle(m any) sim.Cycle {
-	switch msg := m.(type) {
-	case *trsDataReadyMsg:
-		v := *msg
-		t.fe.pools.dataReady.Put(msg)
-		return t.handleDataReady(v)
-	case *trsOperandInfoMsg:
-		v := *msg
-		t.fe.pools.opInfo.Put(msg)
-		return t.handleOperandInfo(v)
-	case *trsRegisterConsumerMsg:
-		v := *msg
-		t.fe.pools.regConsumer.Put(msg)
-		return t.handleRegisterConsumer(v)
-	case *trsScalarMsg:
-		v := *msg
-		t.fe.pools.scalar.Put(msg)
-		return t.handleScalar(v)
-	case *trsAllocMsg:
-		v := *msg
-		t.fe.pools.alloc.Put(msg)
-		return t.handleAlloc(v)
-	case *trsTaskFinishedMsg:
-		v := *msg
-		t.fe.pools.finished.Put(msg)
-		return t.handleFinished(v)
-	default:
-		panic("trs: unknown message")
+// handle dispatches a message by kind, ordered by rough message frequency.
+func (t *trsModule) handle(m trsMsg) sim.Cycle {
+	switch m.kind {
+	case trsDataReady:
+		return t.handleDataReady(m)
+	case trsOperandInfo:
+		return t.handleOperandInfo(m)
+	case trsRegisterConsumer:
+		return t.handleRegisterConsumer(m)
+	case trsScalar:
+		return t.handleScalar(m.op)
+	case trsAlloc:
+		return t.handleAlloc(m.task)
+	default: // trsFinished
+		return t.handleFinished(m.op.Task)
 	}
 }
 
@@ -146,29 +131,28 @@ func (t *trsModule) blockAllocCost(n int) sim.Cycle {
 	return cost
 }
 
-func (t *trsModule) handleAlloc(m trsAllocMsg) sim.Cycle {
-	nops := m.task.NumOperands()
-	blocks := blocksForOperands(nops)
+func (t *trsModule) handleAlloc(task *taskmodel.Task) sim.Cycle {
+	blocks := blocksForOperands(task.NumOperands())
 	if blocks > t.freeBlocks {
 		// Defer until a task frees storage; the gateway's in-order issue
 		// stage blocks on this task, which is exactly the paper's
 		// "task window full" stall.
-		t.deferred.Push(m)
+		t.deferred.Push(task)
 		if t.deferred.Len() > t.deferredHighWater {
 			t.deferredHighWater = t.deferred.Len()
 		}
 		return procCycles
 	}
-	return t.allocate(m, blocks)
+	return t.allocate(task, blocks)
 }
 
-func (t *trsModule) allocate(m trsAllocMsg, blocks int) sim.Cycle {
-	nops := m.task.NumOperands()
+func (t *trsModule) allocate(task *taskmodel.Task, blocks int) sim.Cycle {
+	nops := task.NumOperands()
 	t.freeBlocks -= blocks
 	slot, rec := t.tasks.Alloc()
 	rec.gen++
 	rec.id = TaskID{TRS: uint16(t.index), Slot: slot}
-	rec.task = m.task
+	rec.task = task
 	rec.blocks = uint8(blocks)
 	rec.nops = uint8(nops)
 	if spill := nops - mainBlockOperands; spill > 0 {
@@ -193,13 +177,12 @@ func (t *trsModule) allocate(m trsAllocMsg, blocks int) sim.Cycle {
 	t.fe.noteWindowDelta(+1)
 
 	// Reply to the gateway with the slot number.
-	rm := t.fe.pools.allocReply.Get()
-	*rm = gwAllocReplyMsg{
-		gwRef:     m.gwRef,
+	t.fe.sendToGW(t.node, gwMsg{
+		kind:      gwAllocReply,
+		seq:       task.Seq,
 		id:        rec.id,
 		moreSpace: t.freeBlocks >= blocksForOperands(MaxOperands),
-	}
-	t.fe.sendToGW(t.node, rm)
+	})
 	if t.freeBlocks < blocksForOperands(MaxOperands) {
 		t.reportedFull = true
 	}
@@ -241,7 +224,7 @@ func (t *trsModule) slotGen(slot uint32) uint32 {
 	return t.tasks.At(slot).gen
 }
 
-func (t *trsModule) handleOperandInfo(m trsOperandInfoMsg) sim.Cycle {
+func (t *trsModule) handleOperandInfo(m trsMsg) sim.Cycle {
 	r := t.rec(m.op.Task, 0, false)
 	if r == nil {
 		panic("trs: operand info for freed slot")
@@ -266,19 +249,18 @@ func (t *trsModule) handleOperandInfo(m trsOperandInfoMsg) sim.Cycle {
 	cost := procCycles + edramCycles
 	if m.hasProducer {
 		// Register with the previous user of the version for input data.
-		rc := t.fe.pools.regConsumer.Get()
-		*rc = trsRegisterConsumerMsg{
-			producer:     m.producer,
-			prodGen:      m.prodGen,
-			consumer:     m.op,
-			queryVersion: m.version,
-		}
-		t.fe.sendToTRS(t.node, int(m.producer.Task.TRS), rc)
+		t.fe.sendToTRS(t.node, int(m.producer.Task.TRS), trsMsg{
+			kind:     trsRegisterConsumer,
+			producer: m.producer,
+			prodGen:  m.prodGen,
+			op:       m.op,
+			version:  m.version,
+		})
 	}
 	if m.immediateReady > 0 {
 		op.pending -= m.immediateReady
 		r.pendingReady -= m.immediateReady
-		op.buf = m.readyBuf
+		op.buf = m.buf
 		op.dataDone = true
 	}
 	t.noteOperandStored(r)
@@ -286,12 +268,12 @@ func (t *trsModule) handleOperandInfo(m trsOperandInfoMsg) sim.Cycle {
 	return cost
 }
 
-func (t *trsModule) handleScalar(m trsScalarMsg) sim.Cycle {
-	r := t.rec(m.op.Task, 0, false)
+func (t *trsModule) handleScalar(id OperandID) sim.Cycle {
+	r := t.rec(id.Task, 0, false)
 	if r == nil {
 		panic("trs: scalar for freed slot")
 	}
-	op := r.op(int(m.op.Index))
+	op := r.op(int(id.Index))
 	op.dir = taskmodel.Scalar
 	op.stored = true
 	op.dataDone = true
@@ -309,40 +291,38 @@ func (t *trsModule) noteOperandStored(r *taskRec) {
 	}
 }
 
-func (t *trsModule) handleRegisterConsumer(m trsRegisterConsumerMsg) sim.Cycle {
+// handleRegisterConsumer registers the consumer m.op with the producer
+// m.producer.
+func (t *trsModule) handleRegisterConsumer(m trsMsg) sim.Cycle {
 	cost := procCycles + 2*edramCycles // read + link write
+	consumer := m.op
 	r := t.rec(m.producer.Task, m.prodGen, true)
 	if r == nil {
 		// The user already retired; its data was produced and written
 		// back. Resolve the buffer through the version record.
-		qm := t.fe.pools.query.Get()
-		*qm = ovtQueryBufMsg{
-			v:        m.queryVersion,
-			consumer: m.consumer,
-		}
-		t.fe.sendToOVT(t.node, int(m.queryVersion.OVT), qm)
+		t.fe.sendToOVT(t.node, int(m.version.OVT), ovtMsg{kind: ovtQueryBuf, v: m.version, op: consumer})
 		return cost
 	}
 	op := r.op(int(m.producer.Index))
 	if op.dir == taskmodel.In && op.dataDone {
 		// Data already flowed through this reader: forward directly.
-		t.sendDataReady(int(m.consumer.Task.TRS), m.consumer, op.buf, false)
+		t.sendDataReady(int(consumer.Task.TRS), consumer, op.buf, false)
 		return cost
 	}
 	if t.fe.cfg.Chaining {
-		op.next = m.consumer
+		op.next = consumer
 		return cost
 	}
 	k := operandKey(m.producer)
 	if c := t.consumers.Get(k); c != nil {
-		*c = append(*c, m.consumer)
+		*c = append(*c, consumer)
 	} else {
-		t.consumers.Put(k, []OperandID{m.consumer})
+		t.consumers.Put(k, []OperandID{consumer})
 	}
 	return cost
 }
 
-func (t *trsModule) handleDataReady(m trsDataReadyMsg) sim.Cycle {
+func (t *trsModule) handleDataReady(m trsMsg) sim.Cycle {
 	r := t.rec(m.op.Task, 0, false)
 	if r == nil {
 		panic("trs: data ready for freed slot")
@@ -374,11 +354,9 @@ func (t *trsModule) handleDataReady(m trsDataReadyMsg) sim.Cycle {
 	return cost
 }
 
-// sendDataReady ships one pooled readiness notification to a consumer TRS.
+// sendDataReady ships one readiness notification to a consumer TRS.
 func (t *trsModule) sendDataReady(trsIdx int, op OperandID, buf uint64, output bool) {
-	dm := t.fe.pools.dataReady.Get()
-	*dm = trsDataReadyMsg{op: op, buf: buf, output: output}
-	t.fe.sendToTRS(t.node, trsIdx, dm)
+	t.fe.sendToTRS(t.node, trsIdx, trsMsg{kind: trsDataReady, op: op, buf: buf, output: output})
 }
 
 // forward passes an input-data-ready notification to the next consumer in
@@ -438,8 +416,8 @@ func (t *trsModule) maybeDispatch(r *taskRec) sim.Cycle {
 	return edramCycles // read the record out for dispatch
 }
 
-func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
-	r := t.rec(m.id, 0, false)
+func (t *trsModule) handleFinished(id TaskID) sim.Cycle {
+	r := t.rec(id, 0, false)
 	if r == nil {
 		panic("trs: finish for freed slot")
 	}
@@ -452,20 +430,17 @@ func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
 		if op.dir == taskmodel.Scalar {
 			continue
 		}
-		id := OperandID{Task: m.id, Index: uint8(i)}
 		if op.dir.Writes() {
 			// The produced data is now final: release it to consumers.
 			op.dataDone = true
-			t.forward(id, op, op.buf)
+			t.forward(OperandID{Task: id, Index: uint8(i)}, op, op.buf)
 		}
-		du := t.fe.pools.decUse.Get()
-		*du = ovtDecUseMsg{v: op.version}
-		t.fe.sendToOVT(t.node, int(op.version.OVT), du)
+		t.fe.sendToOVT(t.node, int(op.version.OVT), ovtMsg{kind: ovtDecUse, v: op.version})
 	}
 	// Free the task storage (the slot keeps its generation counter).
 	blocks := int(r.blocks)
 	r.task = nil
-	t.tasks.Free(m.id.Slot)
+	t.tasks.Free(id.Slot)
 	t.freeBlocks += blocks
 	t.freed++
 	t.fe.noteWindowDelta(-1)
@@ -474,7 +449,7 @@ func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
 	// Serve deferred allocations in order.
 	for t.deferred.Len() > 0 {
 		d := *t.deferred.Front()
-		blocks := blocksForOperands(d.task.NumOperands())
+		blocks := blocksForOperands(d.NumOperands())
 		if blocks > t.freeBlocks {
 			break
 		}
@@ -483,9 +458,7 @@ func (t *trsModule) handleFinished(m trsTaskFinishedMsg) sim.Cycle {
 	}
 	if t.reportedFull && t.deferred.Len() == 0 && t.freeBlocks >= blocksForOperands(MaxOperands) {
 		t.reportedFull = false
-		sf := t.fe.pools.spaceFreed.Get()
-		*sf = gwSpaceFreedMsg{trs: t.index}
-		t.fe.sendToGW(t.node, sf)
+		t.fe.sendToGW(t.node, gwMsg{kind: gwSpaceFreed, src: int32(t.index)})
 	}
 	return cost
 }

@@ -12,8 +12,8 @@
 // as a FuncEvent (a func value is pointer-shaped, so the conversion does
 // not allocate); ScheduleEvent and ScheduleEventAt take
 // any Event, which is how hot paths schedule pooled or self-firing objects
-// — Server is the Event for its own dispatch, and Deliver hands out
-// delivery events recycled through an engine Pool. Scheduling a
+// — Server is the Event for its own dispatch, and Server.Deliver hands out
+// delivery events recycled through the server's Pool. Scheduling a
 // prebuilt closure or an Event therefore performs no allocation at all —
 // see docs/ARCHITECTURE.md for the invariants hot senders rely on.
 package sim
@@ -30,13 +30,6 @@ type Event interface {
 	Fire()
 }
 
-// Sink consumes simulation messages at delivery time. Server[any]
-// implements it, which lets a Deliver event hand a message straight to a
-// module's input queue instead of through a fresh closure.
-type Sink interface {
-	Submit(m any)
-}
-
 // FuncEvent adapts a closure to Event. Schedule stores its closure this
 // way; converting a func value to FuncEvent and on to Event does not
 // allocate, so a prebuilt closure schedules (or completes a NoC send) for
@@ -51,8 +44,6 @@ type Engine struct {
 	q    calQueue
 	now  Cycle
 	fire uint64 // events fired, for diagnostics
-
-	deliveries Pool[deliverEvent] // Deliver's events
 }
 
 // NewEngine returns an engine with its clock at cycle zero.
@@ -88,51 +79,6 @@ func (e *Engine) ScheduleEventAt(at Cycle, ev Event) {
 		at = e.now
 	}
 	e.q.schedule(at, ev)
-}
-
-// deliverEvent carries one message to a sink; instances are recycled
-// through the engine's pool, so steady-state delivery does not allocate.
-type deliverEvent struct {
-	eng  *Engine
-	sink Sink
-	m    any
-}
-
-// Fire recycles the event before submitting, so the sink's handler may
-// immediately schedule further deliveries through the same pool.
-//
-// A delivery that wakes an idle Server[any] runs the server's dispatch
-// step in place when nothing else is pending at this cycle. Submit would
-// schedule that step at delay 0. A delivery fires as an event of its own
-// or as the last action of the NoC hop event that carried it, and Submit
-// is the last thing it does, so the step would be the very next event to
-// fire: running it here moves nothing, and Fired counts it as the event it
-// would have been. A Submit from inside a handler keeps scheduling,
-// because the handler's code after the call must run before the woken
-// server's.
-func (d *deliverEvent) Fire() {
-	e, sink, m := d.eng, d.sink, d.m
-	d.sink, d.m = nil, nil
-	e.deliveries.Put(d)
-	if srv, ok := sink.(*Server[any]); ok && e.q.idleAt(e.now) {
-		if srv.enqueue(m) {
-			e.fire++
-			srv.Fire()
-		}
-		return
-	}
-	sink.Submit(m)
-}
-
-// Deliver returns an event that submits m to sink when it fires. The event
-// comes from the engine's pool and returns to it on firing, so a
-// steady-state delivery neither allocates nor builds a closure; the caller
-// must schedule it (ScheduleEvent, or as a NoC send's completion) exactly
-// once.
-func (e *Engine) Deliver(sink Sink, m any) Event {
-	d := e.deliveries.Get()
-	d.eng, d.sink, d.m = e, sink, m
-	return d
 }
 
 // Step fires the next event, advancing the clock to its timestamp.

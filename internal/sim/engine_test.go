@@ -160,11 +160,11 @@ func TestEngineOrderingProperty(t *testing.T) {
 func TestServerSerializesWork(t *testing.T) {
 	e := NewEngine()
 	var done []Cycle
-	srv := NewServer(e, "trs0", func(m int) Cycle { return 10 })
-	wrapped := NewServer(e, "obs", func(m int) Cycle { return 0 })
+	srv := NewServer(e, func(m int) Cycle { return 10 })
+	wrapped := NewServer(e, func(m int) Cycle { return 0 })
 	_ = wrapped
 	// Observe completion times via a second schedule inside the handler.
-	srv2 := NewServer(e, "unit", func(m int) Cycle {
+	srv2 := NewServer(e, func(m int) Cycle {
 		e.Schedule(10, func() { done = append(done, e.Now()) })
 		return 10
 	})
@@ -189,7 +189,7 @@ func TestServerSerializesWork(t *testing.T) {
 
 func TestServerQueueStats(t *testing.T) {
 	e := NewEngine()
-	srv := NewServer(e, "u", func(m int) Cycle { return 100 })
+	srv := NewServer(e, func(m int) Cycle { return 100 })
 	for i := 0; i < 5; i++ {
 		srv.Submit(i)
 	}
@@ -318,25 +318,25 @@ func TestCalendarQueueFarCellsBeyondWindow(t *testing.T) {
 
 // The steady-state schedule/pop path must not allocate: closure cells and
 // typed events are stored directly in calendar buckets, and delivery events
-// recycle through the engine's free list.
+// recycle through the server's free list.
 func TestEngineZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	fn := func() { count++ }
-	sink := NewServer(e, "sink", func(any) Cycle { return 4 })
+	sink := NewServer(e, func(int) Cycle { return 4 })
 	// Warm bucket storage (every slot of the calendar ring), free lists
 	// and server queues — the state any engine reaches moments into a run.
 	for i := 0; i < 2*int(calWindow); i++ {
 		e.Schedule(Cycle(i), fn)
 		if i%16 == 0 {
-			e.ScheduleEvent(Cycle(i), e.Deliver(sink, 7))
+			e.ScheduleEvent(Cycle(i), sink.Deliver(7))
 		}
 	}
 	e.Run()
 	if avg := testing.AllocsPerRun(500, func() {
 		e.Schedule(3, fn)
 		e.Schedule(250, fn)
-		e.ScheduleEvent(17, e.Deliver(sink, 7))
+		e.ScheduleEvent(17, sink.Deliver(7))
 		e.Run()
 	}); avg != 0 {
 		t.Fatalf("steady-state schedule/pop allocated %.1f times per run, want 0", avg)
@@ -379,7 +379,7 @@ func TestServerThroughputProperty(t *testing.T) {
 		e := NewEngine()
 		cost := Cycle(c%50) + 1
 		n := int(k%32) + 1
-		srv := NewServer(e, "u", func(int) Cycle { return cost })
+		srv := NewServer(e, func(int) Cycle { return cost })
 		for i := 0; i < n; i++ {
 			srv.Submit(i)
 		}

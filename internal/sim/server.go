@@ -10,19 +10,21 @@ package sim
 // service time, and the server stays busy for that long before dequeuing the
 // next message.
 //
-// The input queue is a FIFO, which compacts its consumed prefix before it
-// grows, so a server that stays busy for a whole run stops allocating once
-// its queue reaches its high-water mark. The server is itself the Event
-// that drives its dispatch, so a warm server enqueues and services messages
-// without allocating. Server[any] satisfies Sink, which lets the NoC
-// deliver straight into the queue.
+// Messages are held by value: M is the module's one message type, so the
+// input queue stores each message in its own slot and a handler owns the
+// copy it is given. The queue is a FIFO, which compacts its consumed prefix
+// before it grows, so a server that stays busy for a whole run stops
+// allocating once its queue reaches its high-water mark. The server is
+// itself the Event that drives its dispatch, and Deliver hands out delivery
+// events from the server's own pool, so a warm server receives, enqueues
+// and services messages without allocating.
 type Server[M any] struct {
-	eng  *Engine
-	name string
-	h    func(M) Cycle
+	eng *Engine
+	h   func(M) Cycle
 
-	busy  bool
-	queue FIFO[M]
+	busy       bool
+	queue      FIFO[M]
+	deliveries Pool[delivery[M]]
 
 	// Stats.
 	served    uint64
@@ -32,12 +34,9 @@ type Server[M any] struct {
 
 // NewServer creates a serial server driven by eng. handler processes one
 // message and returns the number of cycles the unit is occupied by it.
-func NewServer[M any](eng *Engine, name string, handler func(M) Cycle) *Server[M] {
-	return &Server[M]{eng: eng, name: name, h: handler}
+func NewServer[M any](eng *Engine, handler func(M) Cycle) *Server[M] {
+	return &Server[M]{eng: eng, h: handler}
 }
-
-// Name returns the diagnostic name of the server.
-func (s *Server[M]) Name() string { return s.name }
 
 // Submit enqueues a message for processing. Messages are processed in FIFO
 // order; the handler for a message runs when the unit becomes free.
@@ -45,6 +44,49 @@ func (s *Server[M]) Submit(m M) {
 	if s.enqueue(m) {
 		s.eng.ScheduleEvent(0, s)
 	}
+}
+
+// Deliver returns an event that submits m when it fires. The event comes
+// from the server's pool and returns to it on firing, so a steady-state
+// delivery neither allocates nor builds a closure; the caller must schedule
+// it (ScheduleEvent, or as a NoC send's completion) exactly once.
+func (s *Server[M]) Deliver(m M) Event {
+	d := s.deliveries.Get()
+	d.srv, d.m = s, m
+	return d
+}
+
+// delivery carries one message to its server.
+type delivery[M any] struct {
+	srv *Server[M]
+	m   M
+}
+
+// Fire recycles the event before submitting, so the server's handler may
+// immediately send further deliveries through the same pool.
+//
+// A delivery that wakes an idle server runs the server's dispatch step in
+// place when nothing else is pending at this cycle. Submit would schedule
+// that step at delay 0. A delivery fires as an event of its own or as the
+// last action of the NoC hop event that carried it, and Submit is the last
+// thing it does, so the step would be the very next event to fire: running
+// it here moves nothing, and Fired counts it as the event it would have
+// been. A Submit from inside a handler keeps scheduling, because the
+// handler's code after the call must run before the woken server's.
+func (d *delivery[M]) Fire() {
+	s, m := d.srv, d.m
+	var zero M
+	d.m = zero // release references held by the message
+	s.deliveries.Put(d)
+	e := s.eng
+	if e.q.idleAt(e.now) {
+		if s.enqueue(m) {
+			e.fire++
+			s.Fire()
+		}
+		return
+	}
+	s.Submit(m)
 }
 
 // enqueue queues m and reports whether that woke the server from idle, in

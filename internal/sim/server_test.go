@@ -17,7 +17,7 @@ func TestServerQueueBoundedWhenNeverDrained(t *testing.T) {
 	var srv *Server[int]
 	// Every service re-submits one message, so the queue holds a standing
 	// backlog and never empties.
-	srv = NewServer(e, "busy", func(m int) Cycle {
+	srv = NewServer(e, func(m int) Cycle {
 		srv.Submit(m + 1)
 		return 10
 	})
@@ -187,12 +187,12 @@ func TestMixedEventKindsFireInReferenceOrder(t *testing.T) {
 
 		e := NewEngine()
 		var api mixedAPI
-		srv := NewServer[any](e, "srv", func(m any) Cycle { return api.serve(m.(int)) })
+		srv := NewServer(e, func(m int) Cycle { return api.serve(m) })
 		api = mixedAPI{
 			now:     e.Now,
 			closure: e.Schedule,
 			event:   func(d Cycle, fn func()) { e.ScheduleEvent(d, &testEvent{fn}) },
-			deliver: func(d Cycle, m int) { e.ScheduleEvent(d, e.Deliver(srv, m)) },
+			deliver: func(d Cycle, m int) { e.ScheduleEvent(d, srv.Deliver(m)) },
 			submit:  func(m int) { srv.Submit(m) },
 		}
 		gotTrace := mixedScenario(&api, seed, count)
@@ -244,8 +244,8 @@ func TestDeliverToIdleServerRunsInPlace(t *testing.T) {
 	e := NewEngine()
 	var log []string
 	note := func(s string) { log = append(log, fmt.Sprintf("%s@%d", s, e.Now())) }
-	srv := NewServer[any](e, "srv", func(m any) Cycle {
-		note("serve " + m.(string))
+	srv := NewServer(e, func(m string) Cycle {
+		note("serve " + m)
 		return 5
 	})
 	expect := func(step string, fired uint64, want ...string) {
@@ -255,14 +255,14 @@ func TestDeliverToIdleServerRunsInPlace(t *testing.T) {
 		}
 	}
 
-	e.ScheduleEvent(10, e.Deliver(srv, "a"))
+	e.ScheduleEvent(10, srv.Deliver("a"))
 	e.Step()
 	expect("alone at its cycle", 2, "serve a@10")
 	e.Run() // the service ends at 15 and the server idles out
 	expect("drained", 3, "serve a@10")
 
 	log = nil
-	e.ScheduleEvent(10, e.Deliver(srv, "b"))
+	e.ScheduleEvent(10, srv.Deliver("b"))
 	e.Schedule(10, func() { note("other") })
 	e.Step()
 	expect("another event pending", 4)

@@ -11,7 +11,7 @@ import (
 // what the run holds and stops allocating once warm. Three types cover
 // every module: Table indexes records by an integer key, Arena holds
 // records at stable addresses in recycled slots, and Pool recycles
-// pointer-passed records (messages and events). None is safe for
+// pointer-passed records (events and dispatch records). None is safe for
 // concurrent use; like every simulation structure each is owned by one
 // engine goroutine.
 
@@ -177,8 +177,8 @@ func (a *Arena[T]) Free(i uint32) { a.free = append(a.free, i) }
 func (a *Arena[T]) Len() int { return a.n }
 
 // Pool is a last-in first-out free list of records passed by pointer:
-// protocol messages, which travel as a *T inside an `any` without
-// allocating, and self-recycling events. It is deliberately not a
+// self-recycling events (a server's deliveries, the NoC's hops, the
+// modules' lifecycle events) and dispatch records. It is deliberately not a
 // sync.Pool: that pool's per-P caches and GC interaction would make reuse,
 // and so heap layout, depend on timing, and each engine is single-threaded
 // anyway. The zero value is empty.

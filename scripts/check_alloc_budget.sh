@@ -3,8 +3,9 @@
 #
 # The frontend's steady-state decode path is designed to be allocation-free:
 # task and version records live in sim.Arena slots (version records found
-# through a sim.Table), protocol messages and dispatch records in sim.Pool
-# free lists (see docs/ARCHITECTURE.md "Memory layout"). What remains in
+# through a sim.Table), protocol messages by value in their servers'
+# queues, and delivery events and dispatch records in sim.Pool free lists
+# (see docs/ARCHITECTURE.md "Memory layout"). What remains in
 # the measured allocs-per-simulated-task figure is per-run machine
 # construction spread over the workload, so the number is small and
 # stable — and any structural regression (a map reintroduced on a hot
